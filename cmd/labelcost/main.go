@@ -36,8 +36,9 @@ func main() {
 	}
 	fmt.Println("Figure 9: average Kcycles/connection by component vs cached sessions")
 	fmt.Println("paper shape: OKDB and Kernel IPC grow linearly; Kernel IPC passes Network ≈3k sessions")
-	fmt.Println("(this kernel memoizes ⊑/⊔/⊓/Contaminate results, flattening the label curves;")
-	fmt.Println(" cachehit shows the fraction of cacheable label ops the memo absorbed)")
+	fmt.Println("(here a label operation costs the chunks it changes, not the entries it spans,")
+	fmt.Println(" which flattens the label curves; cachehit is the hit ratio of the ⊑ memo and")
+	fmt.Println(" the interned single-entry labels)")
 	header := []string{"sessions"}
 	for _, c := range asbestos.Categories() {
 		header = append(header, c.String())

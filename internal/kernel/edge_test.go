@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"asbestos/internal/handle"
 	"asbestos/internal/label"
 	"asbestos/internal/mem"
 )
@@ -167,5 +168,31 @@ func TestDropPrivilegeKeepsDelivery(t *testing.T) {
 	p.Port(port).Send([]byte("self"), nil)
 	if d, _ := p.TryRecv(); d != nil {
 		t.Fatal("send should fail after dropping own port capability")
+	}
+}
+
+// A process may pass any handle value to a system call. Ones no label can
+// hold — the reserved zero handle, values past the 61-bit handle space — name
+// nothing: they read at the label's default, so dropping is a no-op, raising
+// is refused, and neither disturbs the kernel.
+func TestPrivilegeCallsOnInvalidHandle(t *testing.T) {
+	s := newSys()
+	p := s.NewProcess("p")
+	p.NewHandle() // a non-empty send label, so lookups reach a chunk
+	send, recv := p.SendLabel(), p.RecvLabel()
+	for _, bad := range []handle.Handle{handle.None, handle.MaxHandle + 1} {
+		if err := p.DropPrivilege(bad, label.L1); err != nil {
+			t.Errorf("DropPrivilege(%#x) = %v, want nil", uint64(bad), err)
+		}
+		if err := p.RaiseRecv(bad, label.L3); err != ErrPrivilege {
+			t.Errorf("RaiseRecv(%#x) = %v, want ErrPrivilege", uint64(bad), err)
+		}
+	}
+	if p.SendLabel() != send || p.RecvLabel() != recv {
+		t.Error("labels changed")
+	}
+	// The kernel still answers: p.mu was released.
+	if err := p.DropPrivilege(p.NewHandle(), label.L1); err != nil {
+		t.Fatal(err)
 	}
 }

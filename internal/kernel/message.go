@@ -137,7 +137,7 @@ func (d *Delivery) Detach() []byte {
 //
 // The single-handle form — by far the hottest, one per request for every
 // reply-port grant — returns an interned label, so repeated grants of the
-// same capability share one fingerprint and the per-delivery label effects
+// same capability share one label and one fingerprint, and the ⊑ checks
 // they feed can be memoized.
 func Grant(hs ...handle.Handle) *label.Label {
 	if len(hs) == 1 {
@@ -209,14 +209,7 @@ func (p *Process) sendSnapshot() (*label.Label, error) {
 //	(2) DS(h) < 3  ⇒ PS(h) = ⋆   — granting privilege demands ⋆
 //	(3) DR(h) > ⋆  ⇒ PS(h) = ⋆   — raising another's receive label likewise
 func checkSendPrivs(ps, ds, dr *label.Label) error {
-	if !label.PairwiseAll(ds, ps, func(d, s label.Level) bool {
-		return d >= label.L3 || s == label.Star
-	}) {
-		return ErrPrivilege
-	}
-	if !label.PairwiseAll(dr, ps, func(d, s label.Level) bool {
-		return d == label.Star || s == label.Star
-	}) {
+	if !label.Req2(ds, ps) || !label.Req3(dr, ps) {
 		return ErrPrivilege
 	}
 	return nil
@@ -323,11 +316,11 @@ func deliverable(m *Message, recvL, pr *label.Label) bool {
 				minLevel(m.v.Get(h), pr.Get(h)))
 		}
 		ok := true
-		// Walk ES with its own iterated levels: privileged (⋆) entries —
-		// the bulk of a trusted server's label — pass trivially with no
-		// lookups at all.
-		m.es.Each(func(h handle.Handle, e label.Level) bool {
-			if e != label.Star && e > rhs(h) {
+		// Walk ES's entries above ⋆ only: privileged (⋆) entries — the bulk
+		// of a trusted server's label — pass trivially, and chunks holding
+		// nothing else are skipped whole.
+		m.es.EachAboveStar(func(h handle.Handle, e label.Level) bool {
+			if e > rhs(h) {
 				ok = false
 				return false
 			}

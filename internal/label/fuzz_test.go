@@ -132,8 +132,8 @@ func FuzzLabelOps(f *testing.F) {
 // observed through a mutated label: With returns a label with a fresh
 // fingerprint, so the stale cache entry is unreachable.
 func TestLeqCacheInvalidation(t *testing.T) {
-	ResetLeqCache()
-	defer ResetLeqCache()
+	ResetOpCache()
+	defer ResetOpCache()
 	h1, h2 := handle.Handle(101), handle.Handle(102)
 	// Chosen so neither Leq direction is resolved by the min/max fast paths.
 	a := New(L1, Entry{H: h1, L: L3})
@@ -142,16 +142,16 @@ func TestLeqCacheInvalidation(t *testing.T) {
 	if !a.Leq(b) {
 		t.Fatal("a ⊑ b must hold")
 	}
-	hits0, misses0 := LeqCacheStats()
-	if misses0 == 0 {
+	st0 := CacheStats()
+	if st0.LeqMisses == 0 {
 		t.Fatal("first comparison should have missed the cache")
 	}
 	if !a.Leq(b) {
 		t.Fatal("a ⊑ b must still hold")
 	}
-	hits1, _ := LeqCacheStats()
-	if hits1 != hits0+1 {
-		t.Fatalf("repeat comparison should hit the cache: hits %d → %d", hits0, hits1)
+	st1 := CacheStats()
+	if st1.LeqHits != st0.LeqHits+1 {
+		t.Fatalf("repeat comparison should hit the cache: hits %d → %d", st0.LeqHits, st1.LeqHits)
 	}
 
 	// Mutate a: h2 rises to 3, which b (default 2) does not cover.
@@ -176,8 +176,8 @@ func TestLeqCacheInvalidation(t *testing.T) {
 // TestLeqCacheEviction fills shards past their bound and checks the cache
 // stays correct after epoch clearing.
 func TestLeqCacheEviction(t *testing.T) {
-	ResetLeqCache()
-	defer ResetLeqCache()
+	ResetOpCache()
+	defer ResetOpCache()
 	b := New(L2, Entry{H: 7, L: L3})
 	labels := make([]*Label, 0, leqShardMax*2)
 	for i := 0; i < leqShardMax*2; i++ {

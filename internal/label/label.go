@@ -2,6 +2,8 @@ package label
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,44 +35,46 @@ func unpack(e uint64) (handle.Handle, Level) {
 	return handle.Handle(e >> 3), Level(e & 7)
 }
 
-// chunk is a sorted run of packed entries with cached level bounds. Chunks
-// are immutable once built and may be shared between labels (the paper's
-// copy-on-write sharing).
+// chunk is a non-empty sorted run of packed entries with the set of levels
+// they take cached beside it (the paper's cached min/max, made exact). Chunks
+// are immutable once built and are shared between labels — the paper's
+// copy-on-write sharing: an operation's result holds the very chunks of its
+// inputs wherever it left them unchanged (see merge.go).
 type chunk struct {
-	ents     []uint64
-	min, max Level // over entries only
+	ents []uint64
+	lv   levels
 }
 
 func newChunk(ents []uint64) *chunk {
-	c := &chunk{ents: ents, min: L3, max: Star}
+	c := &chunk{ents: ents}
 	for _, e := range ents {
-		_, l := unpack(e)
-		c.min = minLevel(c.min, l)
-		c.max = maxLevel(c.max, l)
+		c.lv |= 1 << (e & 7)
 	}
 	return c
 }
 
-func (c *chunk) first() handle.Handle { h, _ := unpack(c.ents[0]); return h }
-func (c *chunk) last() handle.Handle  { h, _ := unpack(c.ents[len(c.ents)-1]); return h }
+// last returns the chunk's largest handle, in the shifted form entries
+// compare by.
+func (c *chunk) last() uint64 { return c.ents[len(c.ents)-1] >> 3 }
 
 // Label is an immutable Asbestos label. The zero value is not meaningful;
 // use Empty or New. Because labels are immutable they are shared freely:
-// operations return their receiver unchanged where the fast paths allow,
-// which is the reproduction of the paper's refcounted copy-on-write sharing.
+// an operation whose result equals one of its operands returns that operand
+// itself, which is the reproduction of the paper's refcounted copy-on-write
+// sharing.
 type Label struct {
-	chunks   []*chunk
-	def      Level
-	min, max Level // over all handles, including the default
-	nent     int
-	fp       uint64 // fingerprint: process-unique id of this label value
+	chunks []*chunk
+	def    Level
+	lv     levels // levels taken over all handles, including the default
+	nent   int
+	fp     uint64 // fingerprint: process-unique id of this label value
 }
 
 var empties [numLevels]*Label
 
 func init() {
 	for l := Star; l < numLevels; l++ {
-		empties[l] = &Label{def: l, min: l, max: l, fp: newFP()}
+		empties[l] = &Label{def: l, lv: bit(l), fp: newFP()}
 	}
 }
 
@@ -102,35 +106,15 @@ func New(def Level, entries ...Entry) *Label {
 			ents = append(ents, pack(e.H, e.L))
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i]>>3 < ents[j]>>3 })
+	slices.Sort(ents)
 	for i := 1; i < len(ents); i++ {
 		if ents[i]>>3 == ents[i-1]>>3 {
 			h, _ := unpack(ents[i])
 			panic("label: duplicate handle " + h.String())
 		}
 	}
-	return build(def, ents)
-}
-
-// build assembles a canonical label from sorted packed entries with no
-// duplicates and no level equal to def.
-func build(def Level, ents []uint64) *Label {
-	if len(ents) == 0 {
-		return Empty(def)
-	}
-	l := &Label{def: def, min: def, max: def, nent: len(ents), fp: newFP()}
-	for len(ents) > 0 {
-		n := len(ents)
-		if n > chunkMax {
-			n = chunkMax
-		}
-		c := newChunk(ents[:n:n])
-		ents = ents[n:]
-		l.chunks = append(l.chunks, c)
-		l.min = minLevel(l.min, c.min)
-		l.max = maxLevel(l.max, c.max)
-	}
-	return l
+	b := builder{def: def, run: ents}
+	return b.finish()
 }
 
 // Default returns the label's default level.
@@ -141,28 +125,33 @@ func (l *Label) Len() int { return l.nent }
 
 // Min and Max return the label's level bounds over all handles (including
 // the default). The paper caches these to enable fast-path lattice ops.
-func (l *Label) Min() Level { return l.min }
-func (l *Label) Max() Level { return l.max }
+func (l *Label) Min() Level { return Level(bits.TrailingZeros8(l.lv)) }
+func (l *Label) Max() Level { return Level(bits.Len8(l.lv) - 1) }
 
-// Get returns the level of handle h.
+// find returns the index of the first chunk whose span reaches h, or
+// len(l.chunks) when h lies beyond every chunk.
+func (l *Label) find(h handle.Handle) int {
+	return sort.Search(len(l.chunks), func(i int) bool { return l.chunks[i].last() >= uint64(h) })
+}
+
+// Get returns the level of handle h. A handle no label can hold an entry for
+// (handle.None, or one above handle.MaxHandle) gets the default.
 func (l *Label) Get(h handle.Handle) Level {
-	// Binary search for the chunk whose span may contain h.
-	i := sort.Search(len(l.chunks), func(i int) bool { return l.chunks[i].last() >= h })
+	i := l.find(h)
 	if i == len(l.chunks) {
 		return l.def
 	}
 	c := l.chunks[i]
-	j := sort.Search(len(c.ents), func(j int) bool { return c.ents[j]>>3 >= uint64(h) })
-	if j < len(c.ents) {
-		if hh, lvl := unpack(c.ents[j]); hh == h {
-			return lvl
-		}
+	if j := before(c.ents, uint64(h)); j < len(c.ents) && c.ents[j]>>3 == uint64(h) {
+		return Level(c.ents[j] & 7)
 	}
 	return l.def
 }
 
 // With returns a label identical to l except that handle h maps to lvl.
-// Unchanged chunks are shared with the receiver (copy-on-write).
+// Only the chunk h falls in is rebuilt; the rest are shared with the
+// receiver. The result gets a fresh fingerprint, which is what retires any
+// memoized comparisons involving the receiver (see opcache.go).
 func (l *Label) With(h handle.Handle, lvl Level) *Label {
 	if !lvl.Valid() {
 		panic("label: invalid level " + lvl.String())
@@ -173,348 +162,98 @@ func (l *Label) With(h handle.Handle, lvl Level) *Label {
 	if l.Get(h) == lvl {
 		return l
 	}
-	// Rebuild via entry list of the affected chunk only. The result gets a
-	// fresh fingerprint, which is what retires any memoized comparisons
-	// involving the receiver (see opcache.go).
-	i := sort.Search(len(l.chunks), func(i int) bool { return l.chunks[i].last() >= h })
-	out := &Label{def: l.def, fp: newFP()}
-	var newEnts []uint64
-	if i == len(l.chunks) {
-		// h beyond all chunks: extend or append to the final chunk.
-		if len(l.chunks) > 0 {
-			i = len(l.chunks) - 1
-			newEnts = append(append([]uint64{}, l.chunks[i].ents...), pack(h, lvl))
-		} else if lvl != l.def {
-			newEnts = []uint64{pack(h, lvl)}
-			i = 0
-		}
-	} else {
-		c := l.chunks[i]
-		newEnts = make([]uint64, 0, len(c.ents)+1)
-		inserted := false
-		for _, e := range c.ents {
-			hh, _ := unpack(e)
-			if hh == h {
-				if lvl != l.def {
-					newEnts = append(newEnts, pack(h, lvl))
-				}
-				inserted = true
-				continue
-			}
-			if !inserted && hh > h {
-				if lvl != l.def {
-					newEnts = append(newEnts, pack(h, lvl))
-				}
-				inserted = true
-			}
-			newEnts = append(newEnts, e)
-		}
-		if !inserted && lvl != l.def {
-			newEnts = append(newEnts, pack(h, lvl))
-		}
+	// h belongs to the first chunk that reaches it, or extends the last.
+	i := min(l.find(h), len(l.chunks)-1)
+	var bufs builderBufs
+	b := builder{def: l.def, chunks: bufs.chunks[:0], run: bufs.run[:0]}
+	var ents []uint64 // of that chunk; none when l is empty
+	if i >= 0 {
+		b.chunks = append(b.chunks, l.chunks[:i]...)
+		ents = l.chunks[i].ents
 	}
-	// Assemble: shared prefix, replacement chunk(s), shared suffix.
-	out.chunks = append(out.chunks, l.chunks[:i]...)
-	switch {
-	case len(newEnts) == 0:
-		// chunk vanished
-	case len(newEnts) > chunkMax:
-		mid := len(newEnts) / 2
-		out.chunks = append(out.chunks, newChunk(newEnts[:mid:mid]), newChunk(newEnts[mid:]))
-	default:
-		out.chunks = append(out.chunks, newChunk(newEnts))
+	j := before(ents, uint64(h))
+	b.run = append(b.run, ents[:j]...)
+	if lvl != l.def {
+		b.run = append(b.run, pack(h, lvl))
 	}
-	if i < len(l.chunks) {
-		out.chunks = append(out.chunks, l.chunks[i+1:]...)
+	if j < len(ents) && ents[j]>>3 == uint64(h) {
+		j++
 	}
-	out.recompute()
-	if out.nent == 0 {
-		return Empty(out.def)
+	b.run = append(b.run, ents[j:]...)
+	for _, c := range l.chunks[i+1:] {
+		b = b.chunk(c)
 	}
-	return out
+	return b.finish()
 }
 
-func (l *Label) recompute() {
-	l.min, l.max, l.nent = l.def, l.def, 0
-	for _, c := range l.chunks {
-		l.min = minLevel(l.min, c.min)
-		l.max = maxLevel(l.max, c.max)
-		l.nent += len(c.ents)
-	}
-}
-
-// iter walks a label's explicit entries in handle order.
-type iter struct {
-	l      *Label
-	ci, ei int
-}
-
-func (it *iter) peek() (handle.Handle, Level, bool) {
-	if it.ci >= len(it.l.chunks) {
-		return 0, 0, false
-	}
-	h, lvl := unpack(it.l.chunks[it.ci].ents[it.ei])
-	return h, lvl, true
-}
-
-func (it *iter) advance() {
-	it.ei++
-	if it.ei >= len(it.l.chunks[it.ci].ents) {
-		it.ci++
-		it.ei = 0
-	}
-}
-
-// PairwiseAll reports whether pred(a(h), b(h)) holds for every handle h,
-// checking the union of both labels' explicit entries plus the defaults.
-// This is the workhorse behind ⊑ and the send-time privilege requirements
-// (paper Figure 4, requirements 2 and 3).
-func PairwiseAll(a, b *Label, pred func(av, bv Level) bool) bool {
-	if !pred(a.def, b.def) {
-		return false
-	}
-	ia, ib := iter{l: a}, iter{l: b}
-	for {
-		ha, la, oka := ia.peek()
-		hb, lb, okb := ib.peek()
-		switch {
-		case !oka && !okb:
-			return true
-		case oka && (!okb || ha < hb):
-			// ha precedes b's next explicit entry, so b(ha) = b.def.
-			if !pred(la, b.def) {
-				return false
-			}
-			ia.advance()
-		case okb && (!oka || hb < ha):
-			if !pred(a.def, lb) {
-				return false
-			}
-			ib.advance()
-		default: // ha == hb
-			if !pred(la, lb) {
-				return false
-			}
-			ia.advance()
-			ib.advance()
-		}
-	}
-}
-
-// Leq reports a ⊑ b: a(h) ≤ b(h) for all h. Comparisons that survive the
-// cached-bounds fast paths are memoized by fingerprint pair, so the full
-// pairwise walk runs once per distinct label pair (paper §5.6, extended
-// across calls).
+// Leq reports a ⊑ b: a(h) ≤ b(h) for all h. Comparisons the cached levels do
+// not settle are memoized by fingerprint pair, so a walk runs once per
+// distinct label pair (paper §5.6, extended across calls).
 func (l *Label) Leq(m *Label) bool {
-	if l == m {
+	if l == m || relLeq.holds(l.lv, m.lv) {
 		return true
-	}
-	if l.max <= m.min {
-		return true // fast path via cached bounds
-	}
-	if l.min > m.max {
-		return false
 	}
 	if r, ok := leqLookup(l.fp, m.fp); ok {
 		return r
 	}
-	r := PairwiseAll(l, m, func(a, b Level) bool { return a <= b })
+	r := all(l, m, &relLeq)
 	leqStore(l.fp, m.fp, r)
 	return r
 }
 
-// combine merges two labels pointwise with op (which must be monotone in
-// the lattice sense: here max for ⊔ and min for ⊓).
-func combine(a, b *Label, op func(Level, Level) Level) *Label {
-	def := op(a.def, b.def)
-	// Collect union of explicit handles with combined levels.
-	ents := make([]uint64, 0, a.nent+b.nent)
-	ia, ib := iter{l: a}, iter{l: b}
-	emit := func(h handle.Handle, v Level) {
-		if v != def {
-			ents = append(ents, pack(h, v))
-		}
-	}
-	for {
-		ha, la, oka := ia.peek()
-		hb, lb, okb := ib.peek()
-		switch {
-		case !oka && !okb:
-			return build(def, ents)
-		case oka && (!okb || ha < hb):
-			emit(ha, op(la, b.def))
-			ia.advance()
-		case okb && (!oka || hb < ha):
-			emit(hb, op(a.def, lb))
-			ib.advance()
-		default:
-			emit(ha, op(la, lb))
-			ia.advance()
-			ib.advance()
-		}
-	}
-}
-
 // Lub returns the least upper bound a ⊔ b: pointwise max. Used to combine
-// contamination when a message is delivered (paper Equation 2). Results
-// that survive the cached-bounds fast paths are memoized by fingerprint
-// pair, so the full merge runs once per distinct label pair.
+// contamination when a message is delivered (paper Equation 2). When one
+// operand absorbs the other the result is that operand, unallocated (paper
+// §5.6: "if L2's maximum level is no larger than L1's minimum level, then
+// L1 ⊔ L2 = L1 by definition" — here per chunk as well as per label).
 func (l *Label) Lub(m *Label) *Label {
 	if l == m {
 		return l
 	}
-	// Fast paths from cached bounds (paper §5.6: "if L2's maximum level is
-	// no larger than L1's minimum level, then L1 ⊔ L2 = L1 by definition").
-	if m.max <= l.min {
-		return l
-	}
-	if l.max <= m.min {
-		return m
-	}
-	// Absorption without allocating: l ⊔ m = l exactly when m ⊑ l. The ⊑
-	// probes are memoized (and walk no chunks on a repeat), so the steady
-	// state — a delivery whose contamination the receiver already carries —
-	// costs two cache hits and zero allocation. This subsumes the old
-	// post-combine Eq sharing (the paper's copy-on-write label sharing):
-	// a result value-equal to an input is exactly an absorbed input.
-	if m.Leq(l) {
-		return l
-	}
-	if l.Leq(m) {
-		return m
-	}
-	memo := l.nent+m.nent >= joinCacheMin
-	if memo {
-		if r := lubLookup(l.fp, m.fp); r != nil {
-			return r
-		}
-	}
-	out := combine(l, m, maxLevel)
-	if memo {
-		lubStore(l.fp, m.fp, out)
-	}
-	return out
+	return merge(l, m, opMax)
 }
 
 // Glb returns the greatest lower bound a ⊓ b: pointwise min. Used for
 // declassification: ⊓ against a stars-only label preserves the receiver's
-// ⋆ privileges during contamination (paper Equation 5). Memoized like Lub.
+// ⋆ privileges during contamination (paper Equation 5).
 func (l *Label) Glb(m *Label) *Label {
 	if l == m {
 		return l
 	}
-	if m.min >= l.max {
-		return l
-	}
-	if l.min >= m.max {
-		return m
-	}
-	// Absorption without allocating: l ⊓ m = l exactly when l ⊑ m (and
-	// symmetrically), via the memoized ⊑ — see Lub.
-	if l.Leq(m) {
-		return l
-	}
-	if m.Leq(l) {
-		return m
-	}
-	memo := l.nent+m.nent >= joinCacheMin
-	if memo {
-		if r := glbLookup(l.fp, m.fp); r != nil {
-			return r
-		}
-	}
-	out := combine(l, m, minLevel)
-	if memo {
-		glbStore(l.fp, m.fp, out)
-	}
-	return out
+	return merge(l, m, opMin)
 }
 
 // Contaminate returns the Equation 5 update QS ⊔ (ES ⊓ QS⋆) in one fused
 // pass: pointwise, a handle held at ⋆ keeps its privilege, anything else
-// takes the max of the current level and the incoming effective level. The
-// fused form avoids materializing two intermediate labels on every message
-// delivery — the hot path of the whole system — and the result is memoized
-// (ordered pair: the op is not commutative) so a steady-state worker whose
-// labels have converged pays one map probe per delivery instead of a merge.
+// takes the max of the current level and the incoming effective level. It
+// runs on every message delivery. The steady state — a receiver that holds
+// ⋆ or already sits at or above the incoming level everywhere — returns the
+// receiver without allocating.
 func (l *Label) Contaminate(es *Label) *Label {
 	if l == es {
 		return l
 	}
-	if es.max <= l.min {
-		return l // nothing in es exceeds anything here
-	}
-	// No-op detection without allocating: the update leaves QS unchanged
-	// exactly when, pointwise, the receiver holds ⋆ or already sits at or
-	// above the incoming level — the steady state of a contaminated
-	// worker receiving its user's traffic.
-	if PairwiseAll(es, l, func(e, q Level) bool {
-		return q == Star || e <= q
-	}) {
-		return l
-	}
-	memo := l.nent+es.nent >= joinCacheMin
-	if memo {
-		if r := contaminateLookup(l.fp, es.fp); r != nil {
-			return r
-		}
-	}
-	out := combine(l, es, func(q, e Level) Level {
-		if q == Star {
-			return Star
-		}
-		return maxLevel(q, e)
-	})
-	if memo {
-		contaminateStore(l.fp, es.fp, out)
-	}
-	return out
+	return merge(l, es, opEq5)
 }
 
 // StarRestrict returns L⋆: ⋆ where the label has ⋆, 3 everywhere else
 // (paper Figure 3). It projects a label onto its declassification
-// privileges.
+// privileges; chunks that are ⋆ throughout are shared with the receiver.
 func (l *Label) StarRestrict() *Label {
-	if l.min > Star {
-		return Empty(L3) // no stars at all
-	}
-	def := starProject(l.def)
-	var ents []uint64
-	for _, c := range l.chunks {
-		if c.min > Star && def == L3 {
-			continue // no stars in this chunk, and default already 3
-		}
-		for _, e := range c.ents {
-			h, lvl := unpack(e)
-			if v := starProject(lvl); v != def {
-				ents = append(ents, pack(h, v))
-			}
-		}
-	}
-	return build(def, ents)
+	return merge(l, Empty(L3), opStar)
 }
+
+// Req2 reports Figure 4's requirement 2 on a sender whose send label is ps:
+// DS(h) < 3 ⇒ PS(h) = ⋆ for all h — granting privilege demands ⋆.
+func Req2(ds, ps *Label) bool { return all(ds, ps, &relReq2) }
+
+// Req3 reports Figure 4's requirement 3: DR(h) > ⋆ ⇒ PS(h) = ⋆ for all h —
+// raising another process's receive label demands ⋆ as well.
+func Req3(dr, ps *Label) bool { return all(dr, ps, &relReq3) }
 
 // Eq reports whether two labels are the same function.
 func (l *Label) Eq(m *Label) bool {
-	if l == m {
-		return true
-	}
-	if l.def != m.def || l.nent != m.nent {
-		return false
-	}
-	ia, ib := iter{l: l}, iter{l: m}
-	for {
-		ha, la, oka := ia.peek()
-		hb, lb, okb := ib.peek()
-		if !oka {
-			return !okb
-		}
-		if !okb || ha != hb || la != lb {
-			return false
-		}
-		ia.advance()
-		ib.advance()
-	}
+	return l == m || l.def == m.def && l.nent == m.nent && eqChunks(l.chunks, m.chunks)
 }
 
 // Each calls f for every explicit entry in handle order; f returning false
@@ -524,6 +263,21 @@ func (l *Label) Each(f func(handle.Handle, Level) bool) {
 		for _, e := range c.ents {
 			h, lvl := unpack(e)
 			if !f(h, lvl) {
+				return
+			}
+		}
+	}
+}
+
+// EachAboveStar is Each restricted to entries above ⋆; chunks that are ⋆
+// throughout are skipped whole.
+func (l *Label) EachAboveStar(f func(handle.Handle, Level) bool) {
+	for _, c := range l.chunks {
+		if c.lv == bit(Star) {
+			continue
+		}
+		for _, e := range c.ents {
+			if h, lvl := unpack(e); lvl != Star && !f(h, lvl) {
 				return
 			}
 		}

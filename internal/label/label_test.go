@@ -95,6 +95,23 @@ func TestGetWith(t *testing.T) {
 	}
 }
 
+// Get takes whatever handle a process passes to a system call, including
+// ones no label can hold an entry for: those read as the default.
+func TestGetOutOfRangeHandle(t *testing.T) {
+	labels := []*Label{Empty(L2), New(L1, Entry{h(1), Star}), New(L1, Entry{handle.MaxHandle, L3})}
+	big := Empty(L2)
+	for i := 1; i <= 3*chunkMax; i++ {
+		big = big.With(h(uint64(i)), Star)
+	}
+	for _, l := range append(labels, big) {
+		for _, bad := range []handle.Handle{handle.None, handle.MaxHandle + 1, ^handle.Handle(0)} {
+			if got := l.Get(bad); got != l.Default() {
+				t.Errorf("%v.Get(%#x) = %v, want the default", l.Len(), uint64(bad), got)
+			}
+		}
+	}
+}
+
 func TestWithManySequential(t *testing.T) {
 	l := Empty(L1)
 	const n = 500
@@ -439,6 +456,59 @@ func BenchmarkAblationChunkedVsSimple(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sa.Leq(sc)
+			}
+		})
+	}
+}
+
+// BenchmarkAsymmetric times the pairs the kernel's message path is made of
+// when one process holds thousands of handles: the two operands differ
+// wildly in size, or are the same label but for one chunk. Each row should
+// cost the chunks it touches, not the entries; leq_16x16 guards the other
+// end — small labels must not pay for the chunk machinery.
+func BenchmarkAsymmetric(b *testing.B) {
+	stars := make([]Entry, 2000)
+	clear := make([]Entry, 2000)
+	for i := range stars {
+		stars[i] = Entry{h(uint64(i)*4 + 4), Star}
+		clear[i] = Entry{h(uint64(i)*4 + 4), L3}
+	}
+	// A server's send label, ⋆ for every user, and a message's ES from a
+	// peer holding the same privileges. One handle on each side is off ⋆,
+	// where the other side's ⋆ covers it, so that Equation 5 is a no-op
+	// only a walk can see.
+	qs := New(L1, stars...).With(h(1000), L0)
+	es := New(L1, stars...).With(h(7000), L3)
+	grant := Single(L3, h(4002), Star) // DS granting one fresh handle
+	granted := qs.With(h(4002), Star)
+	// A receive label cleared for every user, raised for one more by two
+	// different messages.
+	qr := New(L2, clear...)
+	qr1, qr2 := qr.With(h(1002), L3), qr.With(h(7002), L3)
+	var small [2]*Label
+	for i := range small {
+		ents := make([]Entry, 16)
+		for j := range ents {
+			ents[j] = Entry{h(uint64(j) + 1), []Level{Star, L2, L0, L3}[j%2+2*i]}
+		}
+		small[i] = New(L1, ents...)
+	}
+	for _, c := range []struct {
+		name string
+		f    func() bool
+	}{
+		{"glb_2000x1", func() bool { return qs.Glb(grant).Len() == 2001 }},
+		{"privs_1x2000", func() bool { return Req2(grant, granted) }},
+		{"contaminate_noop_2000x2000_allstar", func() bool { return qs.Contaminate(es) == qs }},
+		{"lub_2000x2000_shared_but_one", func() bool { return qr1.Lub(qr2).Len() == 2002 }},
+		{"leq_16x16", func() bool { return all(small[0], small[1], &relLeq) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !c.f() {
+					b.Fatal("wrong result")
+				}
 			}
 		})
 	}

@@ -11,16 +11,35 @@
 // ⊓ (Glb).
 //
 // Two implementations are provided. Label is the optimized representation
-// from paper §5.6: a sorted array of chunks, each a sorted array of packed
-// 64-bit entries, with cached min/max levels enabling fast-path comparisons,
-// shared structurally between labels (copy-on-write). Simple is a map-based
-// reference implementation used by property tests to validate Label.
+// from paper §5.6: a sorted array of chunks, each a sorted array of up to 64
+// packed 64-bit entries with the levels it holds cached beside it (the
+// paper's cached min/max), and the same cache on the label as a whole.
+// Simple is a map-based reference implementation used by property tests to
+// validate Label.
 //
-// Beyond the paper's per-label cached bounds, comparisons are memoized
-// across calls: each immutable label value carries a fingerprint, and ⊑
-// results are cached by fingerprint pair (see leqcache.go). Mutation via
-// With yields a fresh fingerprint, so stale results are unreachable by
-// construction.
+// Chunks are immutable and shared structurally between labels, and that
+// sharing is what the operations run on. ⊑, ⊔, ⊓, Contaminate, StarRestrict
+// and Figure 4's sender-side requirements all advance their two operands
+// chunk by chunk (merge.go) and decide a whole chunk at a time from what it
+// caches: (a) the same chunk pointer on both sides is skipped or passed
+// through; (b) a chunk whose handle span the other label has no entry in is
+// skipped or passed through by pointer when the relation holds, or the
+// operator is the identity, against the other label's default for every
+// level in the chunk; (c) two overlapping chunks are skipped together, or
+// one passed through, when the same is true of every pair of levels the two
+// can hold. Entries are walked only where no rule applies, so an operation
+// costs the chunks it changes rather than the entries it spans, and its
+// result holds the operands' own chunks everywhere else — which is what lets
+// the next operation on it hit rule (a). Two invariants keep this sound and
+// cheap: no two adjacent chunks of a label would fit in one (so single-handle
+// updates cannot fragment a label into many small chunks), and a result
+// equal to an operand is that operand itself, pointer and fingerprint (so
+// equal labels stay one label for memory accounting and memoization).
+//
+// Beyond the paper's cached bounds, ⊑ results are memoized across calls:
+// each immutable label value carries a fingerprint, and comparisons are
+// cached by fingerprint pair (see opcache.go). Mutation via With yields a
+// fresh fingerprint, so stale results are unreachable by construction.
 package label
 
 import "strconv"

@@ -18,39 +18,25 @@ import (
 // and eviction (epoch clearing of full shards) bounds the memory they
 // occupy.
 //
-// Four operations are memoized, keyed by fingerprint pairs:
-//
-//   - Leq (⊑) results, a boolean per ordered pair;
-//   - Lub (⊔) and Glb (⊓) results, a *Label per unordered pair (both are
-//     commutative, so the key is normalized to (min fp, max fp), doubling
-//     the hit rate);
-//   - Contaminate — the fused Equation 5 update run on every message
-//     delivery — a *Label per ordered pair.
-//
-// The kernel's send/recv hot path combines the same few labels over and
-// over (a port label against a worker's receive label, once per message),
-// so after the first full pairwise walk every repeat is a single sharded
-// map probe instead of an O(entries) merge that allocates fresh chunks.
+// Two things are memoized. Leq (⊑) results, a boolean per ordered
+// fingerprint pair: the kernel's receive path compares the same few labels
+// over and over (a port label against a worker's receive label, once per
+// message), so after the first walk every repeat is a single sharded map
+// probe. And single-entry labels (Single), so that repeated sends carry
+// labels with stable fingerprints. ⊔, ⊓ and Contaminate are not memoized:
+// their results share the chunks of their operands, so recomputing one costs
+// the chunks that change, and a result equal to an operand is that operand.
 // Hit/miss tallies use lock-free striped stats.Counters so the bookkeeping
 // itself cannot serialize concurrent senders.
 
-// opShardCount is the number of independent cache shards per operation;
-// keys are spread by fingerprint hash so concurrent senders rarely contend.
-// Power of two.
+// opShardCount is the number of independent cache shards; keys are spread by
+// fingerprint hash so concurrent senders rarely contend. Power of two.
 const opShardCount = 64
 
 // leqShardMax bounds each shard's map; a full shard is cleared wholesale
 // (epoch eviction), which keeps every cache O(1) in steady state without
 // tracking LRU chains on the hot path.
 const leqShardMax = 2048
-
-// joinCacheMin gates ⊔/⊓/Contaminate memoization on operand size: a merge
-// of tiny labels is cheaper than a shard-lock probe plus a stored map entry
-// the GC must then scan, and small-label pairs (per-connection ephemera)
-// rarely recur anyway. Only pairs whose combined explicit entries reach the
-// threshold — the per-user clearance labels of the long-running servers,
-// which both recur and cost O(users) to merge — are worth remembering.
-const joinCacheMin = 24
 
 type leqKey struct{ a, b uint64 }
 
@@ -60,28 +46,9 @@ type leqShard struct {
 	_  [48]byte // pad to a 64-byte cache line so shards do not false-share
 }
 
-// joinShard memoizes operations whose result is itself a label (Lub, Glb,
-// Contaminate). Results are immutable labels, so sharing the cached pointer
-// is always safe.
-type joinShard struct {
-	mu sync.Mutex
-	m  map[leqKey]*Label
-	_  [48]byte
-}
+var leqCache [opShardCount]leqShard
 
-var (
-	leqCache [opShardCount]leqShard
-	lubCache [opShardCount]joinShard
-	glbCache [opShardCount]joinShard
-	conCache [opShardCount]joinShard
-)
-
-var (
-	leqHits, leqMisses stats.Counter
-	lubHits, lubMisses stats.Counter
-	glbHits, glbMisses stats.Counter
-	conHits, conMisses stats.Counter
-)
+var leqHits, leqMisses stats.Counter
 
 // fpCounter hands out label fingerprints. Fingerprint 0 is never assigned,
 // so a zero-value Label (which is documented as not meaningful) never
@@ -127,74 +94,12 @@ func leqStore(a, b uint64, r bool) {
 	s.mu.Unlock()
 }
 
-func joinLookup(c *[opShardCount]joinShard, hits, misses *stats.Counter, a, b uint64) *Label {
-	k := leqKey{a, b}
-	s := &c[shardIdx(k)]
-	s.mu.Lock()
-	r := s.m[k]
-	s.mu.Unlock()
-	if r != nil {
-		hits.Add(1)
-	} else {
-		misses.Add(1)
-	}
-	return r
-}
-
-func joinStore(c *[opShardCount]joinShard, a, b uint64, r *Label) {
-	k := leqKey{a, b}
-	s := &c[shardIdx(k)]
-	s.mu.Lock()
-	if s.m == nil || len(s.m) >= leqShardMax {
-		s.m = make(map[leqKey]*Label, leqShardMax/4)
-	}
-	s.m[k] = r
-	s.mu.Unlock()
-}
-
-// normalize orders a commutative pair so ⊔/⊓ hit the same entry regardless
-// of operand order.
-func normalize(a, b uint64) (uint64, uint64) {
-	if a > b {
-		return b, a
-	}
-	return a, b
-}
-
-func lubLookup(a, b uint64) *Label {
-	a, b = normalize(a, b)
-	return joinLookup(&lubCache, &lubHits, &lubMisses, a, b)
-}
-
-func lubStore(a, b uint64, r *Label) {
-	a, b = normalize(a, b)
-	joinStore(&lubCache, a, b, r)
-}
-
-func glbLookup(a, b uint64) *Label {
-	a, b = normalize(a, b)
-	return joinLookup(&glbCache, &glbHits, &glbMisses, a, b)
-}
-
-func glbStore(a, b uint64, r *Label) {
-	a, b = normalize(a, b)
-	joinStore(&glbCache, a, b, r)
-}
-
-func contaminateLookup(a, b uint64) *Label {
-	return joinLookup(&conCache, &conHits, &conMisses, a, b)
-}
-
-func contaminateStore(a, b uint64, r *Label) {
-	joinStore(&conCache, a, b, r)
-}
-
 // singleShard memoizes one-entry labels: {h lvl, def}. The kernel's send
 // helpers (Grant, Taint, AllowRecv, Verify) build these on every message —
 // usually for the same few handles (a session's reply port, a user's taint
 // compartment) — so interning them both removes the build allocation and,
 // more importantly, gives repeated sends STABLE fingerprints, which is what
-// lets the join caches above absorb the per-delivery label effects.
+// lets the ⊑ cache above absorb the per-delivery label checks.
 type singleShard struct {
 	mu sync.Mutex
 	m  map[singleKey]*Label
@@ -245,26 +150,19 @@ func Single(def Level, h handle.Handle, lvl Level) *Label {
 	return l
 }
 
-// OpCacheStats reports cumulative hit/miss counts for every memoized label
-// operation (diagnostics, the Figure 9 sweep, and tests). Counts are exact
+// OpCacheStats reports cumulative hit/miss counts for the memoized label
+// operations (diagnostics, the Figure 9 sweep, and tests). Counts are exact
 // against a quiescent cache; concurrent operations may be mid-flight.
 type OpCacheStats struct {
-	LeqHits, LeqMisses                 uint64
-	LubHits, LubMisses                 uint64
-	GlbHits, GlbMisses                 uint64
-	ContaminateHits, ContaminateMisses uint64
-	SingleHits, SingleMisses           uint64
+	LeqHits, LeqMisses       uint64
+	SingleHits, SingleMisses uint64
 }
 
 // Hits returns the total hits across all memoized operations.
-func (s OpCacheStats) Hits() uint64 {
-	return s.LeqHits + s.LubHits + s.GlbHits + s.ContaminateHits + s.SingleHits
-}
+func (s OpCacheStats) Hits() uint64 { return s.LeqHits + s.SingleHits }
 
 // Misses returns the total misses across all memoized operations.
-func (s OpCacheStats) Misses() uint64 {
-	return s.LeqMisses + s.LubMisses + s.GlbMisses + s.ContaminateMisses + s.SingleMisses
-}
+func (s OpCacheStats) Misses() uint64 { return s.LeqMisses + s.SingleMisses }
 
 // HitRate returns hits/(hits+misses) over all operations, 0 when idle.
 func (s OpCacheStats) HitRate() float64 {
@@ -279,21 +177,12 @@ func (s OpCacheStats) HitRate() float64 {
 func CacheStats() OpCacheStats {
 	return OpCacheStats{
 		LeqHits: leqHits.Load(), LeqMisses: leqMisses.Load(),
-		LubHits: lubHits.Load(), LubMisses: lubMisses.Load(),
-		GlbHits: glbHits.Load(), GlbMisses: glbMisses.Load(),
-		ContaminateHits: conHits.Load(), ContaminateMisses: conMisses.Load(),
 		SingleHits: singleHits.Load(), SingleMisses: singleMisses.Load(),
 	}
 }
 
-// LeqCacheStats reports cumulative hit/miss counts for the memoized ⊑
-// comparisons only (kept for tests that predate the Lub/Glb extension).
-func LeqCacheStats() (hits, misses uint64) {
-	return leqHits.Load(), leqMisses.Load()
-}
-
-// ResetOpCache drops every memoized result of every operation and zeroes
-// the stats (tests and benchmarks).
+// ResetOpCache drops every memoized result and zeroes the stats (tests and
+// benchmarks).
 func ResetOpCache() {
 	for i := 0; i < opShardCount; i++ {
 		leqCache[i].mu.Lock()
@@ -302,21 +191,8 @@ func ResetOpCache() {
 		singleCache[i].mu.Lock()
 		singleCache[i].m = nil
 		singleCache[i].mu.Unlock()
-		for _, c := range []*[opShardCount]joinShard{&lubCache, &glbCache, &conCache} {
-			c[i].mu.Lock()
-			c[i].m = nil
-			c[i].mu.Unlock()
-		}
 	}
-	for _, c := range []*stats.Counter{
-		&leqHits, &leqMisses, &lubHits, &lubMisses,
-		&glbHits, &glbMisses, &conHits, &conMisses,
-		&singleHits, &singleMisses,
-	} {
+	for _, c := range []*stats.Counter{&leqHits, &leqMisses, &singleHits, &singleMisses} {
 		c.Reset()
 	}
 }
-
-// ResetLeqCache is the pre-extension name of ResetOpCache; it clears every
-// op cache, not just ⊑ (resetting more than asked is always safe).
-func ResetLeqCache() { ResetOpCache() }
