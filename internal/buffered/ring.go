@@ -4,12 +4,18 @@
 // syscall and a drained connection holds no buffer memory.
 package buffered
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // RingChunkSize is the capacity of one pooled ring chunk. It matches the
 // socket read granularity: one kernel read fills at most one chunk, and a
-// freshly drained connection holds no chunks at all — ten thousand parked
-// keep-alive connections cost zero buffer memory between requests.
+// drained ring with no Writable reservation outstanding holds no chunks at
+// all — ten thousand parked keep-alive connections on the epoll poller
+// cost zero buffer memory between requests. (A goroutine-pair connection
+// pins one chunk while parked: its reader holds the reservation across the
+// blocking socket read.)
 const RingChunkSize = 32 * 1024
 
 // ringMinWritable is the smallest tail fragment worth offering a producer:
@@ -28,14 +34,24 @@ type chunk struct {
 
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
+// outstanding counts chunks drawn from the pool and not yet returned.
+var outstanding atomic.Int64
+
+// ChunksOutstanding reports how many pooled chunks all Rings of the
+// process hold right now (drawn − returned). Leak tests compare it before
+// and after a connection's life.
+func ChunksOutstanding() int64 { return outstanding.Load() }
+
 func getChunk() *chunk {
 	c := chunkPool.Get().(*chunk)
 	c.next, c.head, c.tail = nil, 0, 0
+	outstanding.Add(1)
 	return c
 }
 
 func putChunk(c *chunk) {
 	c.next = nil
+	outstanding.Add(-1)
 	chunkPool.Put(c)
 }
 
@@ -53,11 +69,13 @@ func putChunk(c *chunk) {
 // single-consumer split the transports use, where the producer holds a
 // Writable reservation ACROSS an unlocked blocking read:
 //
-//   - Writable/Commit touch only the tail chunk's free region. The
+//   - Writable/Commit touch only the tail chunk's free region. While a
+//     reservation is outstanding (Writable called, Commit not yet) the
 //     consumer never moves, recycles, or rewrites that region: a fully
-//     drained chunk is recycled only when it is not the last chunk, so a
-//     producer's outstanding reservation (always in the last chunk) stays
-//     valid while the consumer drains under the same lock.
+//     drained last chunk is recycled only once no reservation points into
+//     it, so the reservation stays valid while the consumer drains under
+//     the same lock. Every Writable must therefore be paired with a Commit
+//     (of 0 when nothing arrived), or the last chunk stays pinned.
 //   - A slice returned by Take stays valid until the NEXT consumer call
 //     (Take, Views, Discard, or Reset) — the chunk it points into is kept
 //     off the pool until then, and producer appends only ever write past
@@ -73,6 +91,9 @@ type Ring struct {
 	// the caller may still be reading the view. The next consumer call
 	// recycles it.
 	spent *chunk
+	// reserved records an outstanding Writable reservation in the last
+	// chunk (Writable sets, Commit clears).
+	reserved bool
 }
 
 // Len reports the buffered byte count.
@@ -93,13 +114,32 @@ func (r *Ring) Writable() []byte {
 			r.last = c
 		}
 	}
+	r.reserved = true
 	return r.last.buf[r.last.tail:]
 }
 
-// Commit appends the first n bytes of the most recent Writable reservation.
+// Commit appends the first n bytes of the most recent Writable reservation
+// and ends the reservation.
 func (r *Ring) Commit(n int) {
 	r.last.tail += n
 	r.n += n
+	r.reserved = false
+}
+
+// drained reports whether the consumer may unlink c: everything in it is
+// consumed and no producer reservation points into it.
+func (r *Ring) drained(c *chunk) bool {
+	return c.head == c.tail && (c != r.last || !r.reserved)
+}
+
+// unlinkFirst removes the head chunk from the list and returns it.
+func (r *Ring) unlinkFirst() *chunk {
+	c := r.first
+	r.first = c.next
+	if r.first == nil {
+		r.last = nil
+	}
+	return c
 }
 
 // Write copies p into the ring (the producer path for callers that already
@@ -123,10 +163,8 @@ func (r *Ring) compact() {
 		putChunk(r.spent)
 		r.spent = nil
 	}
-	for r.first != nil && r.first.head == r.first.tail && r.first != r.last {
-		c := r.first
-		r.first = c.next
-		putChunk(c)
+	for r.first != nil && r.drained(r.first) {
+		putChunk(r.unlinkFirst())
 	}
 }
 
@@ -147,10 +185,9 @@ func (r *Ring) Take(max int) []byte {
 	v := c.buf[c.head : c.head+n]
 	c.head += n
 	r.n -= n
-	if c.head == c.tail && c != r.last {
-		// Drained mid-list: unlink, but keep it alive backing v.
-		r.first = c.next
-		r.spent = c
+	if r.drained(c) {
+		// Unlink, but keep it alive backing v.
+		r.spent = r.unlinkFirst()
 	}
 	return v
 }
@@ -194,9 +231,8 @@ func (r *Ring) Discard(n int) {
 		c.head += k
 		r.n -= k
 		n -= k
-		if c.head == c.tail && c != r.last {
-			r.first = c.next
-			putChunk(c)
+		if r.drained(c) {
+			putChunk(r.unlinkFirst())
 		}
 	}
 }
@@ -210,5 +246,5 @@ func (r *Ring) Reset() {
 		putChunk(c)
 		c = next
 	}
-	r.first, r.last, r.n = nil, nil, 0
+	r.first, r.last, r.n, r.reserved = nil, nil, 0, false
 }

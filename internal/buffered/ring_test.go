@@ -103,6 +103,76 @@ func TestRingTakeViewAcrossChunkDrain(t *testing.T) {
 	}
 }
 
+// TestRingDrainedHoldsNoChunks pins the package's memory promise: once a
+// consumer has drained the ring and no Writable reservation is outstanding,
+// every chunk is back in the pool — after Take at the next consumer call
+// (the view must stay readable until then), after Discard at once.
+func TestRingDrainedHoldsNoChunks(t *testing.T) {
+	base := ChunksOutstanding()
+	var r Ring
+	r.Write([]byte("one request"))
+	if got := ChunksOutstanding() - base; got != 1 {
+		t.Fatalf("a buffered request holds %d chunks, want 1", got)
+	}
+	v := r.Take(64)
+	if string(v) != "one request" {
+		t.Fatalf("got %q", v)
+	}
+	if got := ChunksOutstanding() - base; got != 1 {
+		t.Fatalf("%d chunks while the Take view is live, want 1 (spent)", got)
+	}
+	if r.Take(64) != nil {
+		t.Fatal("drained ring returned data")
+	}
+	if got := ChunksOutstanding() - base; got != 0 {
+		t.Fatalf("drained ring holds %d chunks, want 0", got)
+	}
+	// The writev side: Discard of everything returns the last chunk too.
+	r.Write(make([]byte, RingChunkSize+100))
+	r.Discard(r.Len())
+	if got := ChunksOutstanding() - base; got != 0 {
+		t.Fatalf("discarded ring holds %d chunks, want 0", got)
+	}
+	// A reservation committed with nothing (EAGAIN) leaves an empty chunk
+	// linked; the next consumer call returns it.
+	r.Writable()
+	r.Commit(0)
+	if r.Take(64) != nil {
+		t.Fatal("empty commit produced data")
+	}
+	if got := ChunksOutstanding() - base; got != 0 {
+		t.Fatalf("ring holds %d chunks after an empty commit, want 0", got)
+	}
+}
+
+// TestRingReservationPinsLastChunk is the other half of the rule: while a
+// Writable reservation is outstanding the consumer may drain the last chunk
+// but must not unlink it — the producer is about to write into it.
+func TestRingReservationPinsLastChunk(t *testing.T) {
+	base := ChunksOutstanding()
+	var r Ring
+	r.Write([]byte("head"))
+	w := r.Writable() // producer parks in a socket read holding this
+	if got := string(r.Take(64)); got != "head" {
+		t.Fatalf("got %q", got)
+	}
+	if r.Take(64) != nil { // a second consumer call: would recycle if it could
+		t.Fatal("drained ring returned data")
+	}
+	if got := ChunksOutstanding() - base; got != 1 {
+		t.Fatalf("%d chunks under an outstanding reservation, want 1", got)
+	}
+	copy(w, "tail")
+	r.Commit(4)
+	if got := string(r.Take(64)); got != "tail" {
+		t.Fatalf("reservation lost: got %q", got)
+	}
+	r.Reset()
+	if got := ChunksOutstanding() - base; got != 0 {
+		t.Fatalf("%d chunks after Reset, want 0", got)
+	}
+}
+
 func TestRingViewsDiscard(t *testing.T) {
 	var r Ring
 	want := make([]byte, 3*RingChunkSize)

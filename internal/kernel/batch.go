@@ -192,14 +192,13 @@ func (p *Process) admit(n int) int {
 
 // publish pushes a pre-linked chain (oldest…newest) of admitted messages
 // onto p's inbox and unparks receivers on the empty→non-empty transition.
-// Taking p.mu to signal serializes the wakeup against a receiver's
-// drain-then-park, so it cannot fall between the receiver's last drain and
-// its wait (see waitLocked).
+// The signal takes only the waiter set's leaf lock, never p.mu: a receiver
+// in the middle of a scan holds p.mu for a whole Figure 4 label pass, and
+// the sender has no business waiting for it (waitLocked says why the
+// wakeup still cannot fall between the receiver's last drain and its park).
 func (p *Process) publish(oldest, newest *Message) {
 	if p.inbox.push(oldest, newest) {
-		p.mu.Lock()
 		p.wakeAll()
-		p.mu.Unlock()
 	}
 }
 

@@ -229,9 +229,10 @@ func checkSendPrivs(ps, ds, dr *label.Label) error {
 // Concurrency: the sender's labels are snapshotted under its own lock, the
 // requirement checks run lock-free against the snapshot, the destination's
 // routing state is one atomic load, and the enqueue is a single CAS on the
-// receiver's lock-free inbox. The receiver's mutex is taken only to unpark
-// it when the inbox transitions empty→non-empty; no two process locks are
-// ever held together (package lock-ordering rule 3).
+// receiver's lock-free inbox. The receiver's mutex is never taken: the
+// empty→non-empty wakeup goes through its waiter set's leaf lock, so a send
+// does not wait out a receive scan; no two process locks are ever held
+// together (package lock-ordering rule 3).
 func (p *Process) sendVia(port handle.Handle, vn *vnode, data []byte, opts *SendOpts) error {
 	stop := p.sys.prof.Time(stats.CatKernelIPC)
 	defer stop()
@@ -445,8 +446,8 @@ func (p *Process) RecvCtx(ctx context.Context, filter ...handle.Handle) (*Delive
 		}
 		// Park. The last drain left the inbox empty (drain always swaps it
 		// to nil), so the next push observes the empty→non-empty transition
-		// and signals under p.mu — which it cannot acquire until waitLocked
-		// has released it. No wakeup can be lost.
+		// and signals; waitLocked registers before it looks at the inbox
+		// once more, so no wakeup can be lost.
 		if err := p.waitLocked(ctx); err != nil {
 			return nil, err
 		}

@@ -233,15 +233,11 @@ func Select(ctx context.Context, ports ...*Port) (*Delivery, *Port, error) {
 	// before the first scan so no arrival can slip between scan and park.
 	w := make(chan struct{}, 1)
 	for _, g := range groups {
-		g.p.mu.Lock()
 		g.p.addWaiter(w)
-		g.p.mu.Unlock()
 	}
 	defer func() {
 		for _, g := range groups {
-			g.p.mu.Lock()
 			g.p.removeWaiter(w)
-			g.p.mu.Unlock()
 		}
 	}()
 

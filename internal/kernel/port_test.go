@@ -184,6 +184,58 @@ func TestRecvCtxWakesOnDelivery(t *testing.T) {
 	}
 }
 
+// TestSendDoesNotWaitForReceiverLock pins the wake path: a send into an
+// empty inbox signals through the waiter set's own lock, so it returns while
+// the receiver's mutex is held — as it is for a whole Figure 4 label pass
+// during a receive scan — and the message is there when the scan's owner
+// looks next. (Signalling under the receiver's mutex made the sender wait
+// out the scan inside its own Kernel-IPC span.)
+func TestSendDoesNotWaitForReceiverLock(t *testing.T) {
+	s := NewSystem(WithSeed(26))
+	rx, inbox, _, out := openPair(t, s)
+
+	rx.mu.Lock() // a receive scan in progress
+	sent := make(chan error, 1)
+	go func() { sent <- out.Send([]byte("x"), nil) }()
+	select {
+	case err := <-sent:
+		rx.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		rx.mu.Unlock()
+		t.Fatal("send blocked on the receiver's mutex")
+	}
+	if d, err := inbox.TryRecv(); err != nil || d == nil || string(d.Data) != "x" {
+		t.Fatalf("delivery after the scan: %v, %v", d, err)
+	}
+}
+
+// TestRecvParkSeesPushDuringScan is the other half: a message published
+// after the receiver's last drain but before it registers as a waiter finds
+// nobody to signal, so the park itself must notice it.
+func TestRecvParkSeesPushDuringScan(t *testing.T) {
+	s := NewSystem(WithSeed(27))
+	rx, inbox, _, out := openPair(t, s)
+
+	rx.mu.Lock()
+	rx.drainInbox() // the scan's drain: inbox empty, nothing pending
+	if err := out.Send([]byte("late"), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	err := rx.waitLocked(ctx) // must not park on a signal already spent
+	rx.mu.Unlock()
+	if err != nil {
+		t.Fatalf("park missed the message published during the scan: %v", err)
+	}
+	if d, err := inbox.TryRecv(); err != nil || d == nil || string(d.Data) != "late" {
+		t.Fatalf("delivery: %v, %v", d, err)
+	}
+}
+
 func TestMailboxDrainBurst(t *testing.T) {
 	s := NewSystem(WithSeed(26))
 	rx := s.NewProcess("rx")

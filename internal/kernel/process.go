@@ -34,12 +34,14 @@ var (
 // list — messages drained from the inbox but not yet consumed because they
 // are filtered out, belong to a dormant event process, or failed no check
 // yet. mu guards pending and every other mutable field below it (labels,
-// event-process table, liveness, the waiter set). Blocked receivers park on
-// per-call waiter channels rather than a condition variable, so a wait can
-// also be ended by a context.Context (Recv deadlines and cancellation, and
-// Select across several processes' ports). The address space contents are,
-// as in the seed, accessed only by the owning goroutine (plus quiescent
-// diagnostics); mu does not cover page data.
+// event-process table, liveness) except the waiter set, which has its own
+// leaf lock wmu: a sender waking the process must never wait out a receive
+// scan — a whole Figure 4 label pass — that holds mu. Blocked receivers park
+// on per-call waiter channels rather than a condition variable, so a wait
+// can also be ended by a context.Context (Recv deadlines and cancellation,
+// and Select across several processes' ports). The address space contents
+// are, as in the seed, accessed only by the owning goroutine (plus
+// quiescent diagnostics); mu does not cover page data.
 type Process struct {
 	sys  *System
 	id   ProcID
@@ -52,8 +54,11 @@ type Process struct {
 	// inbox's empty→non-empty transition and on Exit. A Select waiting on
 	// several processes registers the same channel with each. The set is a
 	// small slice — almost always zero or one entry, so registration and
-	// the wake fan-out stay a few word writes. wcache is a one-slot free
-	// list for the common single-receiver case. Guarded by mu.
+	// the wake fan-out stay a few word writes. Guarded by wmu, a leaf lock
+	// taken under mu (park, Exit) or alone (publish, Select). wcache is a
+	// one-slot free list of wake channels for the common single-receiver
+	// case; it is guarded by mu.
+	wmu     sync.Mutex
 	waiters []chan struct{}
 	wcache  chan struct{}
 
@@ -80,26 +85,32 @@ type Process struct {
 	nextEP  uint32
 }
 
-// wakeAll signals every parked receiver. Caller holds p.mu; the channels
-// are buffered one deep, so a signal to a waiter that is between its scan
-// and its park is retained rather than lost (see waitLocked).
+// wakeAll signals every registered receiver. The channels are buffered one
+// deep, so a signal to a waiter that is between registering and parking is
+// retained rather than lost (see waitLocked).
 func (p *Process) wakeAll() {
+	p.wmu.Lock()
 	for _, w := range p.waiters {
 		select {
 		case w <- struct{}{}:
 		default:
 		}
 	}
+	p.wmu.Unlock()
 }
 
-// addWaiter registers a parked receiver's wake channel; caller holds p.mu.
+// addWaiter registers a receiver's wake channel.
 func (p *Process) addWaiter(w chan struct{}) {
+	p.wmu.Lock()
 	p.waiters = append(p.waiters, w)
+	p.wmu.Unlock()
 }
 
-// removeWaiter deregisters a wake channel; caller holds p.mu. Order is not
-// preserved — wakeAll signals everyone anyway.
+// removeWaiter deregisters a wake channel. Order is not preserved — wakeAll
+// signals everyone anyway.
 func (p *Process) removeWaiter(w chan struct{}) {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	for i, x := range p.waiters {
 		if x == w {
 			last := len(p.waiters) - 1
@@ -111,58 +122,47 @@ func (p *Process) removeWaiter(w chan struct{}) {
 	}
 }
 
-// getWaiter returns a fresh or cached wake channel with no pending signal.
-// Caller holds p.mu.
-func (p *Process) getWaiter() chan struct{} {
-	if w := p.wcache; w != nil {
-		p.wcache = nil
-		return w
+// waitLocked parks the caller until a sender publishes into the empty
+// inbox, the process exits, or ctx is done — the only case it reports an
+// error. Caller holds p.mu and has scanned a drained inbox; the lock is
+// released while parked and held again on return.
+//
+// No wakeup can be lost, though senders signal under wmu alone and so can
+// run while the caller still holds p.mu: a sender pushes, then takes wmu and
+// signals whoever is registered; the caller registers under wmu, then looks
+// at the inbox. Whichever takes wmu second sees the other's step — the
+// sender finds the channel (whose buffer keeps the signal until the park),
+// or the caller finds the message and rescans instead of parking.
+func (p *Process) waitLocked(ctx context.Context) error {
+	w := p.wcache
+	p.wcache = nil
+	if w == nil {
+		w = make(chan struct{}, 1)
 	}
-	return make(chan struct{}, 1)
-}
-
-// putWaiter retires a wake channel into the one-slot cache, discarding any
-// stale signal so a later park cannot wake spuriously on it. Caller holds
-// p.mu.
-func (p *Process) putWaiter(w chan struct{}) {
+	p.addWaiter(w)
+	var err error
+	if p.inbox.empty() {
+		p.mu.Unlock()
+		if done := ctx.Done(); done == nil {
+			// No cancellation possible: a plain channel receive parks much
+			// cheaper than a two-case select.
+			<-w
+		} else {
+			select {
+			case <-w:
+			case <-done:
+				err = ctx.Err()
+			}
+		}
+		p.mu.Lock()
+	}
+	p.removeWaiter(w)
+	// Discard any stale signal so a later park cannot wake spuriously.
 	select {
 	case <-w:
 	default:
 	}
-	if p.wcache == nil {
-		p.wcache = w
-	}
-}
-
-// waitLocked parks the caller until a sender publishes into the empty
-// inbox, the process exits, or ctx is done — the only case it reports an
-// error. Caller holds p.mu; the lock is released while parked and held
-// again on return.
-//
-// No wakeup can be lost: the waiter is registered before the lock is
-// dropped, and a sender observing the empty→non-empty transition signals
-// under p.mu, which it cannot take until this caller parks. A signal sent
-// while the caller is still between scan and park is retained by the
-// channel's buffer.
-func (p *Process) waitLocked(ctx context.Context) error {
-	w := p.getWaiter()
-	p.addWaiter(w)
-	p.mu.Unlock()
-	var err error
-	if done := ctx.Done(); done == nil {
-		// No cancellation possible: a plain channel receive parks much
-		// cheaper than a two-case select.
-		<-w
-	} else {
-		select {
-		case <-w:
-		case <-done:
-			err = ctx.Err()
-		}
-	}
-	p.mu.Lock()
-	p.removeWaiter(w)
-	p.putWaiter(w)
+	p.wcache = w
 	return err
 }
 

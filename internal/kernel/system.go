@@ -25,8 +25,10 @@
 // ways, and the message path itself is lock-free:
 //
 //   - Each Process has its own mutex guarding that process's labels,
-//     event-process table, liveness bit, the consumer-side pending list and
-//     the set of parked receivers. Blocked Recv/RecvCtx/Checkpoint/Select
+//     event-process table, liveness bit and the consumer-side pending list;
+//     the set of parked receivers has a leaf lock of its own, so that the
+//     sender that wakes them never waits for a receive scan in progress.
+//     Blocked Recv/RecvCtx/Checkpoint/Select
 //     calls park on buffered per-waiter channels (see Process.waitLocked),
 //     which is what lets a wait also end on a context.Context — deadline,
 //     cancellation, service shutdown — or span several processes (Select).
@@ -60,15 +62,16 @@
 //     then touches the receiver.)
 //  3. At most one per-process mutex is held at a time — no syscall locks
 //     two processes. With the lock-free mailbox this rule has become
-//     almost vacuous on the send path: the enqueue itself takes NO lock;
-//     the sender acquires the receiver's mutex only to broadcast the
-//     empty→non-empty wakeup, holding nothing else. Cross-process effects
-//     still happen against an immutable snapshot of the sender's labels,
-//     which is exactly the atomicity Figure 4 requires: sender-side checks
-//     against the sender's labels at send (batch) time, receiver-side
-//     checks against the receiver's labels at delivery time.
-//  4. Leaf locks (profiler stripes, label op-cache shards) take no other
-//     locks and may be acquired under any of the above. The handle
+//     vacuous on the send path: the enqueue itself takes NO lock, and the
+//     empty→non-empty wakeup takes only the receiver's waiter-set leaf lock
+//     (rule 4), never its mutex. Cross-process effects still happen against
+//     an immutable snapshot of the sender's labels, which is exactly the
+//     atomicity Figure 4 requires: sender-side checks against the sender's
+//     labels at send (batch) time, receiver-side checks against the
+//     receiver's labels at delivery time.
+//  4. Leaf locks (profiler stripes, label op-cache shards, a process's
+//     waiter set) take no other locks and may be acquired under any of the
+//     above, or under none. The handle
 //     allocator, formerly a leaf lock, is now lock-free and off this list;
 //     the retired rule that the allocator mutex be taken last is subsumed.
 //

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"asbestos/internal/buffered"
 	"asbestos/internal/handle"
 )
 
@@ -98,6 +99,8 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("OutboundBurstIntegrity", func(t *testing.T) { testOutboundBurst(t, eng) })
 			t.Run("ClientCloseEOF", func(t *testing.T) { testClientCloseEOF(t, eng) })
 			t.Run("FrontCloseDropsClients", func(t *testing.T) { testFrontClose(t, eng) })
+			t.Run("ChunksReturnedAtTeardown", func(t *testing.T) { testChunksReturned(t, eng) })
+			t.Run("ParkedConnsHoldNoChunks", func(t *testing.T) { testParkedChunks(t, eng) })
 		})
 	}
 }
@@ -133,6 +136,104 @@ func testEchoAndServerClose(t *testing.T, eng tengine) {
 	if string(got) != "pong" {
 		t.Fatalf("client got %q, want %q", got, "pong")
 	}
+}
+
+// waitChunks polls until the process-wide count of pooled ring chunks in
+// use is within [base, base+slack]: the socket side lets go of a
+// connection on its own goroutine, a moment after the client sees the close.
+func waitChunks(t *testing.T, base, slack int64, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := buffered.ChunksOutstanding() - base
+		if got >= 0 && got <= slack {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d ring chunks outstanding beyond the starting count, want at most %d", what, got, slack)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// testChunksReturned: a connection's pooled buffers go back to the pool
+// when the connection does — open → request → response → close, a thousand
+// times, and the count of chunks in use is where it started. The inbound
+// ring is the interesting one: neither the shard nor the socket side may
+// reset it alone, so the second of them to finish must.
+func testChunksReturned(t *testing.T, eng tengine) {
+	r := newRig(t)
+	dial, _ := eng.start(t, r)
+	waitListening(t, r.nd, 80)
+	base := buffered.ChunksOutstanding()
+	reply := r.replyPort(r.app)
+	for i := 0; i < 1000; i++ {
+		c, connPort := dialIntro(t, r, dial, 'k')
+		if _, err := c.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if got := readPort(t, r, connPort, 4); string(got) != "ping" {
+			t.Fatalf("conn %d: netd read %q", i, got)
+		}
+		conn := r.app.Port(connPort)
+		if err := Write(conn, handle.None, []byte("pong")); err != nil {
+			t.Fatal(err)
+		}
+		if err := Control(conn, reply, CtlClose); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recvOn(r.app, reply); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readAllDeadline(c, 5*time.Second); err != nil || string(got) != "pong" {
+			t.Fatalf("conn %d: client got %q, %v", i, got, err)
+		}
+		c.Close()
+	}
+	waitChunks(t, base, 0, "after 1000 closed connections")
+}
+
+// testParkedChunks: a keep-alive connection between requests — request
+// drained, response written, next read pending — costs the poller no
+// buffer memory at all. On the goroutine-pair engine each parked reader
+// holds its Writable reservation (one chunk) across the blocking socket
+// read, so the bound there is one chunk per connection.
+func testParkedChunks(t *testing.T, eng tengine) {
+	r := newRig(t)
+	dial, front := eng.start(t, r)
+	if front == nil {
+		t.Skip("the simulated wire has no pooled rings")
+	}
+	waitListening(t, r.nd, 80)
+	base := buffered.ChunksOutstanding()
+	const conns = 200
+	park := r.replyPort(r.app)
+	for i := 0; i < conns; i++ {
+		c, connPort := dialIntro(t, r, dial, 'p')
+		defer c.Close()
+		if _, err := c.Write([]byte("GET /")); err != nil {
+			t.Fatal(err)
+		}
+		if got := readPort(t, r, connPort, 5); string(got) != "GET /" {
+			t.Fatalf("conn %d: netd read %q", i, got)
+		}
+		conn := r.app.Port(connPort)
+		if err := Write(conn, handle.None, []byte("200")); err != nil {
+			t.Fatal(err)
+		}
+		if err := Read(conn, park, 4096); err != nil { // the park: stays pending
+			t.Fatal(err)
+		}
+		buf := make([]byte, 3)
+		if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "200" {
+			t.Fatalf("conn %d: client got %q, %v", i, buf, err)
+		}
+	}
+	slack := int64(0)
+	if _, pair := front.(*TCPListener); pair {
+		slack = conns
+	}
+	waitChunks(t, base, slack, "with 200 parked connections")
 }
 
 // testWindowBackpressure floods far more than connWindow inbound without

@@ -494,9 +494,9 @@ func (s *netdShard) handleConn(sc *sconn, d *kernel.Delivery) {
 		if !sc.closed {
 			n = sc.c.PushOutbound(data)
 		}
-		if n != len(data) {
+		if reply != handle.None {
+			s.reply(sc, reply, wire.NewWriter(OpWriteReply).U32(uint32(n)).Done())
 		}
-		s.reply(sc, reply, wire.NewWriter(OpWriteReply).U32(uint32(n)).Done())
 	case opControl:
 		reply := r.Handle()
 		cmd := r.Byte()
@@ -510,7 +510,9 @@ func (s *netdShard) handleConn(sc *sconn, d *kernel.Delivery) {
 			okb = 1
 		}
 		s.fulfillReads(sc) // pending reads now get EOF
-		s.reply(sc, reply, wire.NewWriter(OpControlReply).Byte(okb).Done())
+		if reply != handle.None {
+			s.reply(sc, reply, wire.NewWriter(OpControlReply).Byte(okb).Done())
+		}
 		if okb == 1 {
 			s.teardown(sc)
 		}

@@ -577,3 +577,66 @@ func TestEmptyDeliveryIgnoredByNetd(t *testing.T) {
 		t.Fatalf("read after empty deliveries: %+v %v", rr, ok)
 	}
 }
+
+// TestUnacknowledgedWriteAndClose pins the handle.None rule on Write and
+// Control: the operation is applied, no reply capability changes hands (the
+// caller's and netd's send labels end where they started) and no message
+// comes back. The acknowledged form is covered by TestAcceptReadWrite and
+// TestAppCloseGivesRemoteEOF.
+func TestUnacknowledgedWriteAndClose(t *testing.T) {
+	r := newRig(t)
+	waitListening(t, r.nd, 80)
+	netdBefore := r.nd.Process().SendLabel().String() // holds the notify ⋆ only
+	c, connPort := r.accept(t)
+	conn := r.app.Port(connPort)
+	reply := r.replyPort(r.app)             // for the Select below
+	appBefore := r.app.SendLabel().String() // holds uC ⋆ and reply ⋆
+
+	if err := Write(conn, handle.None, []byte("fire")); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(conn, handle.None, []byte(" and forget")); err != nil {
+		t.Fatal(err)
+	}
+	// A Select behind the writes is answered after them (per-sender FIFO),
+	// so once it returns the writes have been applied.
+	if err := Select(conn, reply); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := recvOn(r.app, reply); err != nil || d.Data[0] != OpSelectReply {
+		t.Fatalf("select reply: %v %v", d, err)
+	}
+	buf := make([]byte, 32)
+	n, err := io.ReadFull(c, buf[:15])
+	if err != nil || string(buf[:n]) != "fire and forget" {
+		t.Fatalf("remote got %q, %v", buf[:n], err)
+	}
+	if d, _ := r.app.TryRecv(); d != nil {
+		t.Fatalf("unacknowledged write was answered: % x", d.Data)
+	}
+
+	if err := Control(conn, handle.None, CtlClose); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(buf); err != io.EOF {
+		t.Fatalf("remote after unacknowledged close: %v, want EOF", err)
+	}
+	// Unregister is the last step of the shard's teardown.
+	for i := 0; r.nd.Injector().ConnCount() != 0; i++ {
+		if i == 1000 {
+			t.Fatal("connection never torn down")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d, _ := r.app.TryRecv(); d != nil {
+		t.Fatalf("unacknowledged close was answered: % x", d.Data)
+	}
+	if got := r.app.SendLabel().String(); got != appBefore {
+		t.Fatalf("caller's send label moved:\n before %s\n after  %s", appBefore, got)
+	}
+	// netd shed uC ⋆ with the connection and the Select's reply ⋆ after its
+	// flush; the unacknowledged messages granted it nothing to shed.
+	if got := r.nd.Process().SendLabel().String(); got != netdBefore {
+		t.Fatalf("netd's send label moved:\n before %s\n after  %s", netdBefore, got)
+	}
+}

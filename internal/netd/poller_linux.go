@@ -3,6 +3,7 @@
 package netd
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -143,7 +144,7 @@ func (l *pollerListener) destroyPartial() {
 		if p.lfd >= 0 {
 			syscall.Close(p.lfd)
 		}
-		p.closeEpfd()
+		p.epFile.Close()
 		syscall.Close(p.wakefd)
 	}
 	if l.reserve >= 0 {
@@ -261,24 +262,25 @@ type poller struct {
 	l      *pollerListener
 	idx    int
 	epfd   int
-	wakefd int // eventfd; posting an op writes it to interrupt EpollWait
+	wakefd int // eventfd; posting an op writes it to wake the parked loop
 	lfd    int // this poller's listen socket, -1 if the group came up short
 
-	// epFile wraps epfd (nonblocking) so the loop can park in the Go
-	// runtime's own netpoller — epRaw.Read blocks this goroutine, not a
-	// thread, until the epfd has ready events (an epoll fd is itself
-	// pollable). A goroutine blocked in a raw EpollWait syscall gives up
-	// its P and must win one back on every wake, a scheduler round trip
-	// the pair engine never pays because its readers ride the integrated
-	// netpoller; parking the same way erases that gap. epRaw == nil falls
-	// back to blocking EpollWait.
+	// epFile wraps epfd (nonblocking) so the loop parks in the Go runtime's
+	// own netpoller — epRaw.Read blocks this goroutine, not a thread, until
+	// the epfd has ready events (an epoll fd is itself pollable) or the
+	// file's read deadline passes. A goroutine blocked in a raw EpollWait
+	// syscall gives up its P and must win one back on every wake, a
+	// scheduler round trip the pair engine never pays because its readers
+	// ride the integrated netpoller; parking the same way erases that gap.
 	epFile *os.File
 	epRaw  syscall.RawConn
 
 	// Poller-goroutine-only state.
 	conns        map[int]*pconn // by fd
 	lingering    []*pconn
+	lingerNext   time.Time // earliest lingerAt among lingering (zero = none)
 	acceptPaused time.Time // re-arm lfd after this instant (zero = armed)
+	parkUntil    time.Time // read deadline currently set on epFile
 
 	opMu        sync.Mutex
 	ops         []pollOp
@@ -307,27 +309,18 @@ func newPoller(l *pollerListener, idx int) (*poller, error) {
 	// SetNonblock before NewFile so the os layer registers the epfd with
 	// the runtime netpoller (os.NewFile only treats already-nonblocking
 	// fds as pollable). epFile owns the fd from here on.
-	if syscall.SetNonblock(epfd, true) == nil {
-		f := os.NewFile(uintptr(epfd), "netd-epoll")
-		if rc, err := f.SyscallConn(); err == nil {
-			p.epFile, p.epRaw = f, rc
-		} else {
-			f.Close() // releases epfd
-			syscall.Close(p.wakefd)
-			p.wakefd = -1
-			return nil, err
-		}
+	if err := syscall.SetNonblock(epfd, true); err != nil {
+		syscall.Close(epfd)
+		syscall.Close(p.wakefd)
+		return nil, err
+	}
+	p.epFile = os.NewFile(uintptr(epfd), "netd-epoll")
+	if p.epRaw, err = p.epFile.SyscallConn(); err != nil {
+		p.epFile.Close() // releases epfd
+		syscall.Close(p.wakefd)
+		return nil, err
 	}
 	return p, nil
-}
-
-// closeEpfd releases the epoll fd through whichever layer owns it.
-func (p *poller) closeEpfd() {
-	if p.epFile != nil {
-		p.epFile.Close()
-	} else {
-		syscall.Close(p.epfd)
-	}
 }
 
 func (p *poller) epollAdd(fd int, events uint32) error {
@@ -340,8 +333,8 @@ func (p *poller) epollMod(fd int, events uint32) {
 	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, fd, &ev)
 }
 
-// post hands the poller an op and wakes it if it may be parked in
-// EpollWait. Safe from any goroutine.
+// post hands the poller an op and wakes it if it may be parked. Safe from
+// any goroutine.
 func (p *poller) post(op pollOp) {
 	p.opMu.Lock()
 	p.ops = append(p.ops, op)
@@ -370,71 +363,17 @@ func (p *poller) drainWake() {
 	syscall.Read(p.wakefd, buf[:])
 }
 
-// pollSpins bounds the adaptive spin phase: while the loop has seen an
-// event recently, re-poll with a zero timeout and yield instead of
-// parking in a blocking EpollWait. A goroutine blocked in a syscall
-// loses its P; on a loaded box (worst on GOMAXPROCS=1) the returning
-// thread can wait a scheduler tick to win it back, which shows up as a
-// multi-ms bubble on every ping-pong round trip. Zero-timeout polls
-// never give up the P, and Gosched donates the time slice to the shard
-// and worker goroutines that produce the next event. After pollSpins
-// consecutive empty polls the loop is genuinely idle and parks
-// blocking again, so parked-connection fleets still cost nothing.
-const pollSpins = 256
-
 // loop is the poller: wait, run posted ops, service ready fds, sweep
 // lingering closes. Everything a connection's fd needs happens here.
 func (p *poller) loop() {
 	defer p.l.wg.Done()
 	events := make([]syscall.EpollEvent, 128)
-	idle := pollSpins // start parked; spin only after the first event
 	for {
-		var n int
-		var err error
-		if idle < pollSpins {
-			n, err = syscall.EpollWait(p.epfd, events, 0)
-			if err == nil && n == 0 {
-				idle++
-				if p.l.closed.Load() {
-					p.shutdown()
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-		} else if p.epRaw != nil && p.waitMillis() < 0 {
-			// Genuinely idle with no timed re-check due: park this
-			// goroutine in the runtime netpoller until the epfd reports
-			// ready events, then drain with a zero-timeout wait. The
-			// callback runs once before parking, so an event that lands
-			// between the check and the park still wakes us.
-			rerr := p.epRaw.Read(func(fd uintptr) bool {
-				rn, re := syscall.EpollWait(int(fd), events, 0)
-				if re == syscall.EINTR {
-					return false
-				}
-				n, err = rn, re
-				return rn > 0 || re != nil
-			})
-			if rerr != nil {
-				// epFile closed under us (teardown) — treat as a plain
-				// wake; the closed check below exits the loop.
-				n, err = 0, nil
-			}
-		} else {
-			n, err = syscall.EpollWait(p.epfd, events, p.waitMillis())
-		}
-		if err != nil && err != syscall.EINTR {
+		n, err := p.wait(events)
+		if err != nil || p.l.closed.Load() {
 			// A persistent epoll failure is fatal for this poller; tear
 			// down as on Close so every owned connection gets its
 			// EventClosed and no fd (listen/epoll/event/conn) leaks.
-			p.shutdown()
-			return
-		}
-		if n > 0 {
-			idle = 0
-		}
-		if p.l.closed.Load() {
 			p.shutdown()
 			return
 		}
@@ -482,14 +421,46 @@ func (p *poller) loop() {
 // epollRDHUP is EPOLLRDHUP; the syscall package predates it.
 const epollRDHUP = 0x2000
 
-// waitMillis: block indefinitely unless a linger deadline or an accept
-// pause needs a timed re-check.
-func (p *poller) waitMillis() int {
-	if len(p.lingering) > 0 || !p.acceptPaused.IsZero() {
-		return 50
+// wait is the loop's one wait: park this goroutine in the runtime
+// netpoller until the epoll set reports ready events, then collect them
+// with a zero-timeout EpollWait. The callback runs once before parking, so
+// an event that lands between the check and the park still wakes us. When
+// a linger deadline or an accept pause is pending, the file's read
+// deadline ends the park at that instant (n == 0) and the loop's sweep
+// does the rest.
+func (p *poller) wait(events []syscall.EpollEvent) (n int, err error) {
+	until := p.lingerNext
+	if a := p.acceptPaused; !a.IsZero() && (until.IsZero() || a.Before(until)) {
+		until = a
 	}
-	return -1
+	if !until.Equal(p.parkUntil) {
+		if err := p.epFile.SetReadDeadline(until); err != nil {
+			return 0, err
+		}
+		p.parkUntil = until
+	}
+	rerr := p.epRaw.Read(func(fd uintptr) bool {
+		for {
+			if h := testHookEpollWait.Load(); h != nil {
+				(*h)()
+			}
+			if n, err = syscall.EpollWait(int(fd), events, 0); err != syscall.EINTR {
+				// closed is looked at again before every park: Close's wake
+				// may already have been swallowed by the drainWake of an
+				// iteration that checked closed just before Close set it.
+				return n > 0 || err != nil || p.l.closed.Load()
+			}
+		}
+	})
+	if rerr != nil && err == nil && !errors.Is(rerr, os.ErrDeadlineExceeded) {
+		err = rerr
+	}
+	return n, err
 }
+
+// testHookEpollWait, when non-nil, runs before every EpollWait call; tests
+// count them to assert that an idle poller makes none.
+var testHookEpollWait atomic.Pointer[func()]
 
 func (p *poller) runOps() {
 	p.opMu.Lock()
@@ -662,11 +633,13 @@ func (p *poller) readReady(c *pconn) {
 		}
 		c.mu.Unlock()
 		n, err := syscall.Read(c.fd, w)
+		// Every reservation is committed, of 0 bytes when nothing arrived:
+		// an open one would pin the ring's last chunk on a parked connection.
+		c.mu.Lock()
+		wasEmpty := c.in.Len() == 0
+		c.in.Commit(max(n, 0))
+		c.mu.Unlock()
 		if n > 0 {
-			c.mu.Lock()
-			wasEmpty := c.in.Len() == 0
-			c.in.Commit(n)
-			c.mu.Unlock()
 			// evData only on empty→non-empty, per the Transport contract:
 			// while non-empty either an evData is in flight or the shard
 			// has no pending read.
@@ -814,7 +787,10 @@ func (p *poller) finishOutbound(c *pconn) {
 	p.lingering = append(p.lingering, c)
 }
 
+// sweepLinger reaps lingering connections whose time is up, drops the ones
+// that died on their own, and records the earliest deadline left for wait.
 func (p *poller) sweepLinger() {
+	p.lingerNext = time.Time{}
 	if len(p.lingering) == 0 {
 		return
 	}
@@ -824,9 +800,12 @@ func (p *poller) sweepLinger() {
 		if c.destroyed {
 			continue
 		}
-		if now.After(c.lingerAt) {
+		if !now.Before(c.lingerAt) {
 			p.destroy(c)
 			continue
+		}
+		if p.lingerNext.IsZero() || c.lingerAt.Before(p.lingerNext) {
+			p.lingerNext = c.lingerAt
 		}
 		live = append(live, c)
 	}
@@ -845,9 +824,10 @@ func (p *poller) resumeRead(c *pconn) {
 }
 
 // destroy releases the fd and marks the connection dead, injecting the
-// EventClosed if the read side never got to. The inbound ring is NOT
-// reset — the shard may hold a TakeInbound view — its chunks die with the
-// conn; the outbound ring (consumer: this goroutine) is recycled.
+// EventClosed if the read side never got to. The outbound ring (consumer:
+// this goroutine) is recycled here; the inbound ring only if the shard is
+// already done with the connection (inboundRing.done) — until then it may
+// still drain what the socket delivered.
 func (p *poller) destroy(c *pconn) {
 	if c.destroyed {
 		return
@@ -861,6 +841,7 @@ func (p *poller) destroy(c *pconn) {
 	c.dead = true
 	c.inEOF = true
 	c.out.Reset()
+	c.in.done()
 	c.mu.Unlock()
 	var ev syscall.EpollEvent
 	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, c.fd, &ev)
@@ -885,7 +866,7 @@ func (p *poller) shutdown() {
 	syscall.Close(p.wakefd)
 	p.wakefd = -1
 	p.wakeMu.Unlock()
-	p.closeEpfd()
+	p.epFile.Close()
 }
 
 // writevFd gathers views into one writev(2). iovs is caller-owned scratch,
@@ -923,7 +904,7 @@ type pconn struct {
 	p  *poller
 
 	mu  sync.Mutex
-	in  buffered.Ring // socket → Asbestos, capped at connWindow
+	in  inboundRing   // socket → Asbestos, capped at connWindow
 	out buffered.Ring // Asbestos → socket, drained by writev
 
 	inEOF      bool // socket read side finished (EOF or error)
@@ -947,6 +928,13 @@ type pconn struct {
 var _ WireConn = (*pconn)(nil)
 
 func (c *pconn) ID() uint64 { return c.id }
+
+// inboundDone is the shard's last word on the in-ring (Injector.Unregister).
+func (c *pconn) inboundDone() {
+	c.mu.Lock()
+	c.in.done()
+	c.mu.Unlock()
+}
 
 // TakeInbound hands the shard a zero-copy view into the pooled ring and,
 // when the window was full, posts the read-resume op.

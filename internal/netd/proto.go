@@ -35,16 +35,24 @@
 // methods, which touch the in/out rings under the connection mutex and,
 // when the poller must act (a writev spill to drain, a read window
 // reopening), post a deduplicated op and wake the poller via its eventfd.
+// The inbound ring has two users who cannot see each other's progress —
+// the shard until it unregisters the connection, the socket side until
+// destroy (on the pair engine, until the reader exits) — so the SECOND of
+// shard-done / socket-done resets it and returns its chunks to the pool
+// (inboundRing, transport.go, one rule for both real-socket engines):
+// nothing a connection borrowed is left to the collector.
 // Accept happens inline on each poller's SO_REUSEPORT listen socket; a
 // connection accepted by poller j but owned by poller i is handed over as
 // an adopt op, so ownership is established before the first byte moves.
 // EPOLLIN is disarmed while the inbound window is full and the read-side
 // mask drops entirely at EOF; EPOLLOUT is armed only while a writev left
 // backlog — an idle parked connection costs zero events and zero
-// goroutines. The poller waits for work the way the pair engine's readers
-// do: a short zero-timeout spin while events are flowing, then parking in
-// the runtime netpoller on the epoll fd itself (an epoll fd is pollable),
-// never blocking a thread in EpollWait on the idle path.
+// goroutines. The poller has one wait, the one the pair engine's readers
+// use: it parks in the runtime netpoller on the epoll fd itself (an epoll
+// fd is pollable) and collects events with a zero-timeout EpollWait when
+// woken; a pending linger or accept-pause deadline travels as the epoll
+// file's read deadline. It never polls an empty set and never blocks a
+// thread in EpollWait.
 //
 // The Transport contract, which both implementations and any future one
 // must honor:
@@ -108,8 +116,8 @@ const (
 // Connection ops (application → connection port uC).
 const (
 	opRead     = 20 // reply handle, maxLen u32; DS grants reply ⋆
-	opWrite    = 21 // reply handle, data; DS grants reply ⋆
-	opControl  = 22 // reply handle, cmd byte; DS grants reply ⋆
+	opWrite    = 21 // reply handle (None = unacknowledged), data; DS grants reply ⋆
+	opControl  = 22 // reply handle (None = unacknowledged), cmd byte; DS grants reply ⋆
 	opSelect   = 23 // reply handle; DS grants reply ⋆
 	opAddTaint = 24 // reply handle, taint handle; DS grants reply ⋆ and taint ⋆
 )
@@ -159,15 +167,31 @@ func Read(conn *kernel.Port, reply handle.Handle, maxLen int) error {
 }
 
 // Write sends data out on a connection; netd replies with OpWriteReply.
+// With reply == handle.None the write is unacknowledged: nothing is
+// granted and netd sends no reply. A caller that would discard the answer
+// should not ask for it — messages on one connection port from one sender
+// are processed in send order either way, so a Write is applied before any
+// Read, Control or capability drop the caller issues after it.
 func Write(conn *kernel.Port, reply handle.Handle, data []byte) error {
 	msg := wire.NewWriter(opWrite).Handle(reply).Bytes(data).Done()
-	return conn.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
+	return conn.Send(msg, replyGrant(reply))
 }
 
-// Control issues a control command (CtlClose) on a connection.
+// Control issues a control command (CtlClose) on a connection; netd
+// replies with OpControlReply unless reply is handle.None (unacknowledged,
+// as for Write).
 func Control(conn *kernel.Port, reply handle.Handle, cmd byte) error {
 	msg := wire.NewWriter(opControl).Handle(reply).Byte(cmd).Done()
-	return conn.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
+	return conn.Send(msg, replyGrant(reply))
+}
+
+// replyGrant is the DS of a request that may be unacknowledged: reply ⋆,
+// or nothing when there is no reply port.
+func replyGrant(reply handle.Handle) *kernel.SendOpts {
+	if reply == handle.None {
+		return nil
+	}
+	return &kernel.SendOpts{DecontSend: kernel.Grant(reply)}
 }
 
 // Select asks for the connection's buffer availability.

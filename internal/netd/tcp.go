@@ -14,8 +14,9 @@ import (
 
 // closeLinger bounds how long a finished connection's read side lingers
 // after netd closed it, giving the client time to drain the final response
-// before the socket goes away entirely.
-const closeLinger = 5 * time.Second
+// before the socket goes away entirely. A variable only so tests can
+// shorten it (before the front end starts).
+var closeLinger = 5 * time.Second
 
 // PollerMode selects the engine behind a TCP front end.
 type PollerMode int
@@ -382,7 +383,7 @@ type tcpConn struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	in   buffered.Ring // socket → Asbestos, capped at connWindow (reader blocks)
+	in   inboundRing   // socket → Asbestos, capped at connWindow (reader blocks)
 	out  buffered.Ring // Asbestos → socket, drained by the writer goroutine
 
 	inEOF  bool // remote closed / read side finished
@@ -407,12 +408,13 @@ func newTCPConn(id uint64, sock net.Conn, l *TCPListener) *tcpConn {
 // directly in pooled ring chunks: no per-connection scratch buffer, no
 // append growth, no copy between the socket and the shard's TakeInbound
 // view. The Writable reservation is taken under the lock and stays valid
-// across the blocking Read per the Ring's producer rules; the in-ring is
-// never Reset (the chunks die with the conn), because the shard may hold
-// a TakeInbound view the reader can't see.
+// across the blocking Read per the Ring's producer rules. When the loop
+// exits the socket side is finished with the in-ring (inboundRing.done);
+// the shard may still drain it until it unregisters the connection.
 func (c *tcpConn) readLoop() {
 	defer c.sock.Close()
 	defer c.l.forget(c.id)
+	defer c.inboundDone()
 	for {
 		c.mu.Lock()
 		for c.in.Len() >= connWindow && !c.dead {
@@ -537,6 +539,14 @@ func (c *tcpConn) fail() {
 // --- WireConn (owning shard's loop only) ---
 
 func (c *tcpConn) ID() uint64 { return c.id }
+
+// inboundDone is one party's last word on the in-ring: the reader's when
+// it exits, the shard's at Injector.Unregister.
+func (c *tcpConn) inboundDone() {
+	c.mu.Lock()
+	c.in.done()
+	c.mu.Unlock()
+}
 
 // TakeInbound hands out a view straight into the pooled ring — no copy.
 // Per the WireConn contract the view is valid until the next TakeInbound

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"asbestos/internal/buffered"
 	"asbestos/internal/kernel"
 	"asbestos/internal/shard"
 	"asbestos/internal/wire"
@@ -99,11 +100,37 @@ func (j *Injector) Register(c WireConn) {
 }
 
 // Unregister removes a connection from the registry; netd calls it at
-// teardown so the registry tracks live connections, not history.
+// teardown so the registry tracks live connections, not history. It is the
+// shard's last word on the connection: no WireConn call follows, so a
+// transport with pooled inbound storage is told it may take it back.
 func (j *Injector) Unregister(id uint64) {
 	j.mu.Lock()
+	c := j.conns[id]
 	delete(j.conns, id)
 	j.mu.Unlock()
+	if c, ok := c.(interface{ inboundDone() }); ok {
+		c.inboundDone()
+	}
+}
+
+// inboundRing is a real-socket connection's pooled inbound ring with its
+// teardown rule, shared by both engines. Two parties use the ring — the
+// owning shard (until Injector.Unregister) and the socket side (until the
+// poller's destroy / the pair engine's reader exits) — and neither can see
+// the other's progress, so each calls done once, under the connection
+// mutex, when it is finished: the second call returns the chunks to the
+// pool. By then the producer holds no Writable reservation and the shard
+// can hold no TakeInbound view.
+type inboundRing struct {
+	buffered.Ring
+	halfDone bool
+}
+
+func (r *inboundRing) done() {
+	if r.halfDone {
+		r.Reset()
+	}
+	r.halfDone = true
 }
 
 // Conn resolves a registered connection (nil if unknown or torn down).

@@ -631,12 +631,9 @@ func (s *demuxShard) handleConnReply(cs *dconn, d *kernel.Delivery) {
 		s.handoff(cs)
 		return
 	}
-	if d.Data[0] == netd.OpWriteReply || d.Data[0] == netd.OpControlReply {
-		// Completion of an error response; tear down.
-		if d.Data[0] == netd.OpControlReply {
-			s.drop(cs)
-		}
-		return
+	if d.Data[0] == netd.OpControlReply {
+		// Completion of an error response (fail); tear down.
+		s.drop(cs)
 	}
 }
 
@@ -1000,8 +997,8 @@ func (s *demuxShard) deadlineExpired(cs *dconn) {
 		return
 	}
 	cs.failing = true
-	netd.Write(cs.uC, cs.reply, httpmsg.FormatResponse(504, nil, nil))
-	netd.Control(cs.uC, cs.reply, netd.CtlClose)
+	netd.Write(cs.uC, handle.None, httpmsg.FormatResponse(504, nil, nil))
+	netd.Control(cs.uC, handle.None, netd.CtlClose)
 	s.drop(cs)
 }
 
@@ -1058,18 +1055,16 @@ func (s *demuxShard) release(cs *dconn) {
 func (s *demuxShard) fail(cs *dconn, status int) {
 	cs.failing = true // a racing deadline expiry must not write a second error
 	body := httpmsg.FormatResponse(status, nil, nil)
-	netd.Write(cs.uC, cs.reply, body)
+	netd.Write(cs.uC, handle.None, body)
 	netd.Control(cs.uC, cs.reply, netd.CtlClose)
 }
 
-// failDirect is fail for the post-release path.
+// failDirect is fail for the post-release path: the dconn is already
+// gone, so nothing waits for an answer and both messages go unacknowledged.
 func (s *demuxShard) failDirect(cs *dconn, status int) {
-	reply := s.proc.Open(nil).Handle()
 	body := httpmsg.FormatResponse(status, nil, nil)
-	netd.Write(cs.uC, reply, body)
-	netd.Control(cs.uC, reply, netd.CtlClose)
-	s.proc.Dissociate(reply)
-	s.proc.DropPrivilege(reply, label.L1)
+	netd.Write(cs.uC, handle.None, body)
+	netd.Control(cs.uC, handle.None, netd.CtlClose)
 }
 
 func (s *demuxShard) drop(cs *dconn) {

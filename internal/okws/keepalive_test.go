@@ -3,11 +3,14 @@ package okws_test
 import (
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/okws"
+	"asbestos/internal/stats"
+	"asbestos/internal/workload"
 )
 
 // kaRoundTrip writes one authenticated keep-alive GET on an open byte
@@ -124,5 +127,80 @@ func TestKeepAliveDeclined(t *testing.T) {
 	}
 	if resp.Headers["connection"] == "keep-alive" {
 		t.Fatal("server offered keep-alive to a close-mode client")
+	}
+}
+
+// ipcSpansPerRequest reports how many Figure 9 Kernel-IPC spans (one per
+// send, batch send, and receive or checkpoint scan) one call of req costs
+// in steady state, and fails unless the count repeats exactly. One P, so
+// which messages share a receiver's wake is decided by the code path and
+// not by which core ran first; the simulated wire, so no socket timing.
+func ipcSpansPerRequest(t *testing.T, prof *stats.Profiler, req func()) int64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const reqs = 40
+	for i := 0; i < 5; i++ {
+		req() // login, session creation, first park
+	}
+	var per int64
+	for round := 0; round < 3; round++ {
+		before := prof.Count(stats.CatKernelIPC)
+		for i := 0; i < reqs; i++ {
+			req()
+		}
+		n := prof.Count(stats.CatKernelIPC) - before
+		if n%reqs != 0 || (round > 0 && n/reqs != per) {
+			t.Fatalf("round %d: %d Kernel-IPC spans over %d requests (previous rounds %d per request): the count does not repeat", round, n, reqs, per)
+		}
+		per = n / reqs
+	}
+	return per
+}
+
+// TestKernelIPCSpansPerRequest pins the length of the request path in the
+// unit Figure 9 charges for: kernel IPC operations per /echo request. The
+// numbers are exact and are the regression gate for "every wakeup carries
+// information" — an acknowledgement nobody reads costs the sender's send,
+// the receiver's scan and the wake between them, and shows up here as a
+// higher count. Before writes and closes went unacknowledged the same
+// measurement gave keepAliveBefore and connectBefore.
+func TestKernelIPCSpansPerRequest(t *testing.T) {
+	const (
+		keepAlive, keepAliveBefore = 13, 18
+		connect, connectBefore     = 37, 45
+	)
+	prof := stats.NewProfiler()
+	s, err := okws.Launch(okws.Config{Seed: 5, Shards: 1, Profiler: prof,
+		Services: []okws.Service{{Name: "echo", Handler: echoHandler}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	if err := s.AddUser("user1", "pw1", "1001"); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := s.Network().Dial(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := ipcSpansPerRequest(t, prof, func() {
+		if r := kaRoundTrip(t, c, "user1", "pw1", "/echo?n=11"); r.Status != 200 {
+			t.Fatalf("keep-alive /echo: %d", r.Status)
+		}
+	})
+	if got != keepAlive {
+		t.Errorf("keep-alive /echo: %d Kernel-IPC spans per request, want %d (was %d with acknowledged writes)", got, keepAlive, keepAliveBefore)
+	}
+
+	got = ipcSpansPerRequest(t, prof, func() {
+		r, err := workload.Get(s.Network(), 80, "user1", "pw1", "/echo?n=11")
+		if err != nil || r.Status != 200 {
+			t.Fatalf("connect-per-request /echo: %v %v", r, err)
+		}
+	})
+	if got != connect {
+		t.Errorf("connect-per-request /echo: %d Kernel-IPC spans per request, want %d (was %d with acknowledged writes and closes)", got, connect, connectBefore)
 	}
 }

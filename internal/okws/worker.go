@@ -247,9 +247,9 @@ type sessState struct {
 	// sess is uW, the port registered with the demux: follow-up
 	// connections arrive here and are consumed only via Checkpoint.
 	sess handle.Handle
-	// reply receives netd and ok-dbproxy replies during a request. It must
-	// be distinct from sess: a blocking await on the reply port must never
-	// swallow a concurrent connection handoff.
+	// reply receives netd read replies and ok-dbproxy replies during a
+	// request. It must be distinct from sess: a blocking receive on the
+	// reply port must never swallow a concurrent connection handoff.
 	reply handle.Handle
 }
 
@@ -345,7 +345,7 @@ func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *se
 	for {
 		req, n, complete, err := httpmsg.ParseRequest(buf)
 		if err != nil {
-			w.closeConn(rctx, ep, st, conn, kaPort)
+			w.closeConn(ep, st, conn, kaPort)
 			return
 		}
 		var reqRaw []byte
@@ -358,7 +358,7 @@ func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *se
 			// handoff, so the blocking read is short and deadline-bounded.
 			req, reqRaw, buf = w.readRequest(rctx, st, conn, buf)
 			if req == nil {
-				w.closeConn(rctx, ep, st, conn, kaPort)
+				w.closeConn(ep, st, conn, kaPort)
 				return
 			}
 		default:
@@ -367,13 +367,13 @@ func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *se
 				w.finish(ep, st)
 				return
 			}
-			w.closeConn(rctx, ep, st, conn, kaPort)
+			w.closeConn(ep, st, conn, kaPort)
 			return
 		}
 		first = false
 		keep := w.serveRequest(rctx, ep, st, conn, req, reqRaw)
 		if !keep {
-			w.closeConn(rctx, ep, st, conn, kaPort)
+			w.closeConn(ep, st, conn, kaPort)
 			return
 		}
 	}
@@ -418,23 +418,21 @@ func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st 
 	ep.Memory().ReadAt(ScratchAddr+8*mem.PageSize, ctr[:])
 	ctr[7]++
 	ep.Memory().WriteAt(ScratchAddr+8*mem.PageSize, ctr[:])
-	netd.Write(conn, st.reply, raw)
-	w.await(rctx, netd.OpWriteReply, st.reply)
+	// Unacknowledged: the worker has nothing to do with the byte count, and
+	// the connection port's per-sender FIFO already orders this write before
+	// the park's Read or the close that follows — which netd then handles in
+	// the same wake.
+	netd.Write(conn, handle.None, raw)
 	return keep
 }
 
-// closeConn ends a connection: close at netd, shed uC so a dead request
-// can neither pin the socket nor grow the labels, retire the parked port
-// if one was held, and yield/exit the event process. The close reply wait
-// is bounded even without a request deadline — netd may have torn the
-// connection down on its own (idle timeout, transport close), in which
-// case the reply never comes.
-func (w *Worker) closeConn(rctx context.Context, ep *kernel.EventProcess, st *sessState, conn *kernel.Port, kaPort handle.Handle) {
-	cctx, cancel := context.WithTimeout(rctx, 2*time.Second)
-	if netd.Control(conn, st.reply, netd.CtlClose) == nil {
-		w.await(cctx, netd.OpControlReply, st.reply)
-	}
-	cancel()
+// closeConn ends a connection: close at netd (unacknowledged — the send
+// precedes the privilege drop, and sends are checked at send time), shed
+// uC so a dead request can neither pin the socket nor grow the labels,
+// retire the parked port if one was held, and yield/exit the event
+// process.
+func (w *Worker) closeConn(ep *kernel.EventProcess, st *sessState, conn *kernel.Port, kaPort handle.Handle) {
+	netd.Control(conn, handle.None, netd.CtlClose)
 	w.proc.DropPrivilege(conn.Handle(), label.L1)
 	if kaPort != handle.None {
 		w.proc.Dissociate(kaPort)
@@ -520,10 +518,7 @@ func (w *Worker) wakeParked(d *kernel.Delivery, ep *kernel.EventProcess, st *ses
 	conn := w.proc.Port(e.conn)
 	if !ok || rr.EOF || len(rr.Data) == 0 {
 		// Client closed (or the reply is garbage): retire the connection.
-		// The bounded close-reply wait inside closeConn matters here — netd
-		// may already have torn the connection down (idle timeout), and the
-		// CtlClose reply would then never come.
-		w.closeConn(w.ctx, ep, st, conn, e.port)
+		w.closeConn(ep, st, conn, e.port)
 		return true
 	}
 	w.touchEP(st.sess, ep.ID())
@@ -617,25 +612,6 @@ func kaLoad(ep *kernel.EventProcess) []kaEntry {
 		entries = append(entries, kaEntry{port: port, conn: conn, leftover: leftover})
 	}
 	return entries
-}
-
-// await discards deliveries on port until one with the given op arrives,
-// giving up when ctx expires (request deadline or worker shutdown) — a
-// reply silently dropped under queue pressure must not park the worker
-// forever. Every delivery — matching or discarded — is released; the call
-// sites only care that the reply came.
-func (w *Worker) await(ctx context.Context, op byte, port handle.Handle) {
-	for {
-		d, err := w.proc.RecvCtx(ctx, port)
-		if err != nil {
-			return
-		}
-		match := len(d.Data) > 0 && d.Data[0] == op
-		d.Release()
-		if match {
-			return
-		}
-	}
 }
 
 // finish ends request processing: clean the scratch region and yield

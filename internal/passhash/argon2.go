@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Argon2id (RFC 9106). The memory is a matrix of 1 KiB blocks, Threads
@@ -80,9 +81,35 @@ func argon2id(password, salt, secret, ad []byte, p Params) []byte {
 	// Round the block count down to a multiple of 4×lanes (slice boundaries
 	// must align across lanes).
 	memory := p.Memory / (syncPoints * uint32(p.Threads)) * (syncPoints * uint32(p.Threads))
-	B := initBlocks(&h0, memory, uint32(p.Threads))
+	arena := getArena(memory)
+	B := *arena
+	initBlocks(&h0, B, uint32(p.Threads))
 	processBlocks(B, p.Time, memory, uint32(p.Threads))
-	return extractKey(B, memory, uint32(p.Threads), p.KeyLen)
+	key := extractKey(B, memory, uint32(p.Threads), p.KeyLen)
+	putArena(arena)
+	return key
+}
+
+// arenaPool recycles the block matrix between derivations: at ServerParams
+// it is 128 KiB, and allocating and zeroing one per login made the
+// collector the largest single cost of a cold login. Arenas in the pool are
+// all-zero — the fill XORs into its output block, so it needs that on
+// entry, and a used arena holds password-derived state that must not
+// outlive the derivation. The pool is not keyed by size: an arena of the
+// wrong length (hashes stored under other parameters) is dropped.
+var arenaPool sync.Pool // of *[]argonBlock
+
+func getArena(blocks uint32) *[]argonBlock {
+	if a, _ := arenaPool.Get().(*[]argonBlock); a != nil && len(*a) == int(blocks) {
+		return a
+	}
+	a := make([]argonBlock, blocks)
+	return &a
+}
+
+func putArena(a *[]argonBlock) {
+	clear(*a)
+	arenaPool.Put(a)
 }
 
 // initHash computes H0 (RFC 9106 §3.2): BLAKE2b-512 over the parameters
@@ -136,11 +163,11 @@ func hashPrime(out []byte, in []byte) {
 	blake2bSum(out, v[:])
 }
 
-// initBlocks fills each lane's first two blocks from H0 (§3.4).
-func initBlocks(h0 *[blake2bSize + 8]byte, memory, threads uint32) []argonBlock {
+// initBlocks fills each lane's first two blocks of the zeroed matrix B
+// from H0 (§3.4).
+func initBlocks(h0 *[blake2bSize + 8]byte, B []argonBlock, threads uint32) {
 	var raw [1024]byte
-	B := make([]argonBlock, memory)
-	laneLen := memory / threads
+	laneLen := uint32(len(B)) / threads
 	for lane := uint32(0); lane < threads; lane++ {
 		j := lane * laneLen
 		binary.LittleEndian.PutUint32(h0[blake2bSize+4:], lane)
@@ -152,7 +179,6 @@ func initBlocks(h0 *[blake2bSize + 8]byte, memory, threads uint32) []argonBlock 
 			}
 		}
 	}
-	return B
 }
 
 // processBlocks runs the fill passes. Lanes within a slice are independent

@@ -3,6 +3,7 @@ package passhash
 import (
 	"bytes"
 	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,56 @@ func TestArgon2idRFC9106(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("argon2id vector = %x, want %x", got, want)
 	}
+}
+
+// TestArenaRecycled pins the pooled block matrix: a derivation that runs in
+// an arena an earlier one used must see it zeroed (the fill XORs into its
+// output block), so the RFC vector and two unrelated passwords, verified
+// back to back, all come out right.
+func TestArenaRecycled(t *testing.T) {
+	vector := Params{Time: 3, Memory: 32, Threads: 4, KeyLen: 32}
+	a := Hash("first password", vector)
+	b := Hash("second password", vector)
+	for i := 0; i < 3; i++ {
+		TestArgon2idRFC9106(t) // same arena length as a and b
+		if !Verify("first password", a) || !Verify("second password", b) {
+			t.Fatalf("round %d: correct password rejected from a recycled arena", i)
+		}
+		if Verify("second password", a) || Verify("first password", b) {
+			t.Fatalf("round %d: wrong password accepted from a recycled arena", i)
+		}
+	}
+	// And nothing password-derived survives in the pool.
+	arena := getArena(32)
+	(*arena)[5][7] = 0xdead
+	putArena(arena)
+	if (*arena)[5][7] != 0 {
+		t.Fatal("putArena pooled an arena without clearing it")
+	}
+}
+
+// TestVerifySteadyStateAllocs: steady-state verifications reuse the arena
+// instead of allocating one each. The bound is half an arena per call, not
+// zero: sync.Pool drops a quarter of its Puts under the race detector, and
+// a collection mid-loop empties it once.
+func TestVerifySteadyStateAllocs(t *testing.T) {
+	h := Hash("pw", ServerParams)
+	Verify("pw", h) // warm the pool
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if !Verify("pw", h) {
+			t.Fatal("correct password rejected")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	arena := uint64(ServerParams.Memory) * 1024
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if perCall > arena/2 {
+		t.Fatalf("Verify allocates %d B/call in steady state; one arena is %d B", perCall, arena)
+	}
+	t.Logf("Verify: %d B/call (arena %d B)", perCall, arena)
 }
 
 func TestHashVerifyRoundTrip(t *testing.T) {
