@@ -6,6 +6,7 @@ package asbestos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -86,10 +87,11 @@ func BenchmarkFig7Throughput(b *testing.B) {
 // and b.RunParallel drives one client per core. The shards sub-dimension
 // compares the trusted services (ok-demux, netd, ok-dbproxy) as one event
 // loop each (shards=1, the paper's architecture) against one loop per core
-// (shards=N) — the headline shards=1 vs N number in the BENCH_pr*.json
-// trajectory. On ≥4 cores the fully sharded stack should deliver well over
-// 1.5× the serial figure, since neither the kernel monitor nor any single
-// trusted event loop serializes the request stream. The burst sub-dimension
+// (shards=N) — the headline shards=1 vs N number, recorded in CHANGES.md in
+// the entry that sharded the trusted event loops N-way. On ≥4 cores the
+// fully sharded stack should deliver well over 1.5× the serial figure,
+// since neither the kernel monitor nor any single trusted event loop
+// serializes the request stream. The burst sub-dimension
 // compares the event loops' adaptive AIMD dispatch cap (the default)
 // against the pre-adaptive fixed-64 cap: adaptive must not regress, and
 // allocs/op across both quantify the Delivery.Release payload recycling.
@@ -170,35 +172,32 @@ func BenchmarkFig7ThroughputParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7TransportAB prices the real-socket front ends against the
-// simulated wire they plug in beside: the same Figure 7 echo workload (64
+// BenchmarkFig7TransportAB prices the real-socket front end against the
+// simulated wire it plugs in beside: the same Figure 7 echo workload (64
 // users × 4 keep-alive requests, request concurrency 16) is driven over
-// the in-memory Network, over loopback TCP through the goroutine-pair
-// engine, and — on Linux — over the same socket through the epoll poller,
-// against identically provisioned stacks that all stay up for the whole
+// the in-memory Network and over loopback TCP through the epoll poller,
+// against identically provisioned stacks that both stay up for the whole
 // run. The legs alternate in short segments inside one window, so machine
-// drift lands on every transport. The tcp figures are the honest ones for
-// any real-deployment claim: simulated÷tcp is the price of syscalls and
-// loopback traversal, pair÷poller the price of the two-goroutines-per-
-// connection socket path specifically.
+// drift lands on both transports. The tcp figure is the honest one for any
+// real-deployment claim: simulated÷tcp is the price of syscalls and
+// loopback traversal. Linux only (netd.ErrTCPUnsupported elsewhere).
 func BenchmarkFig7TransportAB(b *testing.B) {
 	var row experiments.Fig7ABRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		row, err = experiments.Figure7TransportAB(64)
+		if errors.Is(err, netd.ErrTCPUnsupported) {
+			b.Skip(err)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if row.Simulated.Errors > 0 || row.TCP.Errors > 0 || row.Poller.Errors > 0 {
-			b.Fatalf("errors: simulated %d, tcp-pair %d, tcp-poller %d",
-				row.Simulated.Errors, row.TCP.Errors, row.Poller.Errors)
+		if row.Simulated.Errors > 0 || row.TCP.Errors > 0 {
+			b.Fatalf("errors: simulated %d, tcp %d", row.Simulated.Errors, row.TCP.Errors)
 		}
 	}
 	b.ReportMetric(row.Simulated.ConnsPerSec, "conns/sec_simulated")
-	b.ReportMetric(row.TCP.ConnsPerSec, "conns/sec_tcp_pair")
-	if netd.PollerAvailable() {
-		b.ReportMetric(row.Poller.ConnsPerSec, "conns/sec_tcp_poller")
-	}
+	b.ReportMetric(row.TCP.ConnsPerSec, "conns/sec_tcp")
 }
 
 // BenchmarkDeliveryLifecycle isolates the Delivery.Release payload

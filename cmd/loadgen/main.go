@@ -18,10 +18,10 @@
 //
 // Usage:
 //
-//	loadgen                      # self-contained: 10000 conns, 3 reqs each
-//	loadgen -conns 200 -reqs 2   # CI smoke scale
-//	loadgen -addr host:port      # external target
-//	loadgen -serve               # server half only; prints LISTENING <addr>
+//	loadgen                                # self-contained: 10000 conns, 3 reqs each
+//	loadgen -conns 1000 -reqs 2 -users 20  # CI smoke scale
+//	loadgen -addr host:port                # external target
+//	loadgen -serve                         # server half only; prints LISTENING <addr>
 package main
 
 import (
@@ -47,32 +47,18 @@ import (
 )
 
 var (
-	conns   = flag.Int("conns", 10000, "concurrent keep-alive TCP connections")
-	reqs    = flag.Int("reqs", 3, "requests per connection (login + session queries)")
-	users   = flag.Int("users", 100, "distinct user accounts to spread connections over")
-	shards  = flag.Int("shards", 0, "event-loop shards per trusted service (0 = GOMAXPROCS)")
+	conns    = flag.Int("conns", 10000, "concurrent keep-alive TCP connections")
+	reqs     = flag.Int("reqs", 3, "requests per connection (login + session queries)")
+	users    = flag.Int("users", 100, "distinct user accounts to spread connections over")
+	shards   = flag.Int("shards", 0, "event-loop shards per trusted service (0 = GOMAXPROCS)")
 	addr     = flag.String("addr", "", "drive an external server instead of booting one")
 	barrier  = flag.Bool("barrier", true, "hold requests until every connection is established")
 	dialrate = flag.Int("dialrate", 2500, "connection ramp: dial starts per second (0 = unpaced burst)")
 	inflight = flag.Int("inflight", 512, "cap on requests in flight across all connections (0 = none)")
 	timeout  = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	serveFlg = flag.Bool("serve", false, "server half only: boot the stack, print LISTENING <addr>, run until stdin closes")
-	poller   = flag.String("poller", "auto", "TCP engine: auto | on (epoll poller) | off (goroutine pair)")
 	pprofFlg = flag.String("pprof", "", "serve net/http/pprof on this addr (server half), e.g. localhost:6060")
 )
-
-// pollerMode parses -poller.
-func pollerMode() (netd.PollerMode, error) {
-	switch *poller {
-	case "auto", "":
-		return netd.PollerAuto, nil
-	case "on":
-		return netd.PollerOn, nil
-	case "off":
-		return netd.PollerOff, nil
-	}
-	return 0, fmt.Errorf("bad -poller %q (want auto|on|off)", *poller)
-}
 
 func main() {
 	flag.Parse()
@@ -145,7 +131,6 @@ func serve() error {
 	if err != nil {
 		return err
 	}
-	baseGoroutines := runtime.NumGoroutine()
 	var peakG, peakConns atomic.Int64
 	sampleDone := make(chan struct{})
 	go func() {
@@ -165,6 +150,7 @@ func serve() error {
 			}
 		}
 	}()
+	baseGoroutines := runtime.NumGoroutine() // the idle stack plus the sampler
 	fmt.Printf("LISTENING %s\n", ln.Addr())
 	io.Copy(io.Discard, os.Stdin)
 	close(sampleDone)
@@ -184,13 +170,12 @@ func serve() error {
 	srv.Stop()
 	fmt.Printf("goroutines: base %d, peak %d at peak %d conns\n",
 		baseGoroutines, peakG.Load(), peakConns.Load())
-	mode, _ := pollerMode()
-	usingPoller := netd.PollerAvailable() && mode != netd.PollerOff
-	if usingPoller && peakConns.Load() >= 1000 && peakG.Load() >= peakConns.Load() {
-		// The epoll transport exists so 10k connections cost O(shards)
-		// goroutines; fail loudly if the 2-per-conn pattern sneaks back.
-		return fmt.Errorf("goroutine budget exceeded: peak %d goroutines for %d conns under the poller transport",
-			peakG.Load(), peakConns.Load())
+	// The epoll transport exists so connections cost no goroutines: what the
+	// stack grew beyond its idle base must stay below the connections it
+	// held, at any scale. Fail loudly if a per-connection goroutine returns.
+	if grown := peakG.Load() - int64(baseGoroutines); grown > 0 && grown >= peakConns.Load() {
+		return fmt.Errorf("goroutine budget exceeded: %d goroutines beyond the idle stack for %d conns",
+			grown, peakConns.Load())
 	}
 	return nil
 }
@@ -205,8 +190,7 @@ func spawnServer() (addr string, stop func() error, err error) {
 	}
 	args := []string{"-serve",
 		"-users", fmt.Sprint(*users),
-		"-shards", fmt.Sprint(*shards),
-		"-poller", *poller}
+		"-shards", fmt.Sprint(*shards)}
 	if *pprofFlg != "" {
 		args = append(args, "-pprof", *pprofFlg)
 	}
@@ -305,16 +289,11 @@ func boot() (*okws.Server, netd.TCPFrontend, error) {
 		return &httpmsg.Response{Status: 200, Body: out}
 	}
 
-	mode, err := pollerMode()
-	if err != nil {
-		return nil, nil, err
-	}
 	srv, err := okws.Launch(okws.Config{
 		Seed:       1,
 		Shards:     *shards,
 		Services:   []okws.Service{{Name: "store", Handler: store}},
 		IddOptions: idd.Options{Hash: passhash.TestParams},
-		TCP:        netd.TCPConfig{Poller: mode},
 	})
 	if err != nil {
 		return nil, nil, err

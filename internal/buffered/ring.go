@@ -13,9 +13,7 @@ import (
 // socket read granularity: one kernel read fills at most one chunk, and a
 // drained ring with no Writable reservation outstanding holds no chunks at
 // all — ten thousand parked keep-alive connections on the epoll poller
-// cost zero buffer memory between requests. (A goroutine-pair connection
-// pins one chunk while parked: its reader holds the reservation across the
-// blocking socket read.)
+// cost zero buffer memory between requests.
 const RingChunkSize = 32 * 1024
 
 // ringMinWritable is the smallest tail fragment worth offering a producer:
@@ -56,18 +54,18 @@ func putChunk(c *chunk) {
 }
 
 // Ring is a pooled, chunked byte queue: the inbound and outbound buffer
-// behind every real-socket connection (both the goroutine-pair and the
-// epoll-poller TCP paths). Unlike an append-grown []byte it allocates
-// nothing in steady state — storage is fixed-size chunks drawn from a
-// shared sync.Pool and returned the moment they drain — and it supports
-// zero-copy hand-off on both sides: Writable exposes tail space a socket
-// read can fill directly, and Take/Views expose head bytes without copying
-// them out.
+// behind every real-socket connection on netd's epoll poller (Linux; other
+// platforms have only the simulated wire). Unlike an append-grown []byte
+// it allocates nothing in steady state — storage is fixed-size chunks
+// drawn from a shared sync.Pool and returned the moment they drain — and
+// it supports zero-copy hand-off on both sides: Writable exposes tail
+// space a socket read can fill directly, and Take/Views expose head bytes
+// without copying them out.
 //
 // A Ring is NOT safe for concurrent use; callers guard it with the
 // per-connection mutex. It is, however, designed for the single-producer /
-// single-consumer split the transports use, where the producer holds a
-// Writable reservation ACROSS an unlocked blocking read:
+// single-consumer split the poller transport uses, where the producer
+// holds a Writable reservation ACROSS an unlocked socket read:
 //
 //   - Writable/Commit touch only the tail chunk's free region. While a
 //     reservation is outstanding (Writable called, Commit not yet) the

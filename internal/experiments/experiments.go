@@ -19,7 +19,6 @@ import (
 	"asbestos/internal/baseline"
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/label"
-	"asbestos/internal/netd"
 	"asbestos/internal/okws"
 	"asbestos/internal/stats"
 	"asbestos/internal/workload"
@@ -229,8 +228,9 @@ func Figure7OKWSParallel(sessionCounts []int, workers int) ([]Fig7Row, error) {
 
 // Figure7OKWSSharded is Figure7OKWSParallel with the demux/netd/dbproxy
 // shard count chosen independently of the worker replica count — the
-// shards=1 vs shards=N comparison behind BENCH_pr4.json. idd follows the
-// trusted-service shard count.
+// shards=1 vs shards=N comparison recorded in CHANGES.md, in the entry that
+// sharded the trusted event loops N-way. idd follows the trusted-service
+// shard count.
 func Figure7OKWSSharded(sessionCounts []int, workers, shards int) ([]Fig7Row, error) {
 	return figure7Parallel(sessionCounts, workers, shards, 0)
 }
@@ -275,16 +275,12 @@ func figure7Parallel(sessionCounts []int, workers, shards, iddShards int) ([]Fig
 	return rows, nil
 }
 
-// Fig7ABRow holds one Figure 7 measurement over the netd transports:
-// the in-memory simulated wire, loopback TCP through the goroutine-pair
-// engine, and loopback TCP through the epoll poller. Poller is the zero
-// Fig7Row (empty Label) on platforms where netd.PollerAvailable() is
-// false.
+// Fig7ABRow holds one Figure 7 measurement over the netd transports: the
+// in-memory simulated wire and loopback TCP through the epoll poller.
 type Fig7ABRow struct {
 	Sessions  int
 	Simulated Fig7Row
-	TCP       Fig7Row // goroutine-pair engine (netd.PollerOff)
-	Poller    Fig7Row // epoll poller engine (netd.PollerOn), Linux only
+	TCP       Fig7Row
 }
 
 // abRounds is how many alternating segments each transport gets in
@@ -311,92 +307,67 @@ func (l *abLeg) row(sessions int) Fig7Row {
 
 // Figure7TransportAB measures the same echo workload — sessions users,
 // ConnsPerSession requests each, client concurrency OKWSConcurrency —
-// against identically provisioned stacks that differ only in the
+// against two identically provisioned stacks that differ only in the
 // transport under netd: the in-memory simulated Network every earlier
-// Figure 7 number was taken on, a real loopback TCP socket through the
-// goroutine-pair engine, and (on Linux) the same socket through the epoll
-// poller. One keep-alive TCP request corresponds to one simulated
+// Figure 7 number was taken on, and a real loopback TCP socket through the
+// epoll poller. One keep-alive TCP request corresponds to one simulated
 // connection (the simulated client does connect→request→close), so
-// ConnsPerSec is comparable across all legs; the simulated÷TCP gap prices
-// real sockets, and the pair÷poller gap prices the per-connection
-// reader/writer goroutines specifically.
+// ConnsPerSec is comparable across the legs, and the simulated÷TCP gap
+// prices real sockets. Off Linux it returns netd.ErrTCPUnsupported.
 //
-// All stacks stay up for the whole measurement and the workload runs as
-// abRounds alternating segments (A1 B1 C1 A2 B2 C2 …), so slow drift in
-// the machine lands on every transport instead of whichever ran last.
-// The first segment of each leg establishes the sessions (logins); that
-// cost is identical across legs and cancels in the comparison.
+// Both stacks stay up for the whole measurement and the workload runs as
+// abRounds alternating segments (A1 B1 A2 B2 …), so slow drift in the
+// machine lands on both transports instead of whichever ran last. The
+// first segment of each leg establishes the sessions (logins); that cost
+// is identical across legs and cancels in the comparison.
 func Figure7TransportAB(sessions int) (Fig7ABRow, error) {
 	row := Fig7ABRow{Sessions: sessions}
-	var legs []*abLeg
 
 	simSrv, simUs, err := provision(sessions, nil, okws.Service{Name: "echo", Handler: echoHandler})
 	if err != nil {
 		return row, err
 	}
 	defer simSrv.Stop()
-	legs = append(legs, &abLeg{
+	sim := &abLeg{
 		label: fmt.Sprintf("OKWS %d simulated", sessions),
 		run: func() (int, int, time.Duration) {
 			reqs := workload.SessionWorkload(simUs, "/echo?n=11", ConnsPerSession)
 			res := workload.Run(simSrv.Network(), 80, reqs, OKWSConcurrency)
 			return res.Connections, res.Errors + res.BadStatus, res.Elapsed
 		},
-	})
-
-	// tcpLeg boots one more identical stack with the given front-end
-	// engine and returns its interleavable segment.
-	tcpLeg := func(label string, mode netd.PollerMode) (*abLeg, func(), error) {
-		srv, us, err := provision(sessions, nil, okws.Service{Name: "echo", Handler: echoHandler})
-		if err != nil {
-			return nil, nil, err
-		}
-		ln, err := srv.Netd.ListenTCPConfig("127.0.0.1:0", srv.HTTPPort, netd.TCPConfig{Poller: mode})
-		if err != nil {
-			srv.Stop()
-			return nil, nil, err
-		}
-		addr := ln.Addr().String()
-		return &abLeg{
-			label: fmt.Sprintf("OKWS %d %s", sessions, label),
-			run: func() (int, int, time.Duration) {
-				res := workload.RunTCP(addr, workload.TCPOptions{
-					Conns:       sessions,
-					ReqsPerConn: ConnsPerSession,
-					MaxInflight: OKWSConcurrency,
-				}, func(conn, seq int) *httpmsg.Request {
-					u := us[conn%len(us)]
-					return &httpmsg.Request{
-						Method:  "GET",
-						Path:    "/echo?n=11",
-						Headers: map[string]string{"authorization": u.User + " " + u.Pass},
-					}
-				})
-				return res.Requests, res.Errors + res.BadStatus, res.Elapsed
-			},
-		}, srv.Stop, nil
 	}
 
-	pair, stop, err := tcpLeg("tcp-pair", netd.PollerOff)
+	tcpSrv, tcpUs, err := provision(sessions, nil, okws.Service{Name: "echo", Handler: echoHandler})
 	if err != nil {
 		return row, err
 	}
-	defer stop()
-	legs = append(legs, pair)
-
-	var poller *abLeg
-	if netd.PollerAvailable() {
-		var stopP func()
-		poller, stopP, err = tcpLeg("tcp-poller", netd.PollerOn)
-		if err != nil {
-			return row, err
-		}
-		defer stopP()
-		legs = append(legs, poller)
+	defer tcpSrv.Stop()
+	ln, err := tcpSrv.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		return row, err
+	}
+	addr := ln.Addr().String()
+	tcp := &abLeg{
+		label: fmt.Sprintf("OKWS %d tcp", sessions),
+		run: func() (int, int, time.Duration) {
+			res := workload.RunTCP(addr, workload.TCPOptions{
+				Conns:       sessions,
+				ReqsPerConn: ConnsPerSession,
+				MaxInflight: OKWSConcurrency,
+			}, func(conn, seq int) *httpmsg.Request {
+				u := tcpUs[conn%len(tcpUs)]
+				return &httpmsg.Request{
+					Method:  "GET",
+					Path:    "/echo?n=11",
+					Headers: map[string]string{"authorization": u.User + " " + u.Pass},
+				}
+			})
+			return res.Requests, res.Errors + res.BadStatus, res.Elapsed
+		},
 	}
 
 	for round := 0; round < abRounds; round++ {
-		for _, l := range legs {
+		for _, l := range []*abLeg{sim, tcp} {
 			done, errs, elapsed := l.run()
 			l.done += done
 			l.errs += errs
@@ -404,11 +375,8 @@ func Figure7TransportAB(sessions int) (Fig7ABRow, error) {
 		}
 	}
 
-	row.Simulated = legs[0].row(sessions)
-	row.TCP = pair.row(sessions)
-	if poller != nil {
-		row.Poller = poller.row(sessions)
-	}
+	row.Simulated = sim.row(sessions)
+	row.TCP = tcp.row(sessions)
 	return row, nil
 }
 

@@ -2,6 +2,7 @@ package netd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,45 +19,43 @@ import (
 )
 
 // The transport conformance suite: every WireConn/Transport implementation
-// — the simulated wire, the goroutine-pair TCP engine, and the epoll
-// poller TCP engine — must satisfy the same observable contract against
-// the same netd shard loops. Each engine below is exercised through the
-// full suite; a behavioral difference between them is a bug in the engine,
-// not a difference in kind.
+// — the simulated wire and the epoll poller TCP engine — must satisfy the
+// same observable contract against the same netd shard loops. Each engine
+// below is exercised through the full suite; a behavioral difference
+// between them is a bug in the engine, not a difference in kind.
 
 // tengine is one transport implementation under test.
 type tengine struct {
 	name string
-	skip string // non-empty: skip with this reason
 	// start opens the engine on the rig's port 80 and returns the client
 	// dialer plus the front end to close (nil for the simulated wire).
 	start func(t *testing.T, r *rig) (func() (wireClient, error), TCPFrontend)
 }
 
-func tcpEngine(mode PollerMode) func(t *testing.T, r *rig) (func() (wireClient, error), TCPFrontend) {
-	return func(t *testing.T, r *rig) (func() (wireClient, error), TCPFrontend) {
-		t.Helper()
-		ln, err := r.nd.ListenTCPConfig("127.0.0.1:0", 80, TCPConfig{Poller: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func() (wireClient, error) {
-			return net.Dial("tcp", ln.Addr().String())
-		}, ln
+// startTCP opens the epoll poller on the rig's port 80, skipping the test
+// on platforms without real sockets.
+func startTCP(t *testing.T, r *rig) (func() (wireClient, error), TCPFrontend) {
+	t.Helper()
+	ln, err := r.nd.ListenTCP("127.0.0.1:0", 80)
+	if errors.Is(err, ErrTCPUnsupported) {
+		t.Skip(err)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() (wireClient, error) {
+		return net.Dial("tcp", ln.Addr().String())
+	}, ln
 }
 
+var tcpPoller = tengine{name: "tcp-poller", start: startTCP}
+
 func engines() []tengine {
-	pollerSkip := ""
-	if !PollerAvailable() {
-		pollerSkip = "epoll poller transport requires linux"
-	}
 	return []tengine{
 		{name: "simulated", start: func(t *testing.T, r *rig) (func() (wireClient, error), TCPFrontend) {
 			return func() (wireClient, error) { return r.nd.Network().Dial(80) }, nil
 		}},
-		{name: "tcp-pair", start: tcpEngine(PollerOff)},
-		{name: "tcp-poller", skip: pollerSkip, start: tcpEngine(PollerOn)},
+		tcpPoller,
 	}
 }
 
@@ -89,9 +88,6 @@ func TestTransportConformance(t *testing.T) {
 	for _, eng := range engines() {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			if eng.skip != "" {
-				t.Skip(eng.skip)
-			}
 			t.Run("EchoAndServerClose", func(t *testing.T) { testEchoAndServerClose(t, eng) })
 			t.Run("WindowBackpressureIntegrity", func(t *testing.T) { testWindowBackpressure(t, eng) })
 			t.Run("DataEdgeResidue", func(t *testing.T) { testDataEdgeResidue(t, eng) })
@@ -139,18 +135,18 @@ func testEchoAndServerClose(t *testing.T, eng tengine) {
 }
 
 // waitChunks polls until the process-wide count of pooled ring chunks in
-// use is within [base, base+slack]: the socket side lets go of a
-// connection on its own goroutine, a moment after the client sees the close.
-func waitChunks(t *testing.T, base, slack int64, what string) {
+// use is back at base: the socket side lets go of a connection on its own
+// goroutine, a moment after the client sees the close.
+func waitChunks(t *testing.T, base int64, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		got := buffered.ChunksOutstanding() - base
-		if got >= 0 && got <= slack {
+		if got == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d ring chunks outstanding beyond the starting count, want at most %d", what, got, slack)
+			t.Fatalf("%s: %d ring chunks outstanding beyond the starting count, want 0", what, got)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -190,14 +186,12 @@ func testChunksReturned(t *testing.T, eng tengine) {
 		}
 		c.Close()
 	}
-	waitChunks(t, base, 0, "after 1000 closed connections")
+	waitChunks(t, base, "after 1000 closed connections")
 }
 
 // testParkedChunks: a keep-alive connection between requests — request
 // drained, response written, next read pending — costs the poller no
-// buffer memory at all. On the goroutine-pair engine each parked reader
-// holds its Writable reservation (one chunk) across the blocking socket
-// read, so the bound there is one chunk per connection.
+// buffer memory at all.
 func testParkedChunks(t *testing.T, eng tengine) {
 	r := newRig(t)
 	dial, front := eng.start(t, r)
@@ -229,18 +223,14 @@ func testParkedChunks(t *testing.T, eng tengine) {
 			t.Fatalf("conn %d: client got %q, %v", i, buf, err)
 		}
 	}
-	slack := int64(0)
-	if _, pair := front.(*TCPListener); pair {
-		slack = conns
-	}
-	waitChunks(t, base, slack, "with 200 parked connections")
+	waitChunks(t, base, "with 200 parked connections")
 }
 
 // testWindowBackpressure floods far more than connWindow inbound without
 // the app reading. The transport must bound its buffer at the window
 // (blocking the remote writer / pausing the socket), then hand every byte
-// over intact as the app drains — exercising the pause/resume path on the
-// poller and the reader-block path on the pair.
+// over intact as the app drains — exercising the poller's pause/resume
+// path.
 func testWindowBackpressure(t *testing.T, eng tengine) {
 	r := newRig(t)
 	dial, _ := eng.start(t, r)
@@ -465,31 +455,23 @@ func testFrontClose(t *testing.T, eng tengine) {
 	}
 }
 
-// TestTransportGoroutineFootprint pins the tentpole's resource claim: N
-// parked connections cost the goroutine-pair engine ~2N goroutines and the
-// epoll poller engine none at all (its goroutines are per-shard, created
-// at listen time). This is THE structural difference between the engines;
-// if the poller ever regresses to per-connection goroutines this fails.
+// TestTransportGoroutineFootprint pins the poller's resource claim: N
+// parked connections cost it no goroutines at all (its goroutines are
+// per-shard, created at listen time). If the poller ever regresses to
+// per-connection goroutines this fails.
 func TestTransportGoroutineFootprint(t *testing.T) {
-	if !PollerAvailable() {
-		t.Skip("epoll poller transport requires linux")
-	}
 	const conns = 64
-	measure := func(t *testing.T, mode PollerMode) int {
+	t.Run("poller", func(t *testing.T) {
 		r := newRig(t)
-		ln, err := r.nd.ListenTCPConfig("127.0.0.1:0", 80, TCPConfig{Poller: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dial, _ := startTCP(t, r)
 		waitListening(t, r.nd, 80)
 		base := runtime.NumGoroutine()
-		clients := make([]wireClient, conns)
 		for i := 0; i < conns; i++ {
-			c, err := net.Dial("tcp", ln.Addr().String())
+			c, err := dial()
 			if err != nil {
 				t.Fatal(err)
 			}
-			clients[i] = c
+			t.Cleanup(func() { c.Close() })
 			if _, err := c.Write([]byte{1}); err != nil {
 				t.Fatal(err)
 			}
@@ -497,23 +479,8 @@ func TestTransportGoroutineFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		t.Cleanup(func() {
-			for _, c := range clients {
-				c.Close()
-			}
-		})
 		time.Sleep(50 * time.Millisecond) // let per-conn goroutines (if any) settle
-		return runtime.NumGoroutine() - base
-	}
-	t.Run("pair", func(t *testing.T) {
-		delta := measure(t, PollerOff)
-		if delta < conns {
-			t.Fatalf("goroutine-pair engine grew only %d goroutines for %d conns — did the baseline change?", delta, conns)
-		}
-		t.Logf("pair: +%d goroutines for %d conns", delta, conns)
-	})
-	t.Run("poller", func(t *testing.T) {
-		delta := measure(t, PollerOn)
+		delta := runtime.NumGoroutine() - base
 		if delta >= conns/2 {
 			t.Fatalf("poller engine grew %d goroutines for %d conns; want O(shards)", delta, conns)
 		}
@@ -521,24 +488,12 @@ func TestTransportGoroutineFootprint(t *testing.T) {
 	})
 }
 
-// TestTCPShedRecovery exercises the EMFILE path on both TCP engines:
-// with RLIMIT_NOFILE lowered to just above the current usage, a dial storm
-// must not kill the accept path — shed connections close instead of
-// wedging, and once the limit is restored the listener accepts and serves
-// again.
+// TestTCPShedRecovery exercises the poller's EMFILE path: with
+// RLIMIT_NOFILE lowered to just above the current usage, a dial storm must
+// not kill the accept path — shed connections close instead of wedging,
+// and once the limit is restored the listener accepts and serves again.
 func TestTCPShedRecovery(t *testing.T) {
-	for _, eng := range engines() {
-		eng := eng
-		if eng.name == "simulated" {
-			continue // no fds on the simulated wire
-		}
-		t.Run(eng.name, func(t *testing.T) {
-			if eng.skip != "" {
-				t.Skip(eng.skip)
-			}
-			testShedRecovery(t, eng)
-		})
-	}
+	t.Run(tcpPoller.name, func(t *testing.T) { testShedRecovery(t, tcpPoller) })
 }
 
 func testShedRecovery(t *testing.T, eng tengine) {

@@ -41,7 +41,7 @@ type Netd struct {
 	shards []*netdShard
 
 	// transports are every event source feeding the shards — the simulated
-	// Network always, plus any TCPListeners opened with ListenTCP. Stop
+	// Network always, plus any TCP front ends opened with ListenTCP. Stop
 	// closes them all before stopping the loops.
 	tmu        sync.Mutex
 	transports []Transport

@@ -26,7 +26,9 @@ var ErrClosed = errors.New("netd: connection closed")
 // obtain Conns via Dial (connecting in to an Asbestos listener) or
 // ListenExternal (accepting connections that Asbestos processes open
 // outward). It substitutes for the paper's gigabit LAN and HTTP load
-// generator host; the TCPListener transport replaces it with real sockets.
+// generator host. On Linux, ListenTCP's epoll poller carries real sockets
+// beside it; on other platforms this is the only wire (ListenTCP returns
+// ErrTCPUnsupported).
 type Network struct {
 	inj *Injector
 

@@ -18,15 +18,11 @@ import (
 	"asbestos/internal/shard"
 )
 
-// pollerSupported gates PollerAuto/PollerOn (see poller_other.go for the
-// stub on other platforms).
-const pollerSupported = true
-
-// The epoll poller transport. Where the goroutine-pair TCPListener spends
-// two goroutines, a mutex+cond pair and two park/unpark round trips per
-// connection, this transport runs ONE poller goroutine per netd shard —
-// O(shards) goroutines for any number of sockets — and moves bytes only
-// when epoll says the socket is ready.
+// The epoll poller transport: netd's one real-socket engine, behind
+// ListenTCP on Linux (other platforms get ErrTCPUnsupported and run over
+// the simulated wire). It runs ONE poller goroutine per netd shard —
+// O(shards) goroutines for any number of sockets, none per connection —
+// and moves bytes only when epoll says the socket is ready.
 //
 // Ownership rules (also in the package doc):
 //
@@ -67,7 +63,20 @@ const (
 	// fd exhaustion; with level-triggered epoll an unacceptable backlog
 	// would otherwise busy-spin the loop.
 	acceptPause = 50 * time.Millisecond
+
+	// closeLinger bounds how long a finished connection's read side lingers
+	// after netd closed it, giving the client time to drain the final
+	// response before the socket goes away entirely.
+	closeLinger = 5 * time.Second
+
+	// soReusePort is SO_REUSEPORT on Linux; the syscall package predates
+	// the option and never picked it up.
+	soReusePort = 0xf
 )
+
+// testHookLinger, when non-nil, replaces closeLinger for listeners opened
+// while it is set; tests shorten the linger with it.
+var testHookLinger atomic.Pointer[time.Duration]
 
 // pollerListener is the TCPFrontend for the epoll transport.
 type pollerListener struct {
@@ -78,9 +87,12 @@ type pollerListener struct {
 	closed  atomic.Bool
 	once    sync.Once
 	wg      sync.WaitGroup
+	linger  time.Duration // closeLinger, or testHookLinger's value at listen
 
-	// reserve backs the EMFILE shed dance (see TCPListener.shedOverLimit);
-	// shared across pollers — exhaustion is a process-wide condition.
+	// reserve is a spare fd (open on /dev/null) that poller.shedOne burns
+	// to shed connections when the process is out of file descriptors; -1
+	// when unavailable. Shared across pollers — exhaustion is a
+	// process-wide condition.
 	reserveMu sync.Mutex
 	reserve   int
 }
@@ -96,7 +108,10 @@ func (nd *Netd) listenPoller(addr string, lport uint16) (TCPFrontend, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &pollerListener{inj: nd.inj, lport: lport, reserve: -1}
+	l := &pollerListener{inj: nd.inj, lport: lport, linger: closeLinger, reserve: -1}
+	if h := testHookLinger.Load(); h != nil {
+		l.linger = *h
+	}
 	if fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0); err == nil {
 		l.reserve = fd
 	}
@@ -270,8 +285,8 @@ type poller struct {
 	// the epfd has ready events (an epoll fd is itself pollable) or the
 	// file's read deadline passes. A goroutine blocked in a raw EpollWait
 	// syscall gives up its P and must win one back on every wake, a
-	// scheduler round trip the pair engine never pays because its readers
-	// ride the integrated netpoller; parking the same way erases that gap.
+	// scheduler round trip a goroutine blocked in net.Conn.Read never pays;
+	// parking the way net.Conn does erases that gap.
 	epFile *os.File
 	epRaw  syscall.RawConn
 
@@ -515,7 +530,7 @@ func (p *poller) acceptBurst() {
 				// socket, then stop watching the listen fd briefly —
 				// level-triggered epoll would busy-spin on the backlog we
 				// cannot accept.
-				p.shedOverLimit()
+				p.shedOne()
 				p.pauseAccept()
 				return
 			default:
@@ -550,9 +565,12 @@ func (p *poller) maybeResumeAccept() {
 	p.epollMod(p.lfd, syscall.EPOLLIN)
 }
 
-// shedOverLimit is the reserve-fd dance, inline in the poller: burn the
-// spare fd to accept and immediately close one queued connection.
-func (p *poller) shedOverLimit() {
+// shedOne is the classic reserve-fd dance for accept-time fd exhaustion:
+// close the spare fd, accept the connection that just failed for want of
+// it, close that connection immediately (the client sees EOF and can retry
+// elsewhere), and re-open the spare. One queued victim per call; the
+// accept pause paces the rest.
+func (p *poller) shedOne() {
 	l := p.l
 	l.reserveMu.Lock()
 	defer l.reserveMu.Unlock()
@@ -783,7 +801,7 @@ func (p *poller) finishOutbound(c *pconn) {
 		p.destroy(c)
 		return
 	}
-	c.lingerAt = time.Now().Add(closeLinger)
+	c.lingerAt = time.Now().Add(p.l.linger)
 	p.lingering = append(p.lingering, c)
 }
 

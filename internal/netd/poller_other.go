@@ -2,12 +2,7 @@
 
 package netd
 
-import "errors"
-
-// pollerSupported gates PollerAuto/PollerOn; without epoll the goroutine-
-// pair TCPListener is the only real-socket engine.
-const pollerSupported = false
-
+// listenPoller has no engine to start: real sockets are Linux-only.
 func (nd *Netd) listenPoller(addr string, lport uint16) (TCPFrontend, error) {
-	return nil, errors.New("netd: epoll poller transport requires linux")
+	return nil, ErrTCPUnsupported
 }

@@ -23,11 +23,8 @@ import (
 // window; the client must still receive the marker bytes without any
 // outbound close forcing a flush.
 func TestPollerDrainDisarmPushRace(t *testing.T) {
-	if !PollerAvailable() {
-		t.Skip("epoll poller transport requires linux")
-	}
 	r := newRig(t)
-	ln, err := r.nd.ListenTCPConfig("127.0.0.1:0", 80, TCPConfig{Poller: PollerOn})
+	ln, err := r.nd.ListenTCP("127.0.0.1:0", 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +129,8 @@ func TestPollerDrainDisarmPushRace(t *testing.T) {
 // so one poller).
 func pollerRig(t *testing.T) (*rig, func() (wireClient, error)) {
 	t.Helper()
-	if !PollerAvailable() {
-		t.Skip("epoll poller transport requires linux")
-	}
 	r := newRig(t)
-	dial, _ := tcpEngine(PollerOn)(t, r)
+	dial, _ := startTCP(t, r)
 	waitListening(t, r.nd, 80)
 	return r, dial
 }
@@ -201,16 +195,15 @@ func TestPollerParksWhenIdle(t *testing.T) {
 }
 
 // TestPollerLingerDeadlineParks: a connection netd closed whose client
-// neither reads nor closes is reaped closeLinger later even though nothing
+// neither reads nor closes is reaped one linger later even though nothing
 // else ever wakes the poller — the linger deadline rides on the park as the
 // epoll file's read deadline.
 func TestPollerLingerDeadlineParks(t *testing.T) {
-	const linger = 200 * time.Millisecond
-	defer func(d time.Duration) { closeLinger = d }(closeLinger)
-	closeLinger = linger // before the poller goroutine starts
+	linger := 200 * time.Millisecond
+	testHookLinger.Store(&linger) // read once, when the listener opens
+	defer testHookLinger.Store(nil)
 	waits := countEpollWaits(t)
 	r, dial := pollerRig(t)
-	defer r.nd.Stop() // the poller reads closeLinger: stop it before the restore above
 
 	c, connPort := dialIntro(t, r, dial, 'l')
 	defer c.Close()
@@ -254,9 +247,6 @@ func TestPollerLingerDeadlineParks(t *testing.T) {
 // finds no event pending. It must still not park — nothing else would ever
 // wake it, and Close waits for the loop to exit.
 func TestPollerWaitSeesClosed(t *testing.T) {
-	if !PollerAvailable() {
-		t.Skip("epoll poller transport requires linux")
-	}
 	l := &pollerListener{reserve: -1}
 	p, err := newPoller(l, 0)
 	if err != nil {

@@ -13,14 +13,15 @@
 // The paper's netd contains an LWIP TCP/IP stack and an E1000 driver; here
 // the wire is pluggable. Everything below the shard loops goes through the
 // Transport seam (transport.go): the in-memory Network on which simulated
-// peers exchange buffered byte streams, and two real-socket engines behind
-// ListenTCPConfig — TCPListener (tcp.go), the portable goroutine-pair
-// engine, and the Linux epoll poller (poller_linux.go), selected by
-// TCPConfig.Poller. A hidden driver process injects connection and data
+// peers exchange buffered byte streams, and one real-socket engine behind
+// ListenTCP — the epoll poller (poller_linux.go). The platform is the only
+// selector: Linux real sockets always go through the poller, and on other
+// platforms ListenTCP returns ErrTCPUnsupported and everything runs over
+// the simulated wire. A hidden driver process injects connection and data
 // events into netd's driver ports — the moral equivalent of an interrupt
 // handler.
 //
-// Poller ownership rules (poller_linux.go). The poller transport runs ONE
+// Poller ownership rules (poller_linux.go). The poller runs ONE
 // goroutine per netd shard; poller i owns every accepted fd whose
 // connection id hashes to shard i (the same shard.OfU64 split the shard
 // loops use, so a connection's poller index equals its owning shard
@@ -36,26 +37,25 @@
 // when the poller must act (a writev spill to drain, a read window
 // reopening), post a deduplicated op and wake the poller via its eventfd.
 // The inbound ring has two users who cannot see each other's progress —
-// the shard until it unregisters the connection, the socket side until
-// destroy (on the pair engine, until the reader exits) — so the SECOND of
-// shard-done / socket-done resets it and returns its chunks to the pool
-// (inboundRing, transport.go, one rule for both real-socket engines):
-// nothing a connection borrowed is left to the collector.
+// the shard until it unregisters the connection, the poller until destroy
+// — so the SECOND of shard-done / socket-done resets it and returns its
+// chunks to the pool (inboundRing, transport.go): nothing a connection
+// borrowed is left to the collector.
 // Accept happens inline on each poller's SO_REUSEPORT listen socket; a
 // connection accepted by poller j but owned by poller i is handed over as
 // an adopt op, so ownership is established before the first byte moves.
 // EPOLLIN is disarmed while the inbound window is full and the read-side
 // mask drops entirely at EOF; EPOLLOUT is armed only while a writev left
 // backlog — an idle parked connection costs zero events and zero
-// goroutines. The poller has one wait, the one the pair engine's readers
-// use: it parks in the runtime netpoller on the epoll fd itself (an epoll
+// goroutines. The poller has one wait, the one a net.Conn reader uses: it
+// parks in the runtime netpoller on the epoll fd itself (an epoll
 // fd is pollable) and collects events with a zero-timeout EpollWait when
 // woken; a pending linger or accept-pause deadline travels as the epoll
 // file's read deadline. It never polls an empty set and never blocks a
 // thread in EpollWait.
 //
-// The Transport contract, which both implementations and any future one
-// must honor:
+// The Transport contract, which the simulated wire, the poller and any
+// future transport must honor:
 //
 //   - The Injector assigns connection ids (Injector.NewID); a transport
 //     never invents its own. The id fixes the owning shard for the

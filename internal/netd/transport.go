@@ -114,10 +114,9 @@ func (j *Injector) Unregister(id uint64) {
 }
 
 // inboundRing is a real-socket connection's pooled inbound ring with its
-// teardown rule, shared by both engines. Two parties use the ring — the
-// owning shard (until Injector.Unregister) and the socket side (until the
-// poller's destroy / the pair engine's reader exits) — and neither can see
-// the other's progress, so each calls done once, under the connection
+// teardown rule. Two parties use the ring — the owning shard (until
+// Injector.Unregister) and the poller (until its destroy) — and neither can
+// see the other's progress, so each calls done once, under the connection
 // mutex, when it is finished: the second call returns the chunks to the
 // pool. By then the producer holds no Writable reservation and the shard
 // can hold no TakeInbound view.

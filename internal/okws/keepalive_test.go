@@ -1,6 +1,7 @@
 package okws_test
 
 import (
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"asbestos/internal/httpmsg"
+	"asbestos/internal/netd"
 	"asbestos/internal/okws"
 	"asbestos/internal/stats"
 	"asbestos/internal/workload"
@@ -77,6 +79,9 @@ func TestKeepAliveSimulated(t *testing.T) {
 func TestKeepAliveTCP(t *testing.T) {
 	s := launch(t, okws.Service{Name: "store", Handler: storeHandler})
 	ln, err := s.ListenTCP("127.0.0.1:0")
+	if errors.Is(err, netd.ErrTCPUnsupported) {
+		t.Skip(err)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

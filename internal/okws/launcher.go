@@ -80,9 +80,6 @@ type Config struct {
 	// cost, lockout ladder). Shards and Burst inside it are overridden by
 	// IddShards and FixedBurst.
 	IddOptions idd.Options
-	// TCP tunes the real-socket front ends opened with Server.ListenTCP —
-	// notably TCPConfig.Poller, the epoll-vs-goroutine-pair engine switch.
-	TCP netd.TCPConfig
 	// FixedBurst pins every trusted event loop's dispatch-burst cap
 	// (FixedBurst: 64 reproduces the pre-adaptive loops). 0 — the default —
 	// enables adaptive batching: each shard's cap starts at 64 and
@@ -149,7 +146,6 @@ type Server struct {
 
 	HTTPPort uint16
 
-	tcpCfg   netd.TCPConfig
 	launcher *kernel.Process
 	workers  []*Worker
 }
@@ -192,7 +188,6 @@ func Launch(cfg Config) (*Server, error) {
 		Idd:      iddSrv,
 		Demux:    demux,
 		HTTPPort: cfg.HTTPPort,
-		tcpCfg:   cfg.TCP,
 		launcher: sys.NewProcess("launcher"),
 	}
 
@@ -325,10 +320,11 @@ func (s *Server) Network() *netd.Network { return s.Netd.Network() }
 // connections feed the same sharded netd loops (and from there the same
 // demux/worker path) as simulated ones. addr is a net.Listen address like
 // "127.0.0.1:0" or ":8080"; the returned front end reports the bound
-// address and is closed by Stop with the rest of the stack. Config.TCP
-// picks the engine (epoll poller on Linux by default).
+// address and is closed by Stop with the rest of the stack. Real sockets
+// run on netd's epoll poller on Linux; other platforms get
+// netd.ErrTCPUnsupported and serve over the simulated wire only.
 func (s *Server) ListenTCP(addr string) (netd.TCPFrontend, error) {
-	return s.Netd.ListenTCPConfig(addr, s.HTTPPort, s.tcpCfg)
+	return s.Netd.ListenTCP(addr, s.HTTPPort)
 }
 
 // Workers returns the launched workers (diagnostics and experiments).

@@ -67,32 +67,13 @@ type Network = netd.Network
 // simulated Network: both are netd Transports feeding the same per-shard
 // service loops, so a browser on the TCP side and a workload generator on
 // the simulated side hit identical demux, login, and worker paths. Close
-// the server (or the front end) to tear it down. Two engines implement it,
-// selected by TCPConfig.Poller (WebConfig.TCP): on Linux an epoll poller
-// runs one goroutine per netd shard and moves bytes only on readiness, so
-// ten thousand parked keep-alive connections cost no goroutines at all;
-// elsewhere (or with PollerOff) each connection gets buffered reader and
-// writer goroutines, so a stalled client still parks only its own
-// connection.
+// the server (or the front end) to tear it down. On Linux an epoll poller
+// implements it, one goroutine per netd shard moving bytes only on
+// readiness, so ten thousand parked keep-alive connections cost no
+// goroutines at all. Other platforms have no real-socket engine:
+// WebServer.ListenTCP returns netd.ErrTCPUnsupported and the stack serves
+// over the simulated Network only.
 type TCPFrontend = netd.TCPFrontend
-
-// TCPListener is the portable goroutine-pair engine behind TCPFrontend,
-// exported for code that selects it explicitly (PollerOff).
-type TCPListener = netd.TCPListener
-
-// TCPConfig (WebConfig.TCP) picks the front-end engine; PollerAuto /
-// PollerOn / PollerOff are the modes.
-type (
-	TCPConfig  = netd.TCPConfig
-	PollerMode = netd.PollerMode
-)
-
-// Poller engine modes for TCPConfig.
-const (
-	PollerAuto = netd.PollerAuto
-	PollerOn   = netd.PollerOn
-	PollerOff  = netd.PollerOff
-)
 
 // LaunchWeb boots the full OKWS stack of Figure 1.
 var LaunchWeb = okws.Launch
