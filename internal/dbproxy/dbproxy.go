@@ -8,11 +8,13 @@
 //   - Writes require a verification label bounded by {uT 3, uG 0, 2} for the
 //     claimed user's handles: the sender speaks for u and is contaminated by
 //     nothing beyond u's own taint.
-//   - Reads return each row as a separate message contaminated with its
-//     owner's taint handle at 3 (declassified rows, user ID 0, travel
-//     untainted), followed by an untainted done message. The kernel drops
-//     rows the worker's labels cannot accept, so a worker sees only its
-//     user's rows and cannot tell how many others were sent.
+//   - Reads return each row the verified caller u may receive as a separate
+//     message: u's rows contaminated with uT at 3, declassified rows (user
+//     ID 0) untainted; other users' rows are not sent. The kernel's receive
+//     check is still the boundary — every row it gets is labeled, so a
+//     filter bug could hide rows but never reveal them. An untainted done
+//     carrying 0 ends the stream, so a worker cannot count rows it may not
+//     see.
 //   - Declassifiers prove uT ⋆ via the verification label to write rows
 //     with user ID 0.
 //
@@ -89,8 +91,8 @@ type Mapping struct {
 // is its own kernel process with its own worker and admin ports; clients
 // dispatch queries by user hash (ShardFor), so one user's queries always
 // land on the same replica, and idd broadcasts every (user, uT, uG)
-// binding to all shards — any shard may need any owner's taint handle when
-// labeling result rows.
+// binding to all shards — single-loop callers send every user's queries to
+// the first shard's published port.
 type Proxy struct {
 	sys *kernel.System
 	db  *db.DB
@@ -114,7 +116,6 @@ type proxyShard struct {
 	adminPort  *kernel.Port
 
 	byUser map[string]Mapping
-	byUID  map[string]Mapping
 }
 
 // New boots a single-loop proxy over an existing database; NewSharded
@@ -160,7 +161,6 @@ func NewShardedBurst(sys *kernel.System, database *db.DB, n int, burst evloop.Bu
 			workerPort: worker,
 			adminPort:  admin,
 			byUser:     make(map[string]Mapping),
-			byUID:      make(map[string]Mapping),
 		}
 		lp.Handle(worker, s.handleWorker)
 		lp.Handle(admin, s.handleAdmin)
@@ -278,7 +278,6 @@ func (s *proxyShard) handleAdmin(d *kernel.Delivery) {
 			return
 		}
 		s.byUser[user] = m
-		s.byUID[m.UID] = m
 	}
 }
 
@@ -383,15 +382,19 @@ func (s *proxyShard) execSimple(m Mapping, stmt db.Stmt, args []string, reply ha
 	s.reply(m, reply, wire.NewWriter(OpDone).U32(uint32(res.Affected)).Done())
 }
 
-// execSelect streams rows back, each labeled by its owner (paper §7.5:
-// "Each row is returned as a separate message with a separate taint"),
-// then an untainted done. The whole stream — every row message plus the
-// done marker — rides the shard Batcher and leaves the proxy as ONE
-// SendBatch per destination at the loop's post-burst Flush: each row is
-// still a separate message with its own taint (the receiver-side checks
-// run per message, so the kernel still hides rows the worker may not see),
-// but the per-message queue operations and wakeups are paid once per
-// burst, and result sets for several workers in one burst coalesce too.
+// execSelect streams back the rows m's worker can receive — those owned by
+// the verified caller m.UID or declassified — each as a separate message
+// (paper §7.5: "Each row is returned as a separate message with a separate
+// taint"): u's rows tainted with uT 3, declassified rows untainted. Foreign
+// rows are never sent: the kernel would drop every one of them at the
+// worker's receive check anyway. That check stays the security boundary —
+// the filter runs only after handleWorker's verify check has shown the
+// sender speaks for m, and a wrong filter could only hide rows, since
+// whatever it lets through is still tainted and still checked per message.
+// The untainted done that ends the stream carries 0, not a row count: the
+// count would tell a worker how many rows exist whose taint it cannot see.
+// The whole stream rides the shard Batcher and leaves as ONE SendBatch per
+// destination at the loop's post-burst Flush.
 func (s *proxyShard) execSelect(m Mapping, sel *db.SelectStmt, args []string, reply handle.Handle) {
 	// Resolve the output columns, then select them plus the hidden owner.
 	outCols := sel.Cols
@@ -401,7 +404,6 @@ func (s *proxyShard) execSelect(m Mapping, sel *db.SelectStmt, args []string, re
 			s.reply(m, reply, errMsg(err))
 			return
 		}
-		outCols = nil
 		for _, c := range all {
 			if c != UserCol {
 				outCols = append(outCols, c)
@@ -418,12 +420,14 @@ func (s *proxyShard) execSelect(m Mapping, sel *db.SelectStmt, args []string, re
 		s.reply(m, reply, errMsg(err))
 		return
 	}
-	// One shared *SendOpts per row owner, so the flush prepares the taint
-	// labels once per owner run rather than once per row.
-	ownerOpts := make(map[string]*kernel.SendOpts)
-	sent := 0
+	// One *SendOpts shared by all of u's rows, so the flush prepares the
+	// taint label once per select rather than once per row.
+	var tainted *kernel.SendOpts
 	for _, row := range res.Rows {
 		owner := row[len(row)-1]
+		if owner != m.UID && owner != DeclassifiedUID {
+			continue
+		}
 		vals := row[:len(row)-1]
 		w := wire.NewWriter(OpRow).U32(uint32(len(vals)))
 		for _, v := range vals {
@@ -431,22 +435,14 @@ func (s *proxyShard) execSelect(m Mapping, sel *db.SelectStmt, args []string, re
 		}
 		var opts *kernel.SendOpts
 		if owner != DeclassifiedUID {
-			opts = ownerOpts[owner]
-			if opts == nil {
-				om, ok := s.byUID[owner]
-				if !ok {
-					continue // owner never authenticated: no label to apply
-				}
-				opts = &kernel.SendOpts{Contaminate: kernel.Taint(label.L3, om.UT)}
-				ownerOpts[owner] = opts
+			if tainted == nil {
+				tainted = &kernel.SendOpts{Contaminate: kernel.Taint(label.L3, m.UT)}
 			}
+			opts = tainted
 		}
 		s.out.Add(reply, w.Done(), opts)
-		sent++
 	}
-	// Untainted completion marker: receipt tells the worker the stream
-	// ended without revealing how many rows it was not allowed to see.
-	s.out.Add(reply, wire.NewWriter(OpDone).U32(uint32(sent)).Done(), nil)
+	s.out.Add(reply, wire.NewWriter(OpDone).U32(0).Done(), nil)
 }
 
 // reply sends a worker-facing control message tainted with the user's
@@ -627,7 +623,9 @@ func ParseRow(d *kernel.Delivery) ([]string, bool) {
 	return row, true
 }
 
-// ParseDone decodes an OpDone delivery, returning the affected/sent count.
+// ParseDone decodes an OpDone delivery, returning the affected count. Only
+// writes report a count (their done is tainted like the rest of the reply);
+// a select's untainted done always carries 0.
 func ParseDone(d *kernel.Delivery) (int, bool) {
 	op, r := wire.NewReader(d.Data)
 	if op != OpDone {

@@ -1,6 +1,7 @@
 package idd_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -222,7 +223,8 @@ func TestWorkerQueryRoundTrip(t *testing.T) {
 
 func TestCrossUserRowsInvisible(t *testing.T) {
 	// The paper's core §7.5 property: bob's worker cannot receive alice's
-	// rows — the kernel drops them, and bob cannot even count them.
+	// rows, and bob cannot even count them — his select's done message is
+	// the same bytes whether alice owns no rows or five.
 	h := boot(t)
 	wa, ida := workerFixture(t, h, "alice", "pw-a")
 	proxyPort, _ := h.sys.Env(dbproxy.EnvWorkerPort)
@@ -230,29 +232,32 @@ func TestCrossUserRowsInvisible(t *testing.T) {
 	va := dbproxy.VerifyFor(ida.UT, ida.UG)
 	dbproxy.Query(wa.Port(proxyPort), "alice", "CREATE TABLE posts (body)", nil, ra, va)
 	wa.RecvCtx(context.Background(), ra)
-	dbproxy.Query(wa.Port(proxyPort), "alice", "INSERT INTO posts (body) VALUES ('private!')", nil, ra, va)
-	wa.RecvCtx(context.Background(), ra)
 
 	wb, idb := workerFixture(t, h, "bob", "pw-b")
 	rb := wb.Open(nil).Handle()
 	vb := dbproxy.VerifyFor(idb.UT, idb.UG)
-	dbproxy.Query(wb.Port(proxyPort), "bob", "SELECT body FROM posts", nil, rb, vb)
-	sawRow := false
-	for {
-		d, err := wb.RecvCtx(context.Background(), rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := dbproxy.ParseRow(d); ok {
-			sawRow = true
-			continue
-		}
-		if _, ok := dbproxy.ParseDone(d); ok {
-			break
+	bobSelects := func() []byte {
+		dbproxy.Query(wb.Port(proxyPort), "bob", "SELECT body FROM posts", nil, rb, vb)
+		for {
+			d, err := wb.RecvCtx(context.Background(), rb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := dbproxy.ParseRow(d); ok {
+				t.Fatal("bob received alice's row")
+			}
+			if _, ok := dbproxy.ParseDone(d); ok {
+				return append([]byte(nil), d.Data...)
+			}
 		}
 	}
-	if sawRow {
-		t.Fatal("bob received alice's row")
+	none := bobSelects()
+	for i := 0; i < 5; i++ {
+		dbproxy.Query(wa.Port(proxyPort), "alice", "INSERT INTO posts (body) VALUES ('private!')", nil, ra, va)
+		wa.RecvCtx(context.Background(), ra)
+	}
+	if five := bobSelects(); !bytes.Equal(none, five) {
+		t.Fatalf("bob's done reveals alice's row count: %x with 0 rows, %x with 5", none, five)
 	}
 	// And bob's send label must NOT have picked up alice's taint.
 	if wb.SendLabel().Get(ida.UT) != label.L1 {
