@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -109,21 +110,37 @@ func TestConnectionChurnKeepsLabelsCompact(t *testing.T) {
 }
 
 // TestGrantOnLargeLabelAllocatesPerChunk pins what applyEffects' QS ⊓ DS
-// costs on a 2000-entry QS: the one chunk the granted handle falls in, the
-// label and its chunk list — not the entries.
+// costs on a large QS: the one chunk the granted handle falls in, the label
+// and its chunk list — not the entries. The aligned QS holds 2000 evenly
+// spaced handles built at once; the interleaved one is the demux's shape,
+// 3000 random handles granted one at a time, whose partly filled chunks
+// number more than 64.
 func TestGrantOnLargeLabelAllocatesPerChunk(t *testing.T) {
 	ents := make([]label.Entry, 2000)
 	for i := range ents {
 		ents[i] = label.Entry{H: handle.Handle(10 * (i + 1)), L: label.L3}
 	}
-	qs := label.New(label.L1, ents...)
-	ds := Grant(10_005)
-	var out *label.Label
-	allocs := testing.AllocsPerRun(100, func() { out = qs.Glb(ds) })
-	if out.Len() != 2001 || out.Get(10_005) != label.Star {
-		t.Fatalf("wrong result: %d entries", out.Len())
+	r := rand.New(rand.NewSource(1))
+	interleaved := label.Empty(label.L1)
+	for interleaved.Len() < 3000 {
+		interleaved = interleaved.Glb(Grant(handle.Handle(1 + r.Int63n(1<<40))))
 	}
-	if allocs > 4 {
-		t.Errorf("QS ⊓ Grant(h) on 2000 entries: %.0f allocations, want ≤ 4 (chunk, its entries, label, chunk list)", allocs)
+	for _, c := range []struct {
+		name string
+		qs   *label.Label
+		h    handle.Handle
+	}{
+		{"aligned", label.New(label.L1, ents...), 10_005},
+		{"interleaved", interleaved, handle.Handle(1 + r.Int63n(1<<40))},
+	} {
+		ds, n := Grant(c.h), c.qs.Len()
+		var out *label.Label
+		allocs := testing.AllocsPerRun(100, func() { out = c.qs.Glb(ds) })
+		if out.Len() != n+1 || out.Get(c.h) != label.Star {
+			t.Fatalf("%s: wrong result: %d entries", c.name, out.Len())
+		}
+		if allocs > 4 {
+			t.Errorf("%s: QS ⊓ Grant(h) on %d entries: %.0f allocations, want ≤ 4 (chunk, its entries, label, chunk list)", c.name, n, allocs)
+		}
 	}
 }

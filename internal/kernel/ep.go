@@ -88,16 +88,19 @@ func (p *Process) Checkpoint() (*Delivery, *EventProcess, error) {
 }
 
 // checkpointScan is the delivery loop of Checkpoint. Caller holds p.mu and
-// has drained the inbox; port state is snapshotted via the shard locks as
-// in recvScan.
+// has drained the inbox; port state is snapshotted via the shard locks, and
+// drops are counted and freed, as in recvScan.
 func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 	i := 0
 	for i < len(p.pending) {
 		m := p.pending[i]
 		owner, ownerEP, pr, ok := p.sys.portState(m.Port)
 		if !ok || owner != p {
+			// Port dissociated, re-owned elsewhere, or its event process
+			// exited while the message was queued: drop.
 			p.removePending(i)
-			p.sys.drops.Add(1)
+			p.sys.countDrop(dropClassDead, 1)
+			freeMsg(m)
 			continue
 		}
 		if ownerEP != 0 {
@@ -105,13 +108,13 @@ func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 			if ep == nil {
 				// Owner event process exited; message undeliverable.
 				p.removePending(i)
-				p.sys.drops.Add(1)
+				p.sys.countDrop(dropClassDead, 1)
 				freeMsg(m)
 				continue
 			}
 			p.removePending(i)
 			if !deliverable(m, ep.recvL, pr) {
-				p.sys.drops.Add(1)
+				p.sys.countDrop(portClass(p.name), 1)
 				freeMsg(m)
 				continue
 			}
@@ -124,7 +127,7 @@ func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
 		// with labels copied from the base (§6.1).
 		p.removePending(i)
 		if !deliverable(m, p.recvL, pr) {
-			p.sys.drops.Add(1)
+			p.sys.countDrop(portClass(p.name), 1)
 			freeMsg(m)
 			continue
 		}

@@ -230,6 +230,54 @@ func TestEPExitFreesState(t *testing.T) {
 	w.Yield()
 }
 
+// TestCheckpointCountsAndFreesDrops: a message queued to an event process's
+// port while it runs, and still pending when it exits, is dropped by the next
+// Checkpoint as recvScan drops one to a dead port — counted under "dead" in
+// DropStats as well as in Drops, and its payload returned to the pool — so
+// DropStats still sums to Drops.
+func TestCheckpointCountsAndFreesDrops(t *testing.T) {
+	s := newSys()
+	w, svc := workerHarness(t, s)
+	client := s.NewProcess("client")
+	client.Port(svc).Send([]byte("go"), nil)
+	d, _, err := w.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Release()
+	epPort := w.Open(nil).Handle()
+	if err := w.SetPortLabel(epPort, label.Empty(label.L3)); err != nil {
+		t.Fatal(err)
+	}
+	client.Port(epPort).Send([]byte("late"), nil)
+	if err := w.EPExit(); err != nil {
+		t.Fatal(err)
+	}
+	drops, dead, returned := s.Drops(), s.DropStats()["dead"], PayloadPoolStats().Returned
+	client.Port(svc).Send([]byte("fresh"), nil)
+	if d, _, err = w.Checkpoint(); err != nil || string(d.Data) != "fresh" {
+		t.Fatalf("delivery after EPExit = %v, %v", d, err)
+	}
+	if got := s.Drops() - drops; got != 1 {
+		t.Fatalf("Drops rose by %d, want 1", got)
+	}
+	if got := s.DropStats()["dead"] - dead; got != 1 {
+		t.Errorf(`DropStats()["dead"] rose by %d, want 1`, got)
+	}
+	if got := PayloadPoolStats().Returned - returned; got != 1 {
+		t.Errorf("%d payloads returned to the pool, want the dropped one", got)
+	}
+	var sum uint64
+	for _, n := range s.DropStats() {
+		sum += n
+	}
+	if sum != s.Drops() {
+		t.Errorf("DropStats sums to %d, Drops is %d", sum, s.Drops())
+	}
+	d.Release()
+	w.Yield()
+}
+
 func TestImplicitYieldOnCheckpoint(t *testing.T) {
 	s := newSys()
 	w, svc := workerHarness(t, s)

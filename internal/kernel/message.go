@@ -357,7 +357,10 @@ func deliverable(m *Message, recvL, pr *label.Label) bool {
 //
 // The ES ⊓ QS⋆ term gives the receiver's ⋆ handles precedence over
 // incoming contamination (Equation 5); the QS ⊓ DS term applies granted
-// decontamination.
+// decontamination. On a trusted server's label of thousands of entries, each
+// update costs the chunks it changes: the label package's rule (d) looks the
+// receiver's label up only at the few entries of DS, ES or DR that can change
+// it, however the two labels' handles interleave.
 func applyEffects(m *Message, sendL, recvL **label.Label) {
 	qs := (*sendL).Glb(m.ds)
 	*sendL = qs.Contaminate(m.es)

@@ -128,16 +128,15 @@ func (l *Label) Len() int { return l.nent }
 func (l *Label) Min() Level { return Level(bits.TrailingZeros8(l.lv)) }
 func (l *Label) Max() Level { return Level(bits.Len8(l.lv) - 1) }
 
-// find returns the index of the first chunk whose span reaches h, or
-// len(l.chunks) when h lies beyond every chunk.
-func (l *Label) find(h handle.Handle) int {
-	return sort.Search(len(l.chunks), func(i int) bool { return l.chunks[i].last() >= uint64(h) })
+// reach returns the index of the first chunk reaching handle h, or len(cs).
+func reach(cs []*chunk, h uint64) int {
+	return sort.Search(len(cs), func(i int) bool { return cs[i].last() >= h })
 }
 
 // Get returns the level of handle h. A handle no label can hold an entry for
 // (handle.None, or one above handle.MaxHandle) gets the default.
 func (l *Label) Get(h handle.Handle) Level {
-	i := l.find(h)
+	i := reach(l.chunks, uint64(h))
 	if i == len(l.chunks) {
 		return l.def
 	}
@@ -149,7 +148,7 @@ func (l *Label) Get(h handle.Handle) Level {
 }
 
 // With returns a label identical to l except that handle h maps to lvl.
-// Only the chunk h falls in is rebuilt; the rest are shared with the
+// Only the chunk h falls in is rebuilt (update); the rest are shared with the
 // receiver. The result gets a fresh fingerprint, which is what retires any
 // memoized comparisons involving the receiver (see opcache.go).
 func (l *Label) With(h handle.Handle, lvl Level) *Label {
@@ -162,28 +161,7 @@ func (l *Label) With(h handle.Handle, lvl Level) *Label {
 	if l.Get(h) == lvl {
 		return l
 	}
-	// h belongs to the first chunk that reaches it, or extends the last.
-	i := min(l.find(h), len(l.chunks)-1)
-	var bufs builderBufs
-	b := builder{def: l.def, chunks: bufs.chunks[:0], run: bufs.run[:0]}
-	var ents []uint64 // of that chunk; none when l is empty
-	if i >= 0 {
-		b.chunks = append(b.chunks, l.chunks[:i]...)
-		ents = l.chunks[i].ents
-	}
-	j := before(ents, uint64(h))
-	b.run = append(b.run, ents[:j]...)
-	if lvl != l.def {
-		b.run = append(b.run, pack(h, lvl))
-	}
-	if j < len(ents) && ents[j]>>3 == uint64(h) {
-		j++
-	}
-	b.run = append(b.run, ents[j:]...)
-	for _, c := range l.chunks[i+1:] {
-		b = b.chunk(c)
-	}
-	return b.finish()
+	return l.update([]uint64{pack(h, lvl)})
 }
 
 // Leq reports a ⊑ b: a(h) ≤ b(h) for all h. Comparisons the cached levels do
@@ -228,7 +206,8 @@ func (l *Label) Glb(m *Label) *Label {
 // takes the max of the current level and the incoming effective level. It
 // runs on every message delivery. The steady state — a receiver that holds
 // ⋆ or already sits at or above the incoming level everywhere — returns the
-// receiver without allocating.
+// receiver without allocating if es's default is at most each level of l
+// above ⋆ and es has no more entries that could raise l than l has chunks.
 func (l *Label) Contaminate(es *Label) *Label {
 	if l == es {
 		return l

@@ -461,11 +461,76 @@ func BenchmarkAblationChunkedVsSimple(b *testing.B) {
 	}
 }
 
+// demuxShape builds the labels the OKWS demux merges on every delivery at
+// two thousand sessions (Figure 5). qs, its send label, holds ⋆ for 3000
+// users' handles and 8 open connections'; es, a netd shard's, holds ⋆ for
+// 1150 handles, 500 of them users' also in qs, and level 3 for one handle qs
+// holds at ⋆. Handles are random, as the kernel's allocator hands them out,
+// so the two labels' chunk boundaries interleave. Both labels grew one handle
+// at a time, qs with a connection opening and the oldest closing beside each
+// user, so its chunks are as full as a running kernel's: more than 64 of
+// them. fresh is a handle neither label holds.
+func demuxShape() (qs, es *Label, fresh handle.Handle) {
+	r := rand.New(rand.NewSource(1))
+	next := func() handle.Handle { return handle.Handle(1 + r.Int63n(1<<40)) }
+	var users, conns []handle.Handle
+	qs, es = Empty(L1), Empty(L1)
+	for len(users) < 3000 {
+		users, conns = append(users, next()), append(conns, next())
+		qs = qs.With(users[len(users)-1], Star).With(conns[len(conns)-1], Star)
+		if len(conns) > 8 {
+			qs, conns = qs.With(conns[0], L1), conns[1:]
+		}
+	}
+	for _, h := range users[2500:] {
+		es = es.With(h, Star)
+	}
+	for i := 0; i < 650; i++ {
+		es = es.With(next(), Star)
+	}
+	return qs, es.With(users[0], L3), next()
+}
+
+// TestInterleavedUpdatesAllocate pins in allocation counts what the demux's
+// per-delivery label updates cost on demuxShape's 3008 entries: a no-op
+// Contaminate is the receiver itself and allocates nothing, and a one-handle
+// grant or a With allocates the chunk it changes, that chunk's entries, the
+// label and its chunk list — none of it in proportion to the entries.
+func TestInterleavedUpdatesAllocate(t *testing.T) {
+	qs, es, fresh := demuxShape()
+	if qs.Len() != 3008 || es.Len() != 1151 || len(qs.chunks) <= 64 {
+		t.Fatalf("shape: %d and %d entries, %d chunks", qs.Len(), es.Len(), len(qs.chunks))
+	}
+	grant := Single(L3, fresh, Star)
+	granted := func(l *Label) bool { return l.Len() == 3009 && l.Get(fresh) == Star }
+	var out *Label
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func() *Label
+		ok   func(*Label) bool
+	}{
+		{"no-op Contaminate", 0, func() *Label { return qs.Contaminate(es) }, func(l *Label) bool { return l == qs }},
+		{"QS ⊓ Grant(h)", 4, func() *Label { return qs.Glb(grant) }, granted},
+		{"With", 4, func() *Label { return qs.With(fresh, Star) }, granted},
+	} {
+		allocs := testing.AllocsPerRun(100, func() { out = c.f() })
+		if !c.ok(out) {
+			t.Fatalf("%s: wrong result, %d entries", c.name, out.Len())
+		}
+		if allocs > c.max {
+			t.Errorf("%s on 3008 entries: %.0f allocations, want ≤ %.0f", c.name, allocs, c.max)
+		}
+	}
+}
+
 // BenchmarkAsymmetric times the pairs the kernel's message path is made of
 // when one process holds thousands of handles: the two operands differ
 // wildly in size, or are the same label but for one chunk. Each row should
 // cost the chunks it touches, not the entries; leq_16x16 guards the other
-// end — small labels must not pay for the chunk machinery.
+// end — small labels must not pay for the chunk machinery. The first rows'
+// operands share their handle sets, so their chunk boundaries align; the
+// demux_ rows are demuxShape, where they interleave.
 func BenchmarkAsymmetric(b *testing.B) {
 	stars := make([]Entry, 2000)
 	clear := make([]Entry, 2000)
@@ -493,6 +558,8 @@ func BenchmarkAsymmetric(b *testing.B) {
 		}
 		small[i] = New(L1, ents...)
 	}
+	dqs, des, fresh := demuxShape()
+	dgrant := Single(L3, fresh, Star)
 	for _, c := range []struct {
 		name string
 		f    func() bool
@@ -502,6 +569,9 @@ func BenchmarkAsymmetric(b *testing.B) {
 		{"contaminate_noop_2000x2000_allstar", func() bool { return qs.Contaminate(es) == qs }},
 		{"lub_2000x2000_shared_but_one", func() bool { return qr1.Lub(qr2).Len() == 2002 }},
 		{"leq_16x16", func() bool { return all(small[0], small[1], &relLeq) }},
+		{"demux_contaminate_noop_3008x1151", func() bool { return dqs.Contaminate(des) == dqs }},
+		{"demux_glb_3008x1", func() bool { return dqs.Glb(dgrant).Len() == 3009 }},
+		{"demux_with_3008", func() bool { return dqs.With(fresh, Star).Len() == 3009 }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

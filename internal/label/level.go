@@ -27,14 +27,19 @@
 // operator is the identity, against the other label's default for every
 // level in the chunk; (c) two overlapping chunks are skipped together, or
 // one passed through, when the same is true of every pair of levels the two
-// can hold. Entries are walked only where no rule applies, so an operation
-// costs the chunks it changes rather than the entries it spans, and its
-// result holds the operands' own chunks everywhere else — which is what lets
-// the next operation on it hit rule (a). Two invariants keep this sound and
-// cheap: no two adjacent chunks of a label would fit in one (so single-handle
-// updates cannot fragment a label into many small chunks), and a result
-// equal to an operand is that operand itself, pointer and fingerprint (so
-// equal labels stay one label for memory accounting and memoization).
+// can hold. Entries are walked only where no rule applies, and the result
+// holds the operands' own chunks everywhere else — which is what lets the
+// next operation on it hit rule (a). A walk still cuts every chunk the other
+// label's boundaries fall in — all of them when the handles interleave — so
+// merge first tries (d): if b's default leaves a unchanged, a is looked up
+// only at b's entries that can change it, and a point update shared with
+// With rebuilds only the chunks holding changed handles. So an operation
+// costs the chunks it changes rather than the entries it spans. Two
+// invariants keep this sound and cheap: no two adjacent chunks of a label
+// would fit in one (so single-handle updates cannot fragment a label into
+// many small chunks), and a result equal to an operand is that operand
+// itself, pointer and fingerprint (so equal labels stay one label for memory
+// accounting and memoization).
 //
 // Beyond the paper's cached bounds, ⊑ results are memoized across calls:
 // each immutable label value carries a fingerprint, and comparisons are

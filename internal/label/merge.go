@@ -26,7 +26,11 @@ import "slices"
 //	    to the smaller of the two chunks' last handles.
 //
 // Only where no rule applies does a consumer descend to entries, and then
-// only for that span.
+// only for that span. But merge first tries a fourth rule, with no walk:
+//
+//	(d) sparse: if b's default leaves a unchanged, a is looked up only at
+//	    b's entries whose level can change it, and the changes are applied
+//	    as point updates (update) that cut no chunk of a where b's fall.
 
 // levels is a set of levels, bit l set when level l is a member.
 type levels = uint8
@@ -48,13 +52,17 @@ func newRel(f func(x, y Level) bool) (r rel) {
 }
 
 // holds reports whether r holds for every pair in xs × ys.
-func (r *rel) holds(xs, ys levels) bool {
+func (r *rel) holds(xs, ys levels) bool { return r.row(xs)&ys == ys }
+
+// row returns the levels y for which r holds for (x, y) for every x in xs.
+func (r *rel) row(xs levels) levels {
+	ys := levels(1<<numLevels - 1)
 	for x := Star; x < numLevels; x++ {
-		if xs&bit(x) != 0 && r[x]&ys != ys {
-			return false
+		if xs&bit(x) != 0 {
+			ys &= r[x]
 		}
 	}
-	return true
+	return ys
 }
 
 // diag reports whether r holds for (x, x) for every x in xs.
@@ -255,11 +263,17 @@ func allEntries(ea, eb []uint64, da, db Level, r *rel) bool {
 // alone are shared with the input they came from, and a result equal to an
 // input is that input.
 func merge(a, b *Label, o *op) *Label {
-	if o.left.holds(a.lv, b.lv) {
+	keep := o.left.row(a.lv) // levels of b that leave every level of a unchanged
+	if b.lv&^keep == 0 {
 		return a
 	}
 	if o.right.holds(a.lv, b.lv) {
 		return b
+	}
+	if keep&bit(b.def) != 0 {
+		if l := sparse(a, b, o, keep); l != nil {
+			return l
+		}
 	}
 	def := o.tab[a.def][b.def]
 	da, db, dr := bit(a.def), bit(b.def), bit(def)
@@ -317,6 +331,65 @@ func merge(a, b *Label, o *op) *Label {
 	return bd.finish(a, b)
 }
 
+// sparse is rule (d), for b.def in keep, or nil to leave the pair to the walk.
+func sparse(a, b *Label, o *op, keep levels) *Label {
+	ups, n := make([]uint64, 0, 8), 0
+	for _, c := range b.chunks {
+		switch {
+		case c.lv&^keep == 0:
+			continue
+		case c.lv&keep == 0 && n+len(c.ents) > len(a.chunks):
+			return nil // every entry of c is a lookup
+		}
+		for _, e := range c.ents {
+			if h, y := unpack(e); keep&bit(y) == 0 {
+				if n++; n > len(a.chunks) {
+					return nil // past one lookup per chunk of a, the walk is cheaper
+				}
+				if x := a.Get(h); o.tab[x][y] != x {
+					ups = append(ups, e&^7|uint64(o.tab[x][y]))
+				}
+			}
+		}
+	}
+	if len(ups) == 0 {
+		return a
+	}
+	return a.update(ups, b)
+}
+
+// update returns l with ups, packed entries in handle order (one at l's
+// default deletes), rebuilding only the chunks they fall in, or one of ins.
+func (l *Label) update(ups []uint64, ins ...*Label) *Label {
+	var bufs builderBufs
+	bd := builder{def: l.def, chunks: bufs.chunks[:0], run: bufs.run[:0]}
+	cs := l.chunks
+	for len(ups) > 0 {
+		var ents []uint64 // of the chunk the next update falls in; none when l is empty
+		n := len(ups)
+		if len(cs) > 0 {
+			k := min(reach(cs, ups[0]>>3), len(cs)-1)
+			bd = bd.chunk(cs[:k]...)
+			if ents = cs[k].ents; k < len(cs)-1 {
+				n = before(ups, cs[k].last()+1)
+			}
+			cs = cs[k+1:]
+		}
+		for _, u := range ups[:n] {
+			i := before(ents, u>>3)
+			bd.run = append(bd.run, ents[:i]...)
+			if i < len(ents) && ents[i]>>3 == u>>3 {
+				i++
+			}
+			if ents = ents[i:]; Level(u&7) != l.def {
+				bd.run = append(bd.run, u)
+			}
+		}
+		bd.run, ups = append(bd.run, ents...), ups[n:]
+	}
+	return bd.chunk(cs...).finish(ins...)
+}
+
 // mergeEntries is merge for one interval: it appends o applied to two
 // sorted entry runs to out, eliding results at the default def.
 func mergeEntries(out, ea, eb []uint64, da, db, def Level, o *op) []uint64 {
@@ -358,7 +431,7 @@ type builder struct {
 // operation whose result turns out to be one of its inputs allocates nothing.
 // It is a separate value because a struct pointing into itself escapes.
 type builderBufs struct {
-	chunks [64]*chunk
+	chunks [128]*chunk // 4096 entries at the size invariant's worst fill
 	run    [2 * chunkMax]uint64
 }
 
@@ -379,22 +452,25 @@ func (b builder) pass(c *chunk, ents []uint64) builder {
 	return b
 }
 
-// chunk appends c by pointer, or copies its entries into a neighbour when
-// the two would fit in one chunk.
-func (b builder) chunk(c *chunk) builder {
-	if n := len(b.run); n > 0 {
-		if n/cuts(n)+len(c.ents) <= chunkMax {
-			b.run = append(b.run, c.ents...)
-			return b
+// chunk appends cs, consecutive chunks of one label, by pointer, or copies a
+// chunk's entries into a neighbour when the two would fit in one chunk.
+func (b builder) chunk(cs ...*chunk) builder {
+	for i, c := range cs {
+		if n := len(b.run); n > 0 {
+			if n/cuts(n)+len(c.ents) <= chunkMax {
+				b.run = append(b.run, c.ents...)
+				continue
+			}
+			b = b.flush()
 		}
-		b = b.flush()
+		if k := len(b.chunks); k > 0 && len(b.chunks[k-1].ents)+len(c.ents) <= chunkMax {
+			b.run = append(append(b.run, b.chunks[k-1].ents...), c.ents...)
+			b.chunks = b.chunks[:k-1]
+			continue
+		}
+		b.chunks = append(b.chunks, cs[i:]...) // the rest obey the size invariant
+		break
 	}
-	if k := len(b.chunks); k > 0 && len(b.chunks[k-1].ents)+len(c.ents) <= chunkMax {
-		b.run = append(append(b.run, b.chunks[k-1].ents...), c.ents...)
-		b.chunks = b.chunks[:k-1]
-		return b
-	}
-	b.chunks = append(b.chunks, c)
 	return b
 }
 

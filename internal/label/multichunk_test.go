@@ -311,6 +311,150 @@ func TestConnectionChurnChunkCount(t *testing.T) {
 	}
 }
 
+// keepLevels returns the levels that leave every level of a unchanged under
+// o — where rule (d) needs no lookup — and the rest, the hot levels.
+func keepLevels(a *Label, o *op) (keep, hot []Level) {
+	for y := Star; y < numLevels; y++ {
+		ok := true
+		for x := Star; x < numLevels; x++ {
+			ok = ok && (a.lv&bit(x) == 0 || o.tab[x][y] == x)
+		}
+		if ok {
+			keep = append(keep, y)
+		} else {
+			hot = append(hot, y)
+		}
+	}
+	return keep, hot
+}
+
+// checkRuleD checks that merge(a, b, o) takes rule (d) exactly when taken
+// says so, then cross-checks every operation on the pair.
+func checkRuleD(t *testing.T, a, b *Label, o *op, taken bool) {
+	t.Helper()
+	if !o.left.holds(a.lv, bit(b.def)) {
+		t.Fatalf("pair does not meet rule (d)'s precondition\na = %v\nb = %v", a, b)
+	}
+	if got := sparse(a, b, o, o.left.row(a.lv)) != nil; got != taken {
+		t.Fatalf("rule (d) taken = %v, want %v (a has %d chunks)\na = %v\nb = %v", got, taken, len(a.chunks), a, b)
+	}
+	crossCheck(t, a, b)
+}
+
+// TestRuleDRandomPairs draws pairs that meet rule (d)'s precondition: a
+// multi-chunk a, and a b whose default and most entries — spread over a's
+// handle range, so the two labels' chunks interleave — leave a unchanged,
+// plus up to one more hot entry than a has chunks. Hot entries land on a's
+// explicit entries (a change, or a delete when the result is a's default),
+// anywhere (mostly an insert), or on a run of neighbouring handles, so that
+// one chunk of b is hot throughout. Rule (d) must decide the pair exactly
+// when the hot entries are within its bound, and every result must match
+// the oracles.
+func TestRuleDRandomPairs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 600; i++ {
+		o := []*op{opMax, opMin, opEq5}[i%3]
+		a := bigLabel(r, 100+r.Intn(501))
+		keep, hot := keepLevels(a, o)
+		if len(keep) == 0 || len(hot) == 0 || a.nent == 0 {
+			continue
+		}
+		ents := map[handle.Handle]Level{}
+		for j := r.Intn(400); j > 0; j-- {
+			ents[handle.Handle(1+r.Intn(bigHandleRange))] = keep[r.Intn(len(keep))]
+		}
+		explicit, run := a.Entries(), handle.Handle(1+r.Intn(bigHandleRange-64))
+		for j := []int{1, 2, len(a.chunks) / 2, len(a.chunks), len(a.chunks) + 1}[r.Intn(5)]; j > 0; j-- {
+			h := []handle.Handle{explicit[r.Intn(len(explicit))].H, handle.Handle(1 + r.Intn(bigHandleRange)), run + handle.Handle(j)}[r.Intn(3)]
+			ents[h] = hot[r.Intn(len(hot))]
+		}
+		b := New(keep[r.Intn(len(keep))], toEntries(ents)...)
+		n := 0
+		for _, e := range b.Entries() {
+			if slices.Contains(hot, e.L) {
+				n++
+			}
+		}
+		checkRuleD(t, a, b, o, n <= len(a.chunks))
+	}
+}
+
+// toEntries lists a map's entries; New sorts them.
+func toEntries(m map[handle.Handle]Level) []Entry {
+	out := make([]Entry, 0, len(m))
+	for h, l := range m {
+		out = append(out, Entry{h, l})
+	}
+	return out
+}
+
+// chunked builds a label with default def whose chunks hold the given
+// numbers of entries at level lvl, on handles 10, 20, 30, ….
+func chunked(def, lvl Level, sizes ...int) *Label {
+	b, h := builder{def: def}, uint64(0)
+	for _, n := range sizes {
+		ents := make([]uint64, n)
+		for i := range ents {
+			h += 10
+			ents[i] = h<<3 | uint64(lvl)
+		}
+		b.chunks = append(b.chunks, newChunk(ents))
+	}
+	return b.finish()
+}
+
+// TestRuleDChunkEdges drives rule (d)'s point update through the chunk
+// boundaries: a chunk emptied so its neighbours coalesce, a chunk overflowed
+// so it splits (by so much that the rebuilt run outgrows the builder's stack
+// buffer), a result equal to b, and hot entries one past the bound so the
+// walk decides.
+func TestRuleDChunkEdges(t *testing.T) {
+	hs := func(l *Label, from, to int) []Entry { return l.Entries()[from:to] }
+	at := func(lvl Level, es []Entry) []Entry {
+		out := make([]Entry, len(es))
+		for i, e := range es {
+			out[i] = Entry{e.H, lvl}
+		}
+		return out
+	}
+	sizes := make([]int, 40) // 32, 33, 32, 33, …
+	for i := range sizes {
+		sizes[i] = 32 + i%2
+	}
+	// ⊓ with a label at L1 deletes entries at L2: the 33 entries of chunk 3
+	// go, and chunks 2 and 4, 32 entries each, must become one.
+	a := chunked(L1, L2, sizes...)
+	b := New(L3, at(L1, hs(a, 97, 130))...)
+	checkRuleD(t, a, b, opMin, true)
+	if got := a.Glb(b); len(got.chunks) != len(a.chunks)-2 {
+		t.Fatalf("emptied chunk: %d chunks, want %d", len(got.chunks), len(a.chunks)-2)
+	}
+
+	// ⊔ raises 128 default handles inside one full chunk of 64: it splits
+	// in three, and its rebuilt run of 192 entries outgrows the builder's
+	// stack buffer, as do the result's 142 chunks.
+	a = chunked(L0, L2, slices.Repeat([]int{64}, 140)...)
+	var ins []Entry
+	for _, e := range hs(a, 320, 384) {
+		ins = append(ins, Entry{e.H - 5, L3}, Entry{e.H - 3, L3})
+	}
+	checkRuleD(t, a, New(Star, ins...), opMax, true)
+
+	// Contamination that brings a to exactly b: b is returned.
+	b = chunked(L1, Star, 64, 64, 64).With(40, L3).With(1500, L3)
+	a = b.With(40, L2).With(1500, L2)
+	checkRuleD(t, a, b, opEq5, true)
+	if a.Contaminate(b) != b {
+		t.Fatal("a result equal to b is not b")
+	}
+
+	// One hot entry past the bound, scattered and in one chunk that is hot
+	// throughout: the walk decides.
+	a = chunked(L1, Star, 64, 64, 64)
+	checkRuleD(t, a, New(L1, Entry{5, L3}, Entry{1000, L3}, Entry{1900, L2}, Entry{1915, L2}, Entry{1917, L0}), opEq5, false)
+	checkRuleD(t, a, New(L1, at(L3, hs(a, 0, 4))...), opEq5, false)
+}
+
 // FuzzLabelOpsMultiChunk interprets its input as a program over a small pool
 // of labels — bulk inserts that span chunks, single updates, and every
 // binary operation with the result stored back — and cross-checks each step.
@@ -322,6 +466,14 @@ func FuzzLabelOpsMultiChunk(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 255, 1, 0, 0, 0, 3, 0, 255, 255, 1, 0, 1, 1, 1, 200, 0, 2, 0, 1, 3})
 	// Derive by With from a shared ancestor, then merge with it.
 	f.Add([]byte{3, 0, 0, 5, 250, 2, 4, 2, 0, 1, 1, 1, 0, 100, 3, 1, 1, 1, 44, 0, 2, 0, 1, 2})
+	// Rule (d), the demux's pairs: 250 ⋆ entries (pool 0, default 1) are
+	// contaminated by 100 entries at 1 and one at 3 on a handle it holds at
+	// ⋆ (pool 3, default ⋆) — a no-op, while ⊔ of the same pair bails to
+	// the walk — then granted a handle at its default (pool 2, default 3).
+	f.Add([]byte{2, 0, 0, 1, 250, 1, 0, 0, 3, 1, 100, 2, 2, 1, 3, 0, 20, 4, 2, 0, 3, 8, 1, 2, 0, 99, 0, 2, 0, 2, 4})
+	// Rule (d)'s point updates: ⊔ deletes one entry (⋆ ⊔ 1 is the default)
+	// and inserts another, then ⊓ changes the inserted one from 3 to 2.
+	f.Add([]byte{2, 0, 0, 1, 250, 1, 0, 1, 3, 0, 20, 2, 1, 3, 0, 99, 4, 2, 0, 3, 0, 1, 2, 0, 99, 3, 2, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
