@@ -45,7 +45,7 @@
 //   - internal/kernel — processes, ports, the send/recv label checks of
 //     Figure 4, and event processes (§6)
 //   - internal/evloop — the shared sharded event-loop runtime the trusted
-//     services run on (adaptive burst dispatch, reply batching, cross-shard
+//     services run on (capped burst dispatch, reply batching, cross-shard
 //     forwarding, delivery release)
 //   - internal/netd, internal/db, internal/dbproxy, internal/idd,
 //     internal/fs — the userspace servers of Figure 1

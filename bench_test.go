@@ -91,10 +91,8 @@ func BenchmarkFig7Throughput(b *testing.B) {
 // the entry that sharded the trusted event loops N-way. On ≥4 cores the
 // fully sharded stack should deliver well over 1.5× the serial figure,
 // since neither the kernel monitor nor any single trusted event loop
-// serializes the request stream. The burst sub-dimension
-// compares the event loops' adaptive AIMD dispatch cap (the default)
-// against the pre-adaptive fixed-64 cap: adaptive must not regress, and
-// allocs/op across both quantify the Delivery.Release payload recycling.
+// serializes the request stream. allocs/op quantifies the
+// Delivery.Release payload recycling.
 func BenchmarkFig7ThroughputParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	shardCounts := []int{1, workers}
@@ -103,72 +101,64 @@ func BenchmarkFig7ThroughputParallel(b *testing.B) {
 		// the comparison exists everywhere.
 		shardCounts = []int{1, 2}
 	}
-	bursts := []struct {
-		name  string
-		fixed int
-	}{{"adaptive", 0}, {"fixed64", 64}}
 	for _, shards := range shardCounts {
-		for _, burst := range bursts {
-			b.Run(fmt.Sprintf("shards=%d/burst=%s", shards, burst.name), func(b *testing.B) {
-				echo := func(c *okws.Ctx, req *httpmsg.Request) *httpmsg.Response {
-					n := 11
-					fmt.Sscanf(req.Query["n"], "%d", &n)
-					return &httpmsg.Response{Status: 200, Body: make([]byte, n)}
-				}
-				srv, err := okws.Launch(okws.Config{
-					Seed:       42,
-					Shards:     shards,
-					FixedBurst: burst.fixed,
-					Services:   []okws.Service{{Name: "echo", Handler: echo, Replicas: workers}},
-				})
-				if err != nil {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			echo := func(c *okws.Ctx, req *httpmsg.Request) *httpmsg.Response {
+				n := 11
+				fmt.Sscanf(req.Query["n"], "%d", &n)
+				return &httpmsg.Response{Status: 200, Body: make([]byte, n)}
+			}
+			srv, err := okws.Launch(okws.Config{
+				Seed:     42,
+				Shards:   shards,
+				Services: []okws.Service{{Name: "echo", Handler: echo, Replicas: workers}},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Stop()
+			// One user per client goroutine (plus slack) so concurrent
+			// requests never contend for the same session's event process.
+			users := make([]struct{ user, pass string }, 4*workers)
+			for i := range users {
+				users[i].user = fmt.Sprintf("pu%04d", i)
+				users[i].pass = fmt.Sprintf("pp%04d", i)
+				if err := srv.AddUser(users[i].user, users[i].pass, fmt.Sprintf("%d", 20000+i)); err != nil {
 					b.Fatal(err)
 				}
-				defer srv.Stop()
-				// One user per client goroutine (plus slack) so concurrent
-				// requests never contend for the same session's event process.
-				users := make([]struct{ user, pass string }, 4*workers)
-				for i := range users {
-					users[i].user = fmt.Sprintf("pu%04d", i)
-					users[i].pass = fmt.Sprintf("pp%04d", i)
-					if err := srv.AddUser(users[i].user, users[i].pass, fmt.Sprintf("%d", 20000+i)); err != nil {
-						b.Fatal(err)
-					}
+			}
+			// Warm the stack before the clock starts: one request per
+			// user establishes every session (Figure 7 measures CACHED
+			// sessions) and pulls first-connection costs — logins,
+			// handle allocation, label-cache fills, lazy runtime growth
+			// — out of the timed region, so the shards=1/N sub-benchmarks
+			// compare loop layout rather than process warmup order.
+			for _, u := range users {
+				resp, err := workload.Get(srv.Network(), 80, u.user, u.pass, "/echo?n=11")
+				if err != nil || resp.Status != 200 {
+					b.Fatalf("warmup for %s: %+v %v", u.user, resp, err)
 				}
-				// Warm the stack before the clock starts: one request per
-				// user establishes every session (Figure 7 measures CACHED
-				// sessions) and pulls first-connection costs — logins,
-				// handle allocation, label-cache fills, lazy runtime growth
-				// — out of the timed region, so the burst=adaptive/fixed64
-				// sub-benchmarks compare loop policy rather than process
-				// warmup order.
-				for _, u := range users {
+			}
+			var nextUser, failures atomic.Uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				u := users[int(nextUser.Add(1))%len(users)]
+				for pb.Next() {
 					resp, err := workload.Get(srv.Network(), 80, u.user, u.pass, "/echo?n=11")
 					if err != nil || resp.Status != 200 {
-						b.Fatalf("warmup for %s: %+v %v", u.user, resp, err)
+						failures.Add(1)
 					}
 				}
-				var nextUser, failures atomic.Uint64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					u := users[int(nextUser.Add(1))%len(users)]
-					for pb.Next() {
-						resp, err := workload.Get(srv.Network(), 80, u.user, u.pass, "/echo?n=11")
-						if err != nil || resp.Status != 200 {
-							failures.Add(1)
-						}
-					}
-				})
-				b.StopTimer()
-				if n := failures.Load(); n > 0 {
-					b.Fatalf("%d failed connections", n)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "conns/sec")
-				b.ReportMetric(float64(workers), "workers")
-				b.ReportMetric(float64(shards), "shards")
 			})
-		}
+			b.StopTimer()
+			if n := failures.Load(); n > 0 {
+				b.Fatalf("%d failed connections", n)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "conns/sec")
+			b.ReportMetric(float64(workers), "workers")
+			b.ReportMetric(float64(shards), "shards")
+		})
 	}
 }
 

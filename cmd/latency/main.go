@@ -1,7 +1,6 @@
 // Command latency regenerates paper Figure 8: median and 90th-percentile
 // request latency at client concurrency 4 for Mod-Apache, Apache, and OKWS
-// with 1 and N cached sessions — plus the fixed-vs-adaptive event-loop
-// burst dimension (the adaptive cap must not cost latency).
+// with 1 and N cached sessions.
 //
 // Usage:
 //
@@ -26,12 +25,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "latency:", err)
 		os.Exit(1)
 	}
-	burstRows, err := asbestos.Figure8Burst(*conns, *okwsSessions)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "latency:", err)
-		os.Exit(1)
-	}
-	rows = append(rows, burstRows...)
 	fmt.Println("Figure 8: request latency at concurrency 4 (µs)")
 	fmt.Println("paper: Mod-Apache 999/1015, Apache 3374/5262, OKWS@1 1875/2384, OKWS@1000 3414/6767")
 	var table [][]string

@@ -23,8 +23,7 @@ type (
 // workers + sharded trusted services); Figure7OKWSSharded varies the shard
 // count independently of the replica count; Figure7OKWSIddSharded
 // additionally pins idd's shard count; Figure7Baselines the Apache
-// models; Figure8 the latency table; Figure8Burst the same measurement
-// under adaptive vs fixed event-loop burst caps; Figure9 per-component
+// models; Figure8 the latency table; Figure9 per-component
 // Kcycles/connection.
 var (
 	Figure6               = experiments.Figure6
@@ -34,7 +33,6 @@ var (
 	Figure7OKWSIddSharded = experiments.Figure7OKWSIddSharded
 	Figure7Baselines      = experiments.Figure7Baselines
 	Figure8               = experiments.Figure8
-	Figure8Burst          = experiments.Figure8Burst
 	Figure9               = experiments.Figure9
 )
 

@@ -438,9 +438,9 @@ func (w *walker) loop(st *state, body *ast.BlockStmt, mayskip bool, loopNode ast
 // case expressions of an untagged switch.
 func (w *walker) switchBody(body *ast.BlockStmt, st *state, condSwitch bool) result {
 	var res result
-	var fall *state       // merged normal completions
-	chain := clone(st)    // state on the "no case matched yet" path
-	var ftState *state    // fallthrough into the next case
+	var fall *state    // merged normal completions
+	chain := clone(st) // state on the "no case matched yet" path
+	var ftState *state // fallthrough into the next case
 	hasDefault := false
 	for _, c := range body.List {
 		cc, ok := c.(*ast.CaseClause)

@@ -25,10 +25,10 @@
 // pushing avoids a synchronous call cycle between two single-threaded
 // servers and is otherwise equivalent.)
 //
-// The proxy's replicas run on the shared internal/evloop runtime (burst
-// draining, adaptive dispatch caps, delivery release, ctx-driven stop —
-// see the evloop package doc for its ownership and Release rules); each
-// replica registers just its worker- and admin-port handlers.
+// The proxy's replicas run on the shared internal/evloop runtime (capped
+// burst draining, delivery release, ctx-driven stop — see the evloop
+// package doc for its ownership and Release rules); each replica registers
+// just its worker- and admin-port handlers.
 package dbproxy
 
 import (
@@ -119,9 +119,8 @@ type proxyShard struct {
 }
 
 // New boots a single-loop proxy over an existing database; NewSharded
-// replicates the loop (NewShardedBurst with an explicit burst policy). The
-// admin ports' labels are locked down by capability; GrantAdmin hands
-// access to idd.
+// replicates the loop. The admin ports' labels are locked down by
+// capability; GrantAdmin hands access to idd.
 func New(sys *kernel.System, database *db.DB) *Proxy {
 	return NewSharded(sys, database, 1)
 }
@@ -130,16 +129,10 @@ func New(sys *kernel.System, database *db.DB) *Proxy {
 // shard's ports are published under EnvWorkerPort/EnvAdminPort; WorkerPorts
 // exposes the full dispatch set.
 func NewSharded(sys *kernel.System, database *db.DB, n int) *Proxy {
-	return NewShardedBurst(sys, database, n, evloop.Burst{})
-}
-
-// NewShardedBurst is NewSharded with an explicit dispatch-burst policy.
-func NewShardedBurst(sys *kernel.System, database *db.DB, n int, burst evloop.Burst) *Proxy {
 	g := evloop.New(sys, evloop.Config{
 		Name:     "ok-dbproxy",
 		Shards:   n,
 		Category: stats.CatOKDB,
-		Burst:    burst,
 	})
 	p := &Proxy{sys: sys, db: database, g: g}
 	for i := 0; i < g.Shards(); i++ {

@@ -2,14 +2,14 @@
 // trusted Asbestos services (ok-demux, netd, ok-dbproxy, idd, fsd). Each
 // of them used to hand-roll the same ~200-line loop — drain a Mailbox
 // burst, dispatch by port, flush a Batcher, forward cross-shard work;
-// evloop owns that skeleton once, so loop behaviour (burst caps, payload
+// evloop owns that skeleton once, so loop behaviour (the burst cap, payload
 // lifecycle, empty-payload tolerance, shard forwarding, ctx-driven stop)
 // can be stated once and tested once.
 //
 // A Group runs Config.Shards independent loops. Each Shard is its own
 // kernel process with exclusively-owned state: the service registers port
 // handlers on it before Run, and the loop then dispatches deliveries in
-// adaptive bursts, flushing the shard's Batcher after every round.
+// bursts of at most BurstCap, flushing the shard's Batcher after every round.
 //
 // # Ownership rules
 //
@@ -62,23 +62,24 @@
 //     quiet service costs zero wakeups.
 //   - Expiry handlers may buffer sends on Out(); the loop flushes after
 //     each Advance that fired, same as after a dispatch burst.
-//   - Precision is Config.Tick (the wheel granularity, default 1ms). A
-//     timer never fires before its deadline; it can fire up to one
-//     granule late, plus whatever the loop was already busy doing.
+//   - Precision is the wheel granularity, 1ms. A timer never fires before
+//     its deadline; it can fire up to one granule late, plus whatever the
+//     loop was already busy doing.
 //
 // A panicking handler — port or timer — does not kill the shard: the loop
 // recovers, counts the event (Group.HandlerPanics), releases the delivery
 // and keeps draining.
 //
-// # Adaptive batching
+// # Burst cap
 //
-// The dispatch-burst cap — how many deliveries one round may dispatch
-// before the flush — starts at Burst.Initial (64) and adapts per shard:
-// AIMD between Burst.Min and Burst.Max (8..512), halving when a round's
-// drain latency overruns Burst.Target and growing additively when a round
-// saturates the cap under budget with backlog still queued. Burst.Fixed
-// pins the cap for A/B comparisons (the Figure 8 sweep's fixed-vs-adaptive
-// dimension).
+// One round dispatches at most BurstCap deliveries before the flush. The
+// bound exists because everything a round buffers on Out() waits for that
+// flush, and due timers wait for the round to end: an unbounded drain
+// under a flood would hold the first reply, and every expiry, behind the
+// whole backlog. The cap is a constant, not a policy. Under the gated
+// workloads no round dispatches more than about ten deliveries, so the
+// cap binds only under a flood; 64 keeps the worst wait at 64 handler runs
+// while still amortizing one SendBatch per destination over a deep queue.
 package evloop
 
 import (
@@ -109,17 +110,16 @@ type Config struct {
 	Shards int
 	// Category attributes loop time to one of the Figure 9 components.
 	Category stats.Category
-	// Burst is the dispatch-burst policy (zero value = adaptive defaults).
-	Burst Burst
-	// Tick is the shard timer wheel's granularity (0 = TickDefault): the
-	// precision bound on Shard.Timer deadlines. Finer granularity costs
-	// nothing while idle — the wheel jumps empty spans — so the default is
-	// deliberately fine.
-	Tick time.Duration
 }
 
-// TickDefault is the timer-wheel granularity when Config.Tick is zero.
-const TickDefault = time.Millisecond
+// BurstCap is the most deliveries one round dispatches before the flush;
+// see the package comment.
+const BurstCap = 64
+
+// wheelTick is every shard wheel's granularity: the precision bound on
+// Shard.Timer deadlines. Fine granularity costs nothing while idle — the
+// wheel jumps empty spans.
+const wheelTick = time.Millisecond
 
 // Group is a set of sharded event loops sharing one lifecycle: Run runs
 // every loop until Stop cancels the group context.
@@ -138,7 +138,7 @@ type Group struct {
 }
 
 // Shard is one event loop: its own kernel process, dispatch table, Batcher
-// and burst controller, touched only by its own goroutine once Run starts.
+// and timer wheel, touched only by its own goroutine once Run starts.
 type Shard struct {
 	g   *Group
 	idx int
@@ -162,8 +162,6 @@ type Shard struct {
 	recvDone   context.CancelFunc
 	recvCancel atomic.Pointer[context.CancelFunc]
 	recvTimer  *time.Timer
-
-	burst *aimd
 }
 
 // New builds a Group of shard.Clamp(cfg.Shards) loops: one kernel process,
@@ -172,9 +170,6 @@ type Shard struct {
 // an un-granted cross-shard send would be silently dropped).
 func New(sys *kernel.System, cfg Config) *Group {
 	n := shard.Clamp(cfg.Shards)
-	if cfg.Tick <= 0 {
-		cfg.Tick = TickDefault
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	g := &Group{sys: sys, cfg: cfg, ctx: ctx, cancel: cancel}
 	for i := 0; i < n; i++ {
@@ -190,8 +185,7 @@ func New(sys *kernel.System, cfg Config) *Group {
 			out:      kernel.NewBatcher(proc),
 			fwd:      proc.Open(nil),
 			handlers: make(map[handle.Handle]Handler),
-			wheel:    NewWheel(time.Now(), cfg.Tick),
-			burst:    newAIMD(cfg.Burst),
+			wheel:    NewWheel(time.Now(), wheelTick),
 		})
 	}
 	for _, s := range g.shards {
@@ -322,10 +316,6 @@ func (s *Shard) AdvanceTimers(now time.Time) int { return s.wheel.Advance(now) }
 // recovered from.
 func (g *Group) HandlerPanics() uint64 { return g.panics.Load() }
 
-// BurstCap reports the shard's current dispatch-burst cap. Exact against a
-// quiescent loop (tests, diagnostics).
-func (s *Shard) BurstCap() int { return s.burst.cap }
-
 // Dispatch routes one delivery through the shard's table: the port's
 // handler, else the fallback, else nothing (unknown ports are dropped like
 // any other undeliverable message). Exposed for construction-time plumbing
@@ -343,8 +333,7 @@ func (s *Shard) Dispatch(d *kernel.Delivery) {
 
 // run is the loop skeleton every trusted service used to copy: block for
 // the first delivery (bounded by the wheel's next deadline), drain up to
-// the burst cap without blocking, flush the Batcher, adapt the cap, turn
-// the wheel.
+// BurstCap without blocking, flush the Batcher, turn the wheel.
 func (s *Shard) run() {
 	if s.mbox == nil {
 		if s.fallback != nil {
@@ -367,29 +356,22 @@ func (s *Shard) run() {
 		if err != nil {
 			return
 		}
-		now := time.Now()
 		if d != nil {
 			stop := prof.Time(s.g.cfg.Category)
-			cap := s.burst.cap
 			s.dispatchRelease(d)
 			n := 1
-			if n < cap {
-				for d := range s.mbox.Drain() {
-					s.dispatchRelease(d)
-					if n++; n >= cap {
-						break
-					}
+			for d := range s.mbox.Drain() {
+				s.dispatchRelease(d)
+				if n++; n >= BurstCap {
+					break
 				}
 			}
 			s.out.Flush()
-			elapsed := time.Since(now)
-			s.burst.observe(n, elapsed, s.proc.QueueLen())
 			stop()
-			now = now.Add(elapsed)
 		}
 		if !s.wheel.Empty() {
 			stop := prof.Time(s.g.cfg.Category)
-			if s.wheel.Advance(now) > 0 {
+			if s.wheel.Advance(time.Now()) > 0 {
 				s.out.Flush()
 			}
 			stop()

@@ -49,7 +49,7 @@ type Wheel struct {
 // timer precision) anchored at start.
 func NewWheel(start time.Time, tick time.Duration) *Wheel {
 	if tick <= 0 {
-		tick = TickDefault
+		tick = wheelTick
 	}
 	return &Wheel{start: start, tick: tick}
 }

@@ -100,24 +100,13 @@ func provision(n int, prof *stats.Profiler, services ...okws.Service) (*okws.Ser
 // provisionSharded is provision with the trusted services sharded; the
 // parallel/sharded sweeps use it.
 func provisionSharded(n, shards int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
-	return provisionBurst(n, shards, 0, prof, services...)
+	return provisionIdd(n, shards, 0, prof, services...)
 }
 
 // provisionIdd is provisionSharded with idd's shard count pinned
 // independently (0 follows shards); the idd-sharding sweep uses it.
 func provisionIdd(n, shards, iddShards int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
 	srv, err := okws.Launch(okws.Config{Seed: 42, Shards: shards, IddShards: iddShards,
-		Profiler: prof, Services: services})
-	if err != nil {
-		return nil, nil, err
-	}
-	return seedUsers(srv, n)
-}
-
-// provisionBurst is provisionSharded with the event loops' burst policy
-// pinned (0 = adaptive, the default); the fixed-vs-adaptive sweeps use it.
-func provisionBurst(n, shards, fixedBurst int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
-	srv, err := okws.Launch(okws.Config{Seed: 42, Shards: shards, FixedBurst: fixedBurst,
 		Profiler: prof, Services: services})
 	if err != nil {
 		return nil, nil, err
@@ -430,35 +419,6 @@ func Figure8(connections, okwsSessions int) ([]Fig8Row, error) {
 		res := workload.Run(srv.Network(), 80, reqs, LatencyConcurrency)
 		rows = append(rows, Fig8Row{
 			Server: fmt.Sprintf("OKWS, %d session(s)", n),
-			Median: us(res.Latency.Median()),
-			P90:    us(res.Latency.P90()),
-		})
-		srv.Stop()
-	}
-	return rows, nil
-}
-
-// Figure8Burst extends the Figure 8 sweep with the event loops'
-// fixed-vs-adaptive-burst dimension: the same OKWS latency measurement
-// under the adaptive AIMD dispatch cap (the default) and under the
-// pre-adaptive fixed cap of 64. Adaptive batching trades nothing it cannot
-// win back — the cap only grows while rounds stay under the latency
-// target — so the adaptive rows must not regress against the fixed ones.
-func Figure8Burst(connections, sessions int) ([]Fig8Row, error) {
-	var rows []Fig8Row
-	for _, variant := range []struct {
-		name  string
-		fixed int
-	}{{"adaptive", 0}, {"fixed-64", 64}} {
-		srv, usrs, err := provisionBurst(sessions, 1, variant.fixed, nil,
-			okws.Service{Name: "echo", Handler: echoHandler})
-		if err != nil {
-			return nil, err
-		}
-		reqs := workload.SessionWorkload(usrs, "/echo?n=11", max(1, connections/sessions))
-		res := workload.Run(srv.Network(), 80, reqs, LatencyConcurrency)
-		rows = append(rows, Fig8Row{
-			Server: fmt.Sprintf("OKWS %s burst, %d sessions", variant.name, sessions),
 			Median: us(res.Latency.Median()),
 			P90:    us(res.Latency.P90()),
 		})

@@ -170,26 +170,6 @@ func TestFigure8Shape(t *testing.T) {
 	}
 }
 
-func TestFigure8BurstShape(t *testing.T) {
-	rows, err := Figure8Burst(200, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want adaptive + fixed-64", len(rows))
-	}
-	for _, r := range rows {
-		if r.Median <= 0 || r.P90 < r.Median {
-			t.Errorf("%s: median %.0fµs p90 %.0fµs malformed", r.Server, r.Median, r.P90)
-		}
-	}
-	// No latency ORDER assertion between the two variants: on a loaded test
-	// box the medians are within noise of each other (which is the point —
-	// adaptive batching must not cost latency); the A/B magnitude and its
-	// run conditions are recorded in CHANGES.md, in the entry that extracted
-	// internal/evloop.
-}
-
 func TestFigure9Shape(t *testing.T) {
 	// 20 sessions as the small point, not 1: the per-connection averages
 	// divide by sessions×4 connections, and a 4-connection sample is so

@@ -86,7 +86,6 @@ func TestLadderDelayArithmetic(t *testing.T) {
 func TestBackoffLockout(t *testing.T) {
 	h, _ := bootOpts(t, idd.Options{
 		Ladder: []idd.BackoffRung{{Fails: 2, Delay: 120 * time.Millisecond}},
-		Tick:   5 * time.Millisecond,
 	})
 	client := h.sys.NewProcess("client")
 

@@ -31,9 +31,10 @@
 // count and, past the ladder's first rung (Options.Ladder; DefaultLadder:
 // 3 fails → 5s … 10 fails → 5min), locks the name out. Attempts against a
 // locked name are not verified at all — no hashing, no database — their
-// failure replies are deferred until the lockout expires (driven by the
-// shard's evloop tick), so a credential-stuffing flood costs the attacker
-// time instead of idd capacity. A success resets the name's ladder.
+// failure replies are deferred until the lockout expires (driven by a
+// timer on the shard's evloop wheel), so a credential-stuffing flood costs
+// the attacker time instead of idd capacity. A success resets the name's
+// ladder.
 //
 // Passwords are stored as PHC-encoded Argon2id strings (internal/passhash)
 // and compared in constant time. Seed-era plaintext rows still work: the
@@ -159,12 +160,10 @@ const maxDeferredPerUser = 8
 const DefaultCacheCap = 1 << 14
 
 // Options configures NewOpts. The zero value reproduces New: one shard,
-// adaptive burst, DefaultCacheCap, ServerParams hashing, DefaultLadder.
+// DefaultCacheCap, ServerParams hashing, DefaultLadder.
 type Options struct {
 	// Shards is the event-loop count (clamped like every shard knob).
 	Shards int
-	// Burst is the evloop dispatch-burst policy.
-	Burst evloop.Burst
 	// CacheCap bounds the per-service identity cache and backoff table
 	// (0 = DefaultCacheCap), split across shards.
 	CacheCap int
@@ -175,10 +174,6 @@ type Options struct {
 	// Ladder is the failed-login lockout ladder in ascending Fails order.
 	// nil = DefaultLadder; an explicit empty slice disables lockout.
 	Ladder []BackoffRung
-	// Tick overrides the evloop timer-wheel granularity, which bounds the
-	// precision of lockout-expiry timers (0 = evloop.TickDefault). Tests
-	// shrink it.
-	Tick time.Duration
 }
 
 // Idd is the identity server: sharded dispatchers on the shared
@@ -277,8 +272,6 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 		Name:     "idd",
 		Shards:   o.Shards,
 		Category: stats.CatOKWS,
-		Burst:    o.Burst,
-		Tick:     o.Tick,
 	})
 	i := &Idd{sys: sys, g: g, hash: o.Hash, ladder: o.Ladder}
 	n := g.Shards()

@@ -49,8 +49,7 @@ type Netd struct {
 
 // netdShard is one event loop: its own process, driver port and connection
 // table, touched only by its own loop. The loop skeleton — mailbox drain,
-// adaptive burst cap, Batcher flush, cross-shard forward grants, ctx-driven
-// stop — lives in lp.
+// Batcher flush, cross-shard forward grants, ctx-driven stop — lives in lp.
 type netdShard struct {
 	nd  *Netd
 	idx int
@@ -106,8 +105,6 @@ type pendingRead struct {
 type Options struct {
 	// Shards is the number of replicated event loops (<=0 means one).
 	Shards int
-	// Burst is the evloop dispatch-burst policy (zero value = adaptive).
-	Burst evloop.Burst
 	// IdleTimeout evicts and closes connections with no port operation or
 	// wire activity for the given duration — the coarse backstop under the
 	// demux's per-request deadlines, catching connections whose owner has
@@ -115,9 +112,8 @@ type Options struct {
 	IdleTimeout time.Duration
 }
 
-// New boots a single-loop netd on sys; NewSharded replicates the loop with
-// the default adaptive burst policy, NewShardedBurst with an explicit one,
-// and NewOpts exposes every knob.
+// New boots a single-loop netd on sys; NewSharded replicates the loop, and
+// NewOpts exposes every knob.
 func New(sys *kernel.System) *Netd {
 	return NewSharded(sys, 1)
 }
@@ -125,12 +121,6 @@ func New(sys *kernel.System) *Netd {
 // NewSharded boots netd with n replicated event loops.
 func NewSharded(sys *kernel.System, n int) *Netd {
 	return NewOpts(sys, Options{Shards: n})
-}
-
-// NewShardedBurst boots netd with n replicated event loops under the given
-// dispatch-burst policy.
-func NewShardedBurst(sys *kernel.System, n int, burst evloop.Burst) *Netd {
-	return NewOpts(sys, Options{Shards: n, Burst: burst})
 }
 
 // NewOpts boots netd from Options. It creates one evloop shard and driver
@@ -141,7 +131,6 @@ func NewOpts(sys *kernel.System, o Options) *Netd {
 		Name:     "netd",
 		Shards:   o.Shards,
 		Category: stats.CatNetwork,
-		Burst:    o.Burst,
 	})
 	n := g.Shards()
 	nd := &Netd{sys: sys, g: g, idle: o.IdleTimeout}
@@ -237,7 +226,7 @@ func (nd *Netd) Processes() []*kernel.Process {
 
 // Run runs every shard's event loop on the evloop runtime; it returns when
 // Stop cancels the group context (or the processes are killed). Deliveries
-// are dispatched in adaptive bursts so the reply traffic they generate —
+// are dispatched in bursts so the reply traffic they generate —
 // read replies, write acks, new-connection notifications — coalesces into
 // one SendBatch per destination.
 func (nd *Netd) Run() { nd.g.Run() }

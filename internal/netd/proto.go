@@ -1,9 +1,9 @@
 // Package netd implements the Asbestos network server (paper §7.7) through
 // which all network traffic flows — replicated into N event loops (shards)
 // on the shared internal/evloop runtime, each owning a disjoint slice of
-// the connections by id hash (the runtime provides the burst-draining
-// loop, adaptive dispatch caps, reply batching, cross-shard forward ports
-// and delivery release; see the evloop package doc for its ownership and
+// the connections by id hash (the runtime provides the capped
+// burst-draining loop, reply batching, cross-shard forward ports and
+// delivery release; see the evloop package doc for its ownership and
 // Release rules). netd wraps each connection in an Asbestos port, services
 // READ/WRITE/CONTROL/SELECT messages on that port, and optionally taints
 // each connection with a user handle so that every byte read from user u's

@@ -215,15 +215,12 @@ const loginDeadline = 100 * time.Millisecond
 // so a probe MAY duplicate the session's event process (same replica; the
 // newer registration wins and parked connections drain to it) — liveness
 // over strict EP uniqueness. redealAfter therefore sits above the loop's
-// initial dispatch-burst cap (evloop.DefaultInitial): a registration
-// already queued behind one full starting burst is still processed before
-// the queue can reach the probe threshold. (The adaptive cap can grow past
-// redealAfter under sustained backlog, but only while the loop is keeping
-// up — precisely the regime where registrations are being processed, not
-// lost.)
+// dispatch-burst cap (evloop.BurstCap): a registration already queued
+// behind one full burst is still processed before the queue can reach the
+// probe threshold.
 const (
 	maxParkedPerSession = 256
-	redealAfter         = 2 * evloop.DefaultInitial
+	redealAfter         = 2 * evloop.BurstCap
 )
 
 // DefaultSessionCap and DefaultIDCacheCap bound the demux's two
@@ -263,11 +260,9 @@ type dconn struct {
 // ports; the launcher then registers workers' verification handles directly.
 // sessionCap and idCacheCap bound the per-demux tables (0 = defaults);
 // reqDeadline and sessionTTL are the per-request and per-session lifecycle
-// bounds (0 = none); burst is the evloop dispatch-burst policy (zero value
-// = adaptive).
+// bounds (0 = none).
 func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Handle,
-	shards, sessionCap, idCacheCap int, reqDeadline, sessionTTL time.Duration,
-	burst evloop.Burst) *Demux {
+	shards, sessionCap, idCacheCap int, reqDeadline, sessionTTL time.Duration) *Demux {
 	if sessionCap <= 0 {
 		sessionCap = DefaultSessionCap
 	}
@@ -278,12 +273,11 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 	// The runtime owns the loop skeleton: shard processes, forward ports
 	// with ⋆ grants for every ordered pair (a sibling's opFwdConn or
 	// opShardWorker to a capability-closed port would be silently dropped),
-	// burst policy, Batcher flush, the login-deadline timer, and stop.
+	// the burst drain, Batcher flush, the login-deadline timer, and stop.
 	g := evloop.New(sys, evloop.Config{
 		Name:     "ok-demux",
 		Shards:   shards,
 		Category: stats.CatOKWS,
-		Burst:    burst,
 	})
 	shards = g.Shards()
 	perShard := func(total int) int {
@@ -414,7 +408,7 @@ func (dm *Demux) registeredWorkers() int {
 }
 
 // Run runs every shard's event loop on the evloop runtime: each loop
-// dispatches deliveries in adaptive bursts, so the handoffs a burst
+// dispatches deliveries in bursts, so the handoffs a burst
 // generates coalesce into one SendBatch per destination worker (flush)
 // instead of one syscall each.
 func (dm *Demux) Run() { dm.g.Run() }

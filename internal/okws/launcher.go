@@ -8,7 +8,6 @@ import (
 
 	"asbestos/internal/db"
 	"asbestos/internal/dbproxy"
-	"asbestos/internal/evloop"
 	"asbestos/internal/handle"
 	"asbestos/internal/idd"
 	"asbestos/internal/kernel"
@@ -77,15 +76,8 @@ type Config struct {
 	// each login straight to the owner.
 	IddShards int
 	// IddOptions tunes idd beyond the shard count (cache bound, hashing
-	// cost, lockout ladder). Shards and Burst inside it are overridden by
-	// IddShards and FixedBurst.
+	// cost, lockout ladder). Shards inside it is overridden by IddShards.
 	IddOptions idd.Options
-	// FixedBurst pins every trusted event loop's dispatch-burst cap
-	// (FixedBurst: 64 reproduces the pre-adaptive loops). 0 — the default —
-	// enables adaptive batching: each shard's cap starts at 64 and
-	// AIMD-adjusts between 8 and 512 from observed drain latency vs. queue
-	// depth (internal/evloop). The Figure 8 sweep compares the two.
-	FixedBurst int
 	// RequestDeadline bounds each request's demux-side life — header read,
 	// login round trips, taint, handoff — and rides into the worker as the
 	// handler context's deadline, so one clock covers the whole chain. A
@@ -105,11 +97,6 @@ type Config struct {
 	// (kernel.WithFaultInjector); see internal/faultinject. Nil — always,
 	// outside chaos tests — costs one pointer check per send.
 	FaultInjector kernel.FaultInjector
-}
-
-// burst resolves the FixedBurst knob into the evloop policy.
-func (cfg Config) burst() evloop.Burst {
-	return evloop.Burst{Fixed: cfg.FixedBurst}
 }
 
 // shardCount resolves the Shards knob.
@@ -167,18 +154,16 @@ func Launch(cfg Config) (*Server, error) {
 	sys := kernel.NewSystem(opts...)
 	nd := netd.NewOpts(sys, netd.Options{
 		Shards:      shards,
-		Burst:       cfg.burst(),
 		IdleTimeout: cfg.IdleTimeout,
 	})
 	database := db.Open()
-	proxy := dbproxy.NewShardedBurst(sys, database, shards, cfg.burst())
+	proxy := dbproxy.NewSharded(sys, database, shards)
 	iddOpts := cfg.IddOptions
 	iddOpts.Shards = cfg.iddShardCount()
-	iddOpts.Burst = cfg.burst()
 	iddSrv := idd.NewOpts(sys, proxy, iddOpts)
 	demux := newDemux(sys, nd.ServicePort(), iddSrv.LoginPorts(),
 		shards, cfg.SessionTableCap, cfg.IDCacheCap,
-		cfg.RequestDeadline, cfg.SessionTTL, cfg.burst())
+		cfg.RequestDeadline, cfg.SessionTTL)
 
 	s := &Server{
 		Sys:      sys,

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"asbestos/internal/evloop"
 	"asbestos/internal/handle"
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/kernel"
@@ -69,7 +68,7 @@ func TestServerStopReleasesGoroutines(t *testing.T) {
 // mechanism.
 func TestDemuxStopsViaContextAlone(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(78))
-	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, 0, 0, evloop.Burst{}) // dangling service handles: never used; 2 shards
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, 0, 0) // dangling service handles: never used; 2 shards
 	done := make(chan struct{})
 	go func() {
 		dm.Run()

@@ -25,13 +25,11 @@
 // default one loop per core): ok-demux, netd and ok-dbproxy each run N
 // independent event loops on the shared internal/evloop runtime — each its
 // own kernel process with exclusively owned state, no shared maps, no
-// locks. The runtime owns the loop skeleton (mailbox burst drain with an
-// adaptive cap, Batcher flush, cross-shard forward ports with pre-exchanged
-// ⋆ grants, delivery release, ctx-driven stop; see the evloop package doc
-// for the ownership and Release rules); the services contribute only their
-// dispatch handlers and tables. Config.FixedBurst pins the dispatch-burst
-// cap for A/B measurement; by default each shard's cap adapts to load.
-// The ownership rules:
+// locks. The runtime owns the loop skeleton (mailbox burst drain bounded by
+// evloop.BurstCap, Batcher flush, cross-shard forward ports with
+// pre-exchanged ⋆ grants, delivery release, ctx-driven stop; see the evloop
+// package doc for the ownership and Release rules); the services contribute
+// only their dispatch handlers and tables. The ownership rules:
 //
 //   - USERS are owned by demux shard shard.Of(user, N). That shard holds
 //     the user's session and dealt entries, its login-cache line, and

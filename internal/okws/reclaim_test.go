@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"asbestos/internal/evloop"
 	"asbestos/internal/handle"
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/idd"
@@ -55,7 +54,7 @@ func TestPendingLoginDeadlineReissues(t *testing.T) {
 	if err := loginPort.SetLabel(label.Empty(label.L3)); err != nil {
 		t.Fatal(err)
 	}
-	dm := newDemux(sys, 1<<40, []handle.Handle{loginPort.Handle()}, 1, 0, 0, 0, 0, evloop.Burst{})
+	dm := newDemux(sys, 1<<40, []handle.Handle{loginPort.Handle()}, 1, 0, 0, 0, 0)
 	s := dm.shards[0]
 
 	mk := func(user string) *dconn {
@@ -185,7 +184,7 @@ func TestEvictionExitsWorkerSession(t *testing.T) {
 // strand it. Driven directly against one shard.
 func TestSupersededRegistrationReclaimsOldSession(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(41))
-	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0, evloop.Burst{})
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0)
 	s := dm.shards[0]
 	verif := s.proc.NewHandle()
 	s.verif["svc"] = []handle.Handle{verif}

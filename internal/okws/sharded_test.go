@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"asbestos/internal/dbproxy"
-	"asbestos/internal/evloop"
 	"asbestos/internal/handle"
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/idd"
@@ -32,7 +31,7 @@ func echoBody(c *Ctx, req *httpmsg.Request) *httpmsg.Response {
 // the trusted demux. Every demux dispatch path must ignore empty payloads.
 func TestEmptyDeliveryDoesNotPanicDemux(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(31))
-	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, 0, 0, evloop.Burst{}) // dangling service handles
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, 0, 0) // dangling service handles
 	s := dm.shards[0]
 
 	// A connection mid-header-read, exactly the state the panic needed.
@@ -280,7 +279,7 @@ func TestShardedSessionPinningStress(t *testing.T) {
 // credential pair, and stray or garbled replies match nothing.
 func TestLoginReplyTokenMatching(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(36))
-	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0, evloop.Burst{}) // dangling service handles
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0) // dangling service handles
 	s := dm.shards[0]
 
 	mk := func(user string) *dconn {
@@ -339,7 +338,7 @@ func TestLoginReplyTokenMatching(t *testing.T) {
 // draining every parked connection.
 func TestParkedProbeCadenceAndCap(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(37))
-	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0, evloop.Burst{}) // dangling service handles
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0) // dangling service handles
 	s := dm.shards[0]
 	base := handle.Handle(1 << 44)
 	s.workers["svc"] = []handle.Handle{base}

@@ -19,8 +19,8 @@ type WebServer = okws.Server
 // WebService describes one OKWS worker.
 type WebService = okws.Service
 
-// WebConfig configures LaunchWeb. Besides the shard/burst knobs for the
-// trusted services, it tunes the identity server: IddShards loops sharded
+// WebConfig configures LaunchWeb. Besides the shard knobs for the trusted
+// services, it tunes the identity server: IddShards loops sharded
 // by username hash (0 follows Shards), and IddOptions for the login path's
 // semantics — passwords are stored as Argon2id hashes and verified in
 // constant time, each idd shard holds a bounded LRU identity cache so
