@@ -23,10 +23,10 @@ type Cache[K comparable, V any] struct {
 	size atomic.Int64
 
 	// onEvict, when set, observes capacity evictions (not Deletes) — the
-	// demux uses it to settle state hanging off the evicted key (parked
-	// connections of an evicted dealt pin), and idd uses it to keep its
-	// cache and the dbproxy mappings reconciled, instead of stranding
-	// either.
+	// demux uses it to settle state hanging off the evicted key (a bound
+	// session's event process, or the connections parked behind a pin, and
+	// the entry's timer either way), and idd uses it to keep its cache and
+	// the dbproxy mappings reconciled, instead of stranding either.
 	onEvict func(K, V)
 }
 

@@ -12,9 +12,10 @@ import (
 // goroutines. Encapsulating the counter here keeps the two in sync at
 // every call site by construction.
 //
-// The demux's bounded tables (sessions, dealt pins, login cache) live on
-// internal/lru — the generic LRU grew out of this file and moved there when
-// idd needed the same bound for its identity cache and backoff table.
+// The demux's bounded tables (the session table, which holds pinned and
+// bound entries alike, and the login cache) live on internal/lru — the
+// generic LRU grew out of this file and moved there when idd needed the
+// same bound for its identity cache and backoff table.
 type connTable struct {
 	m    map[handle.Handle]*dconn
 	size atomic.Int64

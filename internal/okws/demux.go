@@ -27,14 +27,13 @@ import (
 //
 //   - Each shard is its own kernel process (an evloop.Shard) with its own
 //     ports, and every piece of per-user and per-connection state (session
-//     table, dealt table, connection table, login cache, round-robin
-//     counters) is private to one shard's loop. No state is shared, so no
-//     locking.
+//     table, connection table, login cache, round-robin counters) is
+//     private to one shard's loop. No state is shared, so no locking.
 //   - A USER is owned by shard.Of(user, N): that shard authenticates the
 //     user, holds the session entry, and performs every handoff — so a
 //     session can never split across shards.
 //   - A CONNECTION initially belongs to whichever shard netd's round-robin
-//     dealt it to; that shard reads and parses the headers. If the parsed
+//     handed it to; that shard reads and parses the headers. If the parsed
 //     user hashes elsewhere, the connection is forwarded (opFwdConn,
 //     re-granting uC ⋆) to its owner before authentication.
 //   - Worker registration is serialized through shard 0's registration
@@ -95,31 +94,16 @@ type demuxShard struct {
 	declassifier map[string]bool
 	ephemeral    map[string]bool
 
-	// sessions maps (user, service) to the session's event-process port;
-	// established sessions stay pinned to it. dealt records which replica a
-	// fresh user was dealt to until the worker registers the session port,
-	// so two quick connections from a new user cannot land on different
-	// replicas. rr advances only when a genuinely fresh user is dealt.
-	// All three are per-shard: a user's entries live only in the owning
-	// shard. sessions and dealt are bounded (LRU): evicting a session is
-	// safe (a routing cache — the user merely re-deals), while evicting a
-	// dealt pin settles its parked queue first (see the lru.NewEvict hook),
-	// since every dealt entry is an in-flight registration by definition.
-	sessions *lru.Cache[sessionKey, handle.Handle]
-	dealt    *lru.Cache[sessionKey, handle.Handle]
+	// sessions maps (user, service) to its one entry, pinned or bound (see
+	// session): a fresh user's key is pinned to the replica chosen for it
+	// until the worker registers the session port, so two quick
+	// connections from a new user cannot land on different replicas, and
+	// bound from then on. rr advances only when a genuinely fresh user is
+	// assigned a replica. Both are per-shard: a user's entry lives only in
+	// the owning shard. sessions is bounded (LRU); retire settles an
+	// evicted entry.
+	sessions *lru.Cache[sessionKey, *session]
 	rr       map[string]uint64
-
-	// sessTimers holds each live session's TTL timer (only when the demux
-	// has a sessionTTL). A handoff touching the session re-arms its timer;
-	// expiry evicts the entry and reclaims the worker's event process, so
-	// an abandoned session costs a bounded amount of worker memory.
-	sessTimers map[sessionKey]*evloop.Timer
-
-	// parked holds connections that arrived for a dealt-but-unregistered
-	// session: handing each a fresh opStart would split the session over
-	// several event processes, so they wait for the worker's session-port
-	// registration and then ride the pinned continuation path.
-	parked map[sessionKey]*parkedSet
 
 	conns *connTable // per-connection reply port → state
 
@@ -161,66 +145,49 @@ func credKeyOf(user, pass string) credKey {
 	return sha256.Sum256(buf)
 }
 
-// parkedSet tracks one dealt-but-unregistered session's queue: the waiting
-// connections plus a count of every arrival since the pin (including the
-// ones sent as probes, which do not wait) — the probe cadence and the
-// flood cap key off arrivals and queue length respectively, so neither can
-// starve the other.
-type parkedSet struct {
-	waiters  []*dconn
-	arrivals int
+// session is one (user, service) entry. While port is handle.None the key
+// is PINNED: a start is in flight to replica, and waiters are the
+// connections parked behind it — a second fresh start would split the
+// session over two event processes. Registration BINDS the entry to the
+// session port and drains the waiters. timer is the entry's one clock:
+// retryAfter while pinned (expired), then the sessionTTL idle clock once
+// bound — nil with no TTL, so a bound entry arms nothing.
+type session struct {
+	port    handle.Handle
+	replica handle.Handle
+	waiters []*dconn
+	timer   *evloop.Timer
 }
 
 // pendingLogin is one in-flight idd round trip and the connections whose
 // fate it decides. toks lists every token issued for it — the original
-// request plus any re-issues (sends are unreliable, so the login is
-// re-asked both every redealAfter-th coalesced arrival AND once
-// loginDeadline passes with no verdict); the first reply matching any of
-// them settles the set. arrivals counts every connection that coalesced
-// here, pacing the arrival re-issues; lastIssue is the wall clock of the
-// newest request, bounding how long a quiet credential pair whose only
-// request was dropped can wait; waiters is capped at maxParkedPerSession
-// like the parked-session queue.
+// request plus each re-issue — and the first reply matching any of them
+// settles the set; waiters is capped at maxParkedPerSession like a pin's
+// queue. timer fires retryAfter after the newest request and re-asks idd
+// under a fresh token (loginExpired); the settling reply stops it, so a
+// shard with no pending login arms nothing.
 type pendingLogin struct {
-	key       credKey
-	toks      []uint64
-	waiters   []*dconn
-	arrivals  int
-	lastIssue time.Time
-
-	// timer fires at lastIssue+loginDeadline and re-issues the login under
-	// a fresh token (loginExpired); the settling reply stops it. Per-key
-	// timers on the shard wheel replaced the old standing tick: a shard
-	// with no pending login arms nothing.
-	timer *evloop.Timer
+	key     credKey
+	toks    []uint64
+	waiters []*dconn
+	timer   *evloop.Timer
 }
 
-// loginDeadline is the wall-clock bound on a pending login: a pending set
-// whose newest idd request is older than this is re-issued under a fresh
-// token by the shard's timer tick. Arrival-paced re-issues (every
-// redealAfter-th coalesced connection) already bound busy credential
-// pairs; the deadline bounds the QUIET pair whose only request — or its
-// reply — was silently dropped and for which no further arrivals would
-// ever trigger a retry.
-const loginDeadline = 100 * time.Millisecond
-
-// maxParkedPerSession bounds connections waiting for one in-flight session
-// registration; a flood beyond it is refused with 503 instead of holding
-// demux memory. redealAfter is the lost-registration escape hatch: every
-// redealAfter-th arrival for the pinned key is sent to the pinned replica
-// as a fresh start instead of parking, so a silently dropped
-// start/registration can strand at most a bounded prefix of a user's
-// connections, never the user.
-// The demux cannot distinguish a lost registration from a merely slow one,
-// so a probe MAY duplicate the session's event process (same replica; the
-// newer registration wins and parked connections drain to it) — liveness
-// over strict EP uniqueness. redealAfter therefore sits above the loop's
-// dispatch-burst cap (evloop.BurstCap): a registration already queued
-// behind one full burst is still processed before the queue can reach the
-// probe threshold.
+// retryAfter is the demux's one clock on a message that can be lost (§4:
+// sends are unreliable). A pending login with no verdict retryAfter after
+// its newest request is re-asked; a pin with no registration retryAfter
+// after its newest start probes its oldest waiter to the same replica.
+// Nothing waits on more traffic, so a quiet user recovers on the clock
+// alone. The demux cannot tell a lost registration from a slow one, so a
+// probe MAY duplicate the session's event process (the newer registration
+// wins and the loser is evicted) — liveness over strict EP uniqueness.
+//
+// maxParkedPerSession bounds the connections waiting on one in-flight
+// start or login; a flood beyond it is refused with 503 instead of holding
+// demux memory.
 const (
+	retryAfter          = 100 * time.Millisecond
 	maxParkedPerSession = 256
-	redealAfter         = 2 * evloop.BurstCap
 )
 
 // DefaultSessionCap and DefaultIDCacheCap bound the demux's two
@@ -244,16 +211,13 @@ type dconn struct {
 	reply handle.Handle
 	buf   []byte
 	raw   []byte // the parsed request's wire bytes, forwarded on handoff
-	taint bool   // AddTaint acknowledged
 	req   *httpmsg.Request
 	id    idd.Identity
 
 	// deadline is the request's demux-side deadline timer (nil when the
 	// demux has no reqDeadline); expiry 504s and tears the connection down
-	// wherever it is parked. failing suppresses a second error write when
-	// expiry races an in-flight fail().
+	// wherever it is parked.
 	deadline *evloop.Timer
-	failing  bool
 }
 
 // newDemux wires a sharded demux against existing netd and idd service
@@ -273,7 +237,7 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 	// The runtime owns the loop skeleton: shard processes, forward ports
 	// with ⋆ grants for every ordered pair (a sibling's opFwdConn or
 	// opShardWorker to a capability-closed port would be silently dropped),
-	// the burst drain, Batcher flush, the login-deadline timer, and stop.
+	// the burst drain, Batcher flush, the timer wheel, and stop.
 	g := evloop.New(sys, evloop.Config{
 		Name:     "ok-demux",
 		Shards:   shards,
@@ -310,35 +274,14 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 			workers:       make(map[string][]handle.Handle),
 			declassifier:  make(map[string]bool),
 			ephemeral:     make(map[string]bool),
-			parked:        make(map[sessionKey]*parkedSet),
 			rr:            make(map[string]uint64),
-			sessTimers:    make(map[sessionKey]*evloop.Timer),
 			conns:         newConnTable(),
 			idCache:       lru.New[credKey, idd.Identity](perShard(idCacheCap)),
 			pendingLogins: make(map[credKey]*pendingLogin),
 			pendingByTok:  make(map[uint64]*pendingLogin),
 			out:           lp.Out(),
 		}
-		// A session entry is a routing cache, so evicting one is safe for
-		// the DEMUX — but the worker still holds the session's event
-		// process, which nothing would ever reclaim. Tell the worker to
-		// ep_exit the orphan (ROADMAP: eviction → ep_exit) and retire the
-		// TTL timer with the entry.
-		s.sessions = lru.NewEvict(perShard(sessionCap), func(key sessionKey, port handle.Handle) {
-			s.stopSessTTL(key)
-			s.evictSession(port)
-		})
-		// Every dealt entry is an IN-FLIGHT pin (registration deletes it),
-		// so capacity eviction must settle the evicted key's parked queue:
-		// stranding those connections — or letting the user's next arrival
-		// re-deal to a different replica while waiters drain to the first —
-		// is exactly the split this table exists to prevent. The evicted
-		// user transiently may end up with a duplicate event process
-		// (whichever session registers last wins), which only occurs past
-		// perShard(sessionCap) concurrent unregistered users.
-		s.dealt = lru.NewEvict(perShard(sessionCap), func(key sessionKey, _ handle.Handle) {
-			s.dropParked(key)
-		})
+		s.sessions = lru.NewEvict(perShard(sessionCap), s.retire)
 		s.verif = make(map[string][]handle.Handle)
 		if i == 0 {
 			reg := proc.Open(nil)
@@ -502,33 +445,33 @@ func (s *demuxShard) handleSession(d *kernel.Delivery) {
 		return
 	}
 	key := sessionKey{user, service}
-	if old, ok := s.sessions.Get(key); ok && old != port {
-		// A re-registration superseding an earlier session (the probe
-		// escape hatch can duplicate an EP; the newer registration wins):
-		// reclaim the loser's event process just like an LRU eviction.
-		s.evictSession(old)
+	e, ok := s.sessions.Get(key)
+	if !ok {
+		e = s.track(key, handle.None)
+	} else if e.port != handle.None && e.port != port {
+		// A re-registration superseding an earlier session (a probe can
+		// duplicate an EP; the newer registration wins): reclaim the
+		// loser's event process just like an LRU eviction.
+		s.evictSession(e.port)
 	}
-	s.sessions.Put(key, port)
-	s.touchSessTTL(key)
-	s.dealt.Delete(key) // the provisional pin graduated to a real session
-	// Connections that raced the registration ride the pinned path now —
-	// handing them fresh starts would have split the session across event
-	// processes. Waiters whose request deadline already tore them down are
-	// skipped: their uC ⋆ is gone, and batching a grant for it would
-	// poison the whole flush (a batch is rejected atomically).
-	ps := s.parked[key]
-	delete(s.parked, key)
-	if ps == nil {
-		return
+	e.port = port
+	// The entry's clock turns from the retry deadline into the idle TTL.
+	if s.dm.sessionTTL > 0 {
+		e.timer.Arm(time.Now().Add(s.dm.sessionTTL))
+	} else if e.timer != nil {
+		e.timer.Stop()
+		e.timer = nil
 	}
-	for _, cs := range ps.waiters {
-		if !s.live(cs) {
-			continue
+	// Connections that raced the registration ride the bound path now.
+	// Waiters whose request deadline already tore them down are skipped:
+	// their uC ⋆ is gone, and batching a grant for it would poison the
+	// whole flush (a batch is rejected atomically).
+	for _, cs := range e.waiters {
+		if s.live(cs) {
+			s.cont(port, cs)
 		}
-		s.out.Add(port, encodeCont(cont{Conn: cs.uC.Handle(), DeadlineMS: cs.remainingMS(), Buf: cs.raw}),
-			&kernel.SendOpts{DecontSend: kernel.Grant(cs.uC.Handle())})
-		s.release(cs)
 	}
+	e.waiters = nil
 }
 
 // handleFwd processes shard-internal traffic: worker-table broadcasts from
@@ -605,7 +548,7 @@ func (s *demuxShard) handleConnReply(cs *dconn, d *kernel.Delivery) {
 				cs.raw = cs.buf[:n]
 				s.route(cs)
 			case rr.EOF:
-				s.drop(cs)
+				s.fail(cs, 0)
 			default:
 				netd.Read(cs.uC, cs.reply, 4096)
 			}
@@ -621,13 +564,7 @@ func (s *demuxShard) handleConnReply(cs *dconn, d *kernel.Delivery) {
 		return
 	}
 	if d.Data[0] == netd.OpAddTaintReply {
-		cs.taint = true
 		s.handoff(cs)
-		return
-	}
-	if d.Data[0] == netd.OpControlReply {
-		// Completion of an error response (fail); tear down.
-		s.drop(cs)
 	}
 }
 
@@ -685,15 +622,6 @@ func (s *demuxShard) authenticate(cs *dconn) {
 		return
 	}
 	if pl := s.pendingLogins[key]; pl != nil {
-		pl.arrivals++
-		if pl.arrivals%redealAfter == 0 {
-			// The outstanding request (or its reply) may have been silently
-			// dropped; re-ask idd under a fresh token so the credential
-			// pair cannot stay wedged forever. A late duplicate reply is
-			// harmless: the first match settles the set, the rest find no
-			// pending token.
-			s.reissueLogin(time.Now(), pl, user, pass)
-		}
 		if len(pl.waiters) >= maxParkedPerSession {
 			s.fail(cs, 503)
 			return
@@ -706,50 +634,25 @@ func (s *demuxShard) authenticate(cs *dconn) {
 		s.fail(cs, 500)
 		return
 	}
-	pl := &pendingLogin{key: key, toks: []uint64{s.loginTok},
-		waiters: []*dconn{cs}, arrivals: 1, lastIssue: time.Now()}
+	pl := &pendingLogin{key: key, toks: []uint64{s.loginTok}, waiters: []*dconn{cs}}
 	s.pendingLogins[key] = pl
 	s.pendingByTok[s.loginTok] = pl
-	// Arm the per-key deadline: it must fire even if no further connection
-	// ever arrives for this credential pair.
+	// Arm the per-key retry clock: it must fire even if no further
+	// connection ever arrives for this credential pair.
 	pl.timer = s.lp.Timer(func(now time.Time) { s.loginExpired(now, pl) })
-	pl.timer.Arm(pl.lastIssue.Add(loginDeadline))
+	pl.timer.Arm(time.Now().Add(retryAfter))
 }
 
-// reissueLogin asks idd again for an in-flight login under a fresh token.
-// Called on both retry paths — every redealAfter-th coalesced arrival and
-// the per-key loginDeadline timer.
-func (s *demuxShard) reissueLogin(now time.Time, pl *pendingLogin, user, pass string) {
-	s.loginTok++
-	pl.lastIssue = now
-	// Push the wall-clock deadline out behind the newest request; if this
-	// re-issue (or its reply) is dropped too, the timer retries again.
-	pl.timer.Arm(pl.lastIssue.Add(loginDeadline))
-	if idd.Login(s.iddPort(user), s.loginTok, user, pass, s.loginReply.Handle()) != nil {
-		return
-	}
-	pl.toks = append(pl.toks, s.loginTok)
-	s.pendingByTok[s.loginTok] = pl
-	// Keep only the newest few tokens live: under sustained reply loss the
-	// re-issues must not grow pendingByTok without bound (a reply to a
-	// retired token is then ignored, exactly like any other stray).
-	const maxLiveTokens = 8
-	if len(pl.toks) > maxLiveTokens {
-		delete(s.pendingByTok, pl.toks[0])
-		pl.toks = pl.toks[1:]
-	}
-}
-
-// loginExpired is a pending login's deadline handler: the newest idd
-// request for this credential pair aged past loginDeadline with no
+// loginExpired is a pending login's retry clock, its only retry path: the
+// newest idd request for this credential pair aged past retryAfter with no
 // verdict, so it is re-asked under a fresh token — a request or reply
-// silently dropped for a QUIET credential pair is recovered on the wall
-// clock rather than on the user's patience (ROADMAP: login-drop deadline).
-// The waiters hold the parsed request — credentials included — so no
-// plaintext is retained beyond what the in-flight connections already pin.
-// If every waiter has since died to its own request deadline there is
-// nobody left to answer; the pending entry is retired instead of retried
-// forever.
+// silently dropped is recovered on the clock rather than on the user's
+// patience. A late duplicate reply is harmless: the first match settles
+// the set, the rest find no pending token. The waiters hold the parsed
+// request — credentials included — so no plaintext is retained beyond what
+// the in-flight connections already pin. If every waiter has since died to
+// its own request deadline there is nobody left to answer; the pending
+// entry is retired instead of retried forever.
 func (s *demuxShard) loginExpired(now time.Time, pl *pendingLogin) {
 	if s.pendingLogins[pl.key] != pl {
 		return // settled while the expiry was in flight
@@ -758,14 +661,27 @@ func (s *demuxShard) loginExpired(now time.Time, pl *pendingLogin) {
 		if !s.live(cs) {
 			continue
 		}
-		if user, pass, ok := cs.req.User(); ok {
-			// Re-arm relative to the wheel's notion of now (the fire time),
-			// not the wall clock: the two agree in a running loop, and tests
-			// that advance the wheel synthetically must not see the re-armed
-			// deadline land behind the cursor and re-fire in the same sweep.
-			s.reissueLogin(now, pl, user, pass)
+		// Re-arm relative to the wheel's notion of now (the fire time), not
+		// the wall clock: the two agree in a running loop, and tests that
+		// advance the wheel synthetically must not see the re-armed
+		// deadline land behind the cursor and re-fire in the same sweep.
+		pl.timer.Arm(now.Add(retryAfter))
+		user, pass, _ := cs.req.User()
+		s.loginTok++
+		if idd.Login(s.iddPort(user), s.loginTok, user, pass, s.loginReply.Handle()) != nil {
 			return
 		}
+		pl.toks = append(pl.toks, s.loginTok)
+		s.pendingByTok[s.loginTok] = pl
+		// Keep only the newest few tokens live: under sustained reply loss
+		// the re-issues must not grow pendingByTok without bound (a reply to
+		// a retired token is then ignored, exactly like any other stray).
+		const maxLiveTokens = 8
+		if len(pl.toks) > maxLiveTokens {
+			delete(s.pendingByTok, pl.toks[0])
+			pl.toks = pl.toks[1:]
+		}
+		return
 	}
 	s.retireLogin(pl)
 }
@@ -814,89 +730,66 @@ func (s *demuxShard) taint(cs *dconn) {
 }
 
 // handoff runs Figure 5 step 6: forward uC to the responsible worker. With
-// replicated workers, a fresh user is dealt to the next replica round-robin
-// and pinned there (dealt) until the worker registers the session port;
-// follow-up connections go straight to the session's event process. The
-// handoff message is buffered in the batcher, so a burst of connections to
-// the same worker leaves the demux as one SendBatch.
+// replicated workers, a fresh user is assigned the next replica round-robin
+// and pinned there until the worker registers the session port; follow-up
+// connections park behind the pin, then go straight to the session's event
+// process. The handoff message is buffered in the batcher, so a burst of
+// connections to the same worker leaves the demux as one SendBatch.
 func (s *demuxShard) handoff(cs *dconn) {
 	service := cs.req.Service()
 	replicas := s.workers[service]
 	if len(replicas) == 0 {
-		s.release(cs)
-		s.failDirect(cs, 404)
+		s.fail(cs, 404)
 		return
 	}
-	// Forward the request's original wire bytes: re-serializing the parsed
-	// form costs an allocation chain per connection and the worker re-parses
-	// either way.
-	raw := cs.raw
 	user, _, _ := cs.req.User()
-	key := sessionKey{user, service}
-	nextReplica := func() handle.Handle {
-		// Stagger each shard's rotation by its index so N shards' first
-		// deals spread over N replicas instead of all starting at replica 0.
-		base := replicas[(s.rr[service]+uint64(s.idx))%uint64(len(replicas))]
-		s.rr[service]++
-		return base
-	}
-	var base handle.Handle
-	switch {
-	case s.ephemeral[service]:
+	if s.ephemeral[service] {
 		// Per-request service: no session will ever register, every
 		// connection is fresh, and the rotation advances per connection.
-		base = nextReplica()
-	default:
-		if port, ok := s.sessions.Get(key); ok {
-			// Existing session: forward straight to the event process W[u],
-			// and push its idle TTL out — the session just proved useful.
-			s.touchSessTTL(key)
-			s.out.Add(port, encodeCont(cont{Conn: cs.uC.Handle(), DeadlineMS: cs.remainingMS(), Buf: raw}),
-				&kernel.SendOpts{DecontSend: kernel.Grant(cs.uC.Handle())})
-			s.release(cs)
-			return
-		}
-		if pinned, dealtAlready := s.dealt.Get(key); dealtAlready {
-			// A start for this user is already in flight: a second fresh
-			// start would create a second event process — the session
-			// EP-split the stress test forbids. Park until the worker
-			// registers the session port (handleSession drains us); bound
-			// the queue so a flood cannot hold connections without limit.
-			ps := s.parked[key]
-			if ps == nil {
-				ps = &parkedSet{}
-				s.parked[key] = ps
-			}
-			ps.arrivals++
-			switch {
-			case ps.arrivals%redealAfter == 0:
-				// Sends are unreliable (§4): if the original start or its
-				// session registration was dropped, nothing would ever
-				// drain this queue. Every redealAfter-th arrival probes the
-				// SAME pinned replica with a fresh start instead of
-				// parking; its registration (re-)creates the session and
-				// drains everyone. Never reached on the fast path —
-				// registration normally lands within a couple of
-				// connections.
-				base = pinned
-			case len(ps.waiters) >= maxParkedPerSession:
-				s.release(cs)
-				s.failDirect(cs, 503)
-				return
-			default:
-				ps.waiters = append(ps.waiters, cs)
-				return
-			}
-		} else {
-			// Genuinely fresh user: deal to the next replica and pin until
-			// the session registers, so pinned-session traffic cannot skew
-			// the rotation and a burst of first connections cannot split
-			// replicas.
-			base = nextReplica()
-			s.dealt.Put(key, base)
-		}
+		s.start(cs, s.deal(service, replicas), user, service)
+		return
 	}
-	defer s.release(cs)
+	key := sessionKey{user, service}
+	e, ok := s.sessions.Get(key)
+	switch {
+	case !ok:
+		// Genuinely fresh user: deal to the next replica and pin until the
+		// session registers, so pinned-session traffic cannot skew the
+		// rotation and a burst of first connections cannot split replicas.
+		e = s.track(key, s.deal(service, replicas))
+		e.timer.Arm(time.Now().Add(retryAfter))
+		s.start(cs, e.replica, user, service)
+	case e.port != handle.None:
+		// Bound: forward straight to the event process W[u], and push its
+		// idle TTL out — the session just proved useful.
+		if e.timer != nil {
+			e.timer.Arm(time.Now().Add(s.dm.sessionTTL))
+		}
+		s.cont(e.port, cs)
+	case len(e.waiters) >= maxParkedPerSession:
+		s.fail(cs, 503)
+	default:
+		// Pinned: park until the registration drains us (or the pin's clock
+		// probes with us) — a second fresh start would create a second
+		// event process, the session EP-split the stress test forbids.
+		e.waiters = append(e.waiters, cs)
+	}
+}
+
+// deal picks the service's next replica round-robin, staggering each
+// shard's rotation by its index so N shards' first deals spread over N
+// replicas instead of all starting at replica 0.
+func (s *demuxShard) deal(service string, replicas []handle.Handle) handle.Handle {
+	base := replicas[(s.rr[service]+uint64(s.idx))%uint64(len(replicas))]
+	s.rr[service]++
+	return base
+}
+
+// start hands cs to the replica at base as a fresh session (opStart),
+// forwarding the request's original wire bytes: re-serializing the parsed
+// form costs an allocation chain per connection and the worker re-parses
+// either way.
+func (s *demuxShard) start(cs *dconn, base handle.Handle, user, service string) {
 	opts := &kernel.SendOpts{
 		//asbestos:keepstar session handoff: the worker keeps the uG ⋆ for the session's lifetime to prove the user's identity downstream; the demux re-grants per request
 		DecontSend: kernel.Grant(cs.uC.Handle(), cs.id.UG),
@@ -909,51 +802,103 @@ func (s *demuxShard) handoff(cs *dconn) {
 	} else {
 		opts.Contaminate = kernel.Taint(label.L3, cs.id.UT)
 	}
-	msg := encodeStart(start{
+	s.out.Add(base, encodeStart(start{
 		User:       user,
 		UID:        cs.id.UID,
 		Conn:       cs.uC.Handle(),
 		UT:         cs.id.UT,
 		UG:         cs.id.UG,
 		DeadlineMS: cs.remainingMS(),
-		Buf:        raw,
-	})
-	s.out.Add(base, msg, opts)
+		Buf:        cs.raw,
+	}), opts)
+	s.release(cs)
+}
+
+// cont hands cs to a bound session's event process (opCont).
+func (s *demuxShard) cont(port handle.Handle, cs *dconn) {
+	s.out.Add(port, encodeCont(cont{Conn: cs.uC.Handle(), DeadlineMS: cs.remainingMS(), Buf: cs.raw}),
+		&kernel.SendOpts{DecontSend: kernel.Grant(cs.uC.Handle())})
+	s.release(cs)
+}
+
+// track adds a session entry for key — pinned to replica, or bound at once
+// by a registration that found no pin — with its clock unarmed.
+func (s *demuxShard) track(key sessionKey, replica handle.Handle) *session {
+	e := &session{replica: replica}
+	e.timer = s.lp.Timer(func(now time.Time) { s.expired(now, key, e) })
+	s.sessions.Put(key, e)
+	return e
+}
+
+// expired is a session entry's clock. A bound entry sat idle for
+// sessionTTL: it is dropped and the worker's event process reclaimed, like
+// a capacity eviction but on the idle clock (lru.Delete fires no evict
+// hook, so the reclaim is explicit). A pin went retryAfter without a
+// registration — the start or the registration may have been dropped — so
+// its oldest live waiter is re-sent as a fresh start to the SAME replica
+// (a probe; its registration binds the entry and drains the rest) and the
+// clock re-arms. A pin nobody waits on is dropped: the user's next
+// connection deals afresh.
+func (s *demuxShard) expired(now time.Time, key sessionKey, e *session) {
+	if e.port != handle.None {
+		s.sessions.Delete(key)
+		s.evictSession(e.port)
+		return
+	}
+	for len(e.waiters) > 0 {
+		cs := e.waiters[0]
+		e.waiters = e.waiters[1:]
+		if s.live(cs) {
+			e.timer.Arm(now.Add(retryAfter))
+			s.start(cs, e.replica, key.user, key.service)
+			return
+		}
+	}
+	s.sessions.Delete(key)
+}
+
+// retire is the session table's evict hook, for both states of an entry.
+// It stops the entry's clock. A bound entry is a routing cache, so
+// evicting it is safe for the DEMUX — but the worker still holds the
+// session's event process, which evictSession tells it to ep_exit. A pin's
+// live waiters are refused (503): nothing would drain them afterwards, and
+// letting the user's next arrival re-deal to another replica while they
+// drained to the first is the split the pin exists to prevent. The
+// evicted user may transiently end up with a duplicate event process
+// (whichever session registers last wins), which only occurs past
+// perShard(sessionCap) concurrent users.
+func (s *demuxShard) retire(_ sessionKey, e *session) {
+	if e.timer != nil {
+		e.timer.Stop()
+	}
+	if e.port != handle.None {
+		s.evictSession(e.port)
+		return
+	}
+	for _, cs := range e.waiters {
+		if s.live(cs) {
+			s.fail(cs, 503)
+		}
+	}
 }
 
 // evictSession reclaims the worker-side event process behind a session
-// entry the demux is dropping (LRU capacity eviction, or a superseding
-// re-registration): it sends opEvict to the session port so the worker
-// ep_exits the orphan, then sheds the uW ⋆ the registration granted.
-// Both go through the batcher — an eviction can race handoffs to the same
-// port buffered earlier in the burst, and bypassing them would reorder the
-// eviction ahead of a still-legal continuation. Only the demux (and the
-// event process itself) hold uW ⋆, so nobody else can forge the exit.
+// entry the demux is dropping (LRU capacity eviction, idle expiry, or a
+// superseding re-registration): it sends opEvict to the session port so
+// the worker ep_exits the orphan, then sheds the uW ⋆ the registration
+// granted. Both go through the batcher — an eviction can race handoffs to
+// the same port buffered earlier in the burst, and bypassing them would
+// reorder the eviction ahead of a still-legal continuation. Only the demux
+// (and the event process itself) hold uW ⋆, so nobody else can forge the
+// exit.
 func (s *demuxShard) evictSession(port handle.Handle) {
 	s.out.Add(port, encodeEvict(), nil)
 	s.out.DropAfter(port)
 }
 
-// dropParked refuses (503) every connection parked on key — called when
-// the key's dealt pin is evicted, since nothing will drain them afterwards.
-func (s *demuxShard) dropParked(key sessionKey) {
-	ps := s.parked[key]
-	delete(s.parked, key)
-	if ps == nil {
-		return
-	}
-	for _, cs := range ps.waiters {
-		if !s.live(cs) {
-			continue
-		}
-		s.release(cs)
-		s.failDirect(cs, 503)
-	}
-}
-
 // live reports whether cs is still the tracked state for its reply port.
-// Parked references — pendingLogin waiters, parked sets — outlive a
-// torn-down connection, so every drain checks before touching one.
+// Parked references — login and pin waiters — outlive a torn-down
+// connection, so every drain checks before touching one.
 func (s *demuxShard) live(cs *dconn) bool { return s.conns.get(cs.reply) == cs }
 
 // armDeadline starts cs's request-deadline clock (no-op when the demux has
@@ -983,50 +928,12 @@ func (cs *dconn) remainingMS() uint32 {
 	return uint32(ms)
 }
 
-// deadlineExpired tears down a request that outlived the demux deadline:
-// 504 and close straight to netd, then forget the connection. References
-// parked elsewhere find the corpse via live() and skip it.
+// deadlineExpired answers a request that outlived the demux deadline with
+// 504 and tears it down. References parked elsewhere find the corpse via
+// live() and skip it.
 func (s *demuxShard) deadlineExpired(cs *dconn) {
-	if !s.live(cs) || cs.failing {
-		return
-	}
-	cs.failing = true
-	netd.Write(cs.uC, handle.None, httpmsg.FormatResponse(504, nil, nil))
-	netd.Control(cs.uC, handle.None, netd.CtlClose)
-	s.drop(cs)
-}
-
-// touchSessTTL (re-)arms key's session TTL timer; a handoff or fresh
-// registration resets the idle clock.
-func (s *demuxShard) touchSessTTL(key sessionKey) {
-	if s.dm.sessionTTL <= 0 {
-		return
-	}
-	t := s.sessTimers[key]
-	if t == nil {
-		t = s.lp.Timer(func(time.Time) { s.sessionExpired(key) })
-		s.sessTimers[key] = t
-	}
-	t.Arm(time.Now().Add(s.dm.sessionTTL))
-}
-
-// stopSessTTL retires key's TTL timer (entry evicted or superseded).
-func (s *demuxShard) stopSessTTL(key sessionKey) {
-	if t := s.sessTimers[key]; t != nil {
-		t.Stop()
-		delete(s.sessTimers, key)
-	}
-}
-
-// sessionExpired retires an idle session proactively: drop the routing
-// entry and reclaim the worker's event process, exactly like a capacity
-// eviction but on the idle clock instead of under table pressure.
-// lru.Delete fires no evict hook, so the reclaim is explicit here.
-func (s *demuxShard) sessionExpired(key sessionKey) {
-	delete(s.sessTimers, key)
-	if port, ok := s.sessions.Peek(key); ok {
-		s.sessions.Delete(key)
-		s.evictSession(port)
+	if s.live(cs) {
+		s.fail(cs, 504)
 	}
 }
 
@@ -1044,34 +951,22 @@ func (s *demuxShard) release(cs *dconn) {
 	s.conns.del(cs.reply)
 }
 
-// fail writes an HTTP error and closes the connection (pre-handoff); the
-// dconn is released when the control reply arrives (handleConnReply).
+// fail tears a connection down without a handoff: the HTTP error (none
+// when status is 0), then a close, both straight to netd and neither
+// acknowledged — per-sender FIFO on uC keeps the close behind the write —
+// then release. The close is what makes netd drop the connection's port
+// and socket, so every failure, an EOF before a whole request included,
+// leaves nothing behind on either side.
 func (s *demuxShard) fail(cs *dconn, status int) {
-	cs.failing = true // a racing deadline expiry must not write a second error
-	body := httpmsg.FormatResponse(status, nil, nil)
-	netd.Write(cs.uC, handle.None, body)
-	netd.Control(cs.uC, cs.reply, netd.CtlClose)
-}
-
-// failDirect is fail for the post-release path: the dconn is already
-// gone, so nothing waits for an answer and both messages go unacknowledged.
-func (s *demuxShard) failDirect(cs *dconn, status int) {
-	body := httpmsg.FormatResponse(status, nil, nil)
-	netd.Write(cs.uC, handle.None, body)
-	netd.Control(cs.uC, handle.None, netd.CtlClose)
-}
-
-func (s *demuxShard) drop(cs *dconn) {
-	if cs.deadline != nil {
-		cs.deadline.Stop()
+	if status != 0 {
+		netd.Write(cs.uC, handle.None, httpmsg.FormatResponse(status, nil, nil))
 	}
-	s.proc.Dissociate(cs.reply)
-	s.proc.DropPrivilege(cs.reply, label.L1)
-	s.proc.DropPrivilege(cs.uC.Handle(), label.L1)
-	s.conns.del(cs.reply)
+	netd.Control(cs.uC, handle.None, netd.CtlClose)
+	s.release(cs)
 }
 
-// SessionCount reports the total size of the session tables (diagnostics).
+// SessionCount reports the total size of the session tables — pinned and
+// bound entries alike (diagnostics).
 func (dm *Demux) SessionCount() int {
 	n := 0
 	for _, s := range dm.shards {

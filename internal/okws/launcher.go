@@ -64,9 +64,11 @@ type Config struct {
 	// netd shards own disjoint connections, and dbproxy replicas split the
 	// query stream by the same user hash.
 	Shards int
-	// SessionTableCap bounds the demux's session/dealt tables across all
-	// shards (0 = DefaultSessionCap); oldest entries are evicted, which is
-	// safe — they are routing caches.
+	// SessionTableCap bounds the demux's session table across all shards
+	// (0 = DefaultSessionCap). Pinned entries (a fresh user's start in
+	// flight) and bound sessions share the cap. Oldest entries are evicted:
+	// a bound one is a routing cache, and its worker event process is
+	// reclaimed; a pin's parked connections are refused with 503.
 	SessionTableCap int
 	// IDCacheCap bounds the demux's hashed login cache across all shards
 	// (0 = DefaultIDCacheCap).

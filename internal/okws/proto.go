@@ -32,7 +32,7 @@
 // only their dispatch handlers and tables. The ownership rules:
 //
 //   - USERS are owned by demux shard shard.Of(user, N). That shard holds
-//     the user's session and dealt entries, its login-cache line, and
+//     the user's session entries, its login-cache line, and
 //     performs every handoff, so a session can never split across shards.
 //     Workers register session ports with the owning shard directly; the
 //     same hash routes their database queries to one ok-dbproxy replica.
@@ -53,10 +53,20 @@
 // keyed by SHA-256(user\x00pass) — the demux retains no plaintext
 // passwords. Bounding begets reclaim: a session evicted from the table
 // sends its worker an opEvict so the orphaned event process is ep_exited
-// rather than leaked, and every pending login carries a wall-clock
-// deadline (the shard's evloop timer re-issues a dropped request/reply
-// under a fresh token, so a quiet credential pair cannot stay wedged until
-// its user retries).
+// rather than leaked.
+//
+// # Liveness
+//
+// IPC is unreliable (§4): any send may be dropped silently. Every demux
+// wait on a message that can be lost therefore has exactly one clock, a
+// per-key timer on the shard's wheel set retryAfter past the newest send,
+// and nothing waits on more traffic. A pending login with no verdict
+// re-asks idd under a fresh token. A pinned session — a fresh user's start
+// in flight, with later connections parked behind it — probes its oldest
+// waiter to the same replica as a fresh start, or drops the pin if nobody
+// waits. Config.RequestDeadline, when set, bounds each request on top, and
+// every failure closes the connection at netd, so a lost message costs a
+// retry or a clean error, never a stranded user or a leaked socket.
 package okws
 
 import (

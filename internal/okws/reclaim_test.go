@@ -41,10 +41,10 @@ func readLoginReq(t *testing.T, d *kernel.Delivery) (token uint64, user string) 
 
 // TestPendingLoginDeadlineReissues is the dropped-reply regression for the
 // wall-clock deadline (ROADMAP: login-drop deadline): a credential pair
-// whose ONLY idd round trip is lost used to wait until its user retried,
-// because every other retry path is paced by further arrivals. The shard
-// timer must re-issue the login under a fresh token once loginDeadline
-// passes, and the late verdict must settle the original waiters.
+// whose ONLY idd round trip is lost used to wait until its user retried.
+// The per-key timer is the login's only retry path: it must re-issue the
+// login under a fresh token once retryAfter passes, with no further
+// connections, and the late verdict must settle the original waiters.
 func TestPendingLoginDeadlineReissues(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(39))
 	// A real (but silent) identity server: it receives login requests and
@@ -83,7 +83,7 @@ func TestPendingLoginDeadlineReissues(t *testing.T) {
 	}
 
 	// Past the deadline: a fresh token, same credentials.
-	s.lp.AdvanceTimers(time.Now().Add(loginDeadline + 10*time.Millisecond))
+	s.lp.AdvanceTimers(time.Now().Add(retryAfter + 10*time.Millisecond))
 	d, err = loginPort.TryRecv()
 	if err != nil || d == nil {
 		t.Fatal("deadline tick did not re-issue the login")
@@ -110,7 +110,7 @@ func TestPendingLoginDeadlineReissues(t *testing.T) {
 
 	// End to end: with the loops actually running, the armed timer fires on
 	// its own — a second stranded login is re-asked within a few ticks,
-	// with no further arrivals for the pair.
+	// with no further connections for the pair.
 	cs2 := mk("quiet2")
 	s.authenticate(cs2)
 	d, err = loginPort.TryRecv()
@@ -208,7 +208,7 @@ func TestSupersededRegistrationReclaimsOldSession(t *testing.T) {
 	if s.out.Len() != 1 {
 		t.Fatalf("re-registering the same port buffered an eviction")
 	}
-	if got, _ := s.sessions.Get(sessionKey{"u", "svc"}); got != newPort {
-		t.Fatalf("session routed to %v, want the newer registration", got)
+	if e, ok := s.sessions.Get(sessionKey{"u", "svc"}); !ok || e.port != newPort {
+		t.Fatalf("session entry %+v, want bound to the newer registration", e)
 	}
 }

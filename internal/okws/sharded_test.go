@@ -115,7 +115,8 @@ func TestFailedLoginReleasesConnState(t *testing.T) {
 			t.Fatalf("attempt %d: %+v %v", i, resp, err)
 		}
 	}
-	// Teardown finishes when netd's control replies land; poll briefly.
+	// The demux releases each connection just after its 401 leaves, so the
+	// client can read the answer a moment before; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.Demux.ConnCount() != 0 {
 		if time.Now().After(deadline) {
@@ -127,6 +128,38 @@ func TestFailedLoginReleasesConnState(t *testing.T) {
 	resp, err := workload.Get(srv.Network(), 80, "u", "p", "/echo")
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("stack wedged after failed logins: %+v %v", resp, err)
+	}
+}
+
+// TestEmptyConnectionClosed is the regression for the EOF leak: a
+// connection that ends before sending a whole request used to be forgotten
+// by the demux alone, leaving netd's connection port and socket behind
+// forever. The demux now closes it at netd like any other failure, so
+// netd's connection count returns to its baseline and the demux tracks
+// nothing.
+func TestEmptyConnectionClosed(t *testing.T) {
+	srv, err := Launch(Config{Seed: 43, Shards: 2,
+		Services: []Service{{Name: "echo", Handler: echoBody}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	inj := srv.Netd.Injector()
+	base := inj.ConnCount()
+	for i := 0; i < 50; i++ {
+		c, err := srv.Network().Dial(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.ConnCount() != base || srv.Demux.ConnCount() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 50 empty connections: netd holds %d (baseline %d), demux tracks %d",
+				inj.ConnCount(), base, srv.Demux.ConnCount())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -330,87 +363,149 @@ func TestLoginReplyTokenMatching(t *testing.T) {
 	}
 }
 
-// TestParkedProbeCadenceAndCap drives handoff directly for one pinned
-// session whose registration never arrives, and pins the escape-hatch
-// arithmetic: exactly one probe per redealAfter arrivals (each a fresh
-// start to the SAME pinned replica), the parked queue capped at
-// maxParkedPerSession with 503s beyond it, and a late registration
-// draining every parked connection.
-func TestParkedProbeCadenceAndCap(t *testing.T) {
+// TestPinnedSessionProbesOnTimer drives handoff and the shard's timer by
+// hand for one pinned session whose registration never arrives, and pins
+// the retry clock: new connections alone re-send nothing, the parked queue is
+// capped at maxParkedPerSession with 503s beyond it, retryAfter brings
+// exactly one probe — the OLDEST waiter, as a fresh start to the SAME
+// replica — and a late registration drains the rest. A pin nobody waits
+// on is dropped on its clock. The wheel is only ever advanced forward: a
+// deadline armed behind the cursor would not fire in the same sweep.
+func TestPinnedSessionProbesOnTimer(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(37))
 	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0) // dangling service handles
 	s := dm.shards[0]
-	base := handle.Handle(1 << 44)
-	s.workers["svc"] = []handle.Handle{base}
+	// Two replicas, each a real port: the probe must reach the pinned one,
+	// where a fresh deal would go to the other.
+	fake := sys.NewProcess("fake-worker")
+	var replicas []*kernel.Port
+	for i := 0; i < 2; i++ {
+		p := fake.Open(nil)
+		if err := p.SetLabel(label.Empty(label.L3)); err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, p)
+	}
+	s.workers["svc"] = []handle.Handle{replicas[0].Handle(), replicas[1].Handle()}
 	verif := s.proc.NewHandle()
 	s.verif["svc"] = []handle.Handle{verif}
 
 	id := idd.Identity{UID: "9", UT: s.proc.NewHandle(), UG: s.proc.NewHandle()}
-	mk := func() *dconn {
+	mk := func(user string) *dconn {
 		reply := s.proc.Open(nil).Handle()
 		cs := &dconn{
 			uC:    s.proc.Port(s.proc.Open(nil).Handle()),
 			reply: reply,
 			req: &httpmsg.Request{Path: "/svc",
-				Headers: map[string]string{"authorization": "u pw"}},
+				Headers: map[string]string{"authorization": user + " pw"}},
 			id: id,
 		}
 		cs.raw = []byte("GET /svc HTTP/1.0\r\n\r\n")
 		s.conns.put(reply, cs)
 		return cs
 	}
-
-	// The dealer: pins the replica and sends the first start.
-	s.handoff(mk())
-	if s.out.Len() != 1 {
-		t.Fatalf("dealer should buffer one start, out = %d", s.out.Len())
+	// recvStart returns the connection carried by the one start queued at
+	// p, or handle.None when p holds nothing.
+	recvStart := func(p *kernel.Port) handle.Handle {
+		t.Helper()
+		d, _ := p.TryRecv()
+		if d == nil {
+			return handle.None
+		}
+		defer d.Release()
+		st, ok := parseStart(d)
+		if !ok {
+			t.Fatalf("replica received op %d, want opStart", d.Data[0])
+		}
+		if extra, _ := p.TryRecv(); extra != nil {
+			t.Fatal("replica received more than one start")
+		}
+		return st.Conn
 	}
+
+	// The dealer pins replica 0 and sends the first start.
+	s.handoff(mk("u"))
 	key := sessionKey{"u", "svc"}
-	if _, ok := s.dealt.Get(key); !ok {
-		t.Fatal("dealer should pin the replica")
+	e, ok := s.sessions.Peek(key)
+	if !ok || e.port != handle.None || e.replica != replicas[0].Handle() {
+		t.Fatalf("dealer should pin replica 0, entry %+v", e)
 	}
+	if err := s.out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if recvStart(replicas[0]) == handle.None {
+		t.Fatal("dealer's start missing")
+	}
+	due := e.timer.When()
 
-	const arrivals = 600
-	probes, fails := 0, 0
-	for i := 1; i <= arrivals; i++ {
-		before := s.out.Len()
-		cs := mk()
+	const flood = 600
+	var parked []*dconn
+	fails := 0
+	for i := 0; i < flood; i++ {
+		cs := mk("u")
 		s.handoff(cs)
-		switch {
-		case s.out.Len() > before:
-			probes++
-		default:
-			if s.conns.get(cs.reply) == nil {
-				fails++
-			}
+		if s.conns.get(cs.reply) == nil {
+			fails++
+		} else {
+			parked = append(parked, cs)
 		}
 	}
-	if want := arrivals / redealAfter; probes != want {
-		t.Errorf("probes = %d over %d arrivals, want %d (one per %d)",
-			probes, arrivals, want, redealAfter)
+	s.lp.AdvanceTimers(due.Add(-2 * time.Millisecond))
+	if n := s.out.Len(); n != 0 {
+		t.Errorf("%d connections before retryAfter re-sent %d messages, want 0", flood, n)
 	}
-	if got := len(s.parked[key].waiters); got != maxParkedPerSession {
+	if got := len(e.waiters); got != maxParkedPerSession {
 		t.Errorf("parked waiters = %d, want capped at %d", got, maxParkedPerSession)
 	}
-	if want := arrivals - arrivals/redealAfter - maxParkedPerSession; fails != want {
+	if want := flood - maxParkedPerSession; fails != want {
 		t.Errorf("503s = %d, want %d", fails, want)
 	}
 
-	// A (late) registration drains every parked connection via the pinned
-	// continuation path.
+	// retryAfter passes with no registration: exactly one probe, the
+	// oldest waiter, to the pinned replica; the clock re-arms.
+	s.lp.AdvanceTimers(due.Add(time.Millisecond))
+	if n := s.out.Len(); n != 1 {
+		t.Fatalf("timer sent %d messages, want exactly one probe", n)
+	}
+	if err := s.out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvStart(replicas[0]); got != parked[0].uC.Handle() {
+		t.Errorf("probe carried conn %v, want the oldest waiter %v", got, parked[0].uC.Handle())
+	}
+	if got := recvStart(replicas[1]); got != handle.None {
+		t.Error("probe went to the unpinned replica")
+	}
+	if !e.timer.Armed() {
+		t.Error("pin's clock not re-armed after the probe")
+	}
+
+	// A (late) registration binds the pin and drains the other waiters via
+	// the continuation path.
 	uW := s.proc.Open(nil).Handle()
-	before := s.out.Len()
 	s.handleSession(&kernel.Delivery{Port: s.sessionPort.Handle(),
 		Data: encodeSession("u", "svc", uW),
 		V:    label.New(label.L3, label.Entry{H: verif, L: label.L0})})
-	if got := s.out.Len() - before; got != maxParkedPerSession {
-		t.Errorf("registration drained %d connections, want %d", got, maxParkedPerSession)
+	if got, want := s.out.Len(), maxParkedPerSession-1; got != want {
+		t.Errorf("registration drained %d connections, want %d", got, want)
 	}
-	if s.parked[key] != nil {
-		t.Error("parked set should be cleared after registration")
+	if e.port != uW || e.waiters != nil || e.timer != nil {
+		t.Errorf("entry after registration = %+v, want bound with no waiters and no clock", e)
 	}
 	if dm.ConnCount() != 0 {
 		t.Errorf("ConnCount = %d after drain, want 0", dm.ConnCount())
+	}
+
+	// A pin nobody waits on is dropped on its clock.
+	s.handoff(mk("v"))
+	keyV := sessionKey{"v", "svc"}
+	ev, ok := s.sessions.Peek(keyV)
+	if !ok || ev.port != handle.None {
+		t.Fatalf("fresh user should be pinned, entry %+v", ev)
+	}
+	s.lp.AdvanceTimers(ev.timer.When().Add(time.Millisecond))
+	if _, ok := s.sessions.Peek(keyV); ok {
+		t.Error("pin with no waiters survived its clock")
 	}
 }
 
