@@ -28,7 +28,9 @@
 //	d, from, err := asbestos.Select(ctx, inbox, other)
 //
 // Batching (Port.SendBatch, Batcher) enqueues N messages with one syscall,
-// one label check per distinct options value and one queue CAS.
+// one label check per run of entries sharing an options value and one
+// queue CAS. Port.Send is a one-entry batch: both take the same kernel
+// path, so they check, drop and count identically.
 //
 // Port endpoints are the only IPC surface: the v1 handle-based shims
 // (Process.NewPort/Send/Recv/SendBatch) are gone. Create owned ports with

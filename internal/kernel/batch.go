@@ -7,7 +7,9 @@ import (
 )
 
 // BatchEntry is one message of a SendBatch call: a payload plus the send
-// call's optional labels. Entries that share one *SendOpts value (pointer
+// call's optional labels. Port.Send is a one-entry batch, so every message
+// the kernel carries passes through this shape and the one send path that
+// checks it. Adjacent entries that share one *SendOpts value (pointer
 // identity, nil included) also share the prepared label set, so the common
 // burst — N replies with identical options — performs the Figure 4
 // sender-side work exactly once.
@@ -22,36 +24,53 @@ type BatchEntry struct {
 	Owned bool
 }
 
-// sendBatchVia is the batch path behind Port.SendBatch and Batcher.Flush;
-// the destination's vnode has already been resolved. A batch of N messages
-// to one port is a single syscall, semantically equivalent to sending each
-// entry in order, with the per-message overheads amortized across the
-// batch:
+// sendBatchVia is the send system call of Figure 4, and the only kernel
+// path that builds and publishes messages: Port.Send is a one-entry batch,
+// and Port.SendBatch and Batcher.Flush pass their entries straight through.
+// The destination's vnode has already been resolved (nil when the handle
+// is unknown). A batch of N messages to one port is a single syscall,
+// semantically equivalent to sending each entry in order.
 //
-//   - the sender's labels are snapshotted once — the batch is one syscall,
-//     so one snapshot is exactly the enqueue-time atomicity Figure 4 asks
-//     for (all entries are checked against the sender's labels at the
-//     moment of the batch);
-//   - the sender-side privilege requirements (2) and (3) run once per
-//     distinct Opts value rather than once per message;
-//   - the destination port is resolved once;
-//   - all messages are published to the receiver's lock-free inbox with ONE
-//     compare-and-swap, and the receiver is unparked at most once.
+// Sender-side requirements (2) and (3) are checked immediately — they
+// depend only on the caller's own labels, so failing them leaks nothing:
+//
+//	(2) DS(h) < 3  ⇒ PS(h) = ⋆   — granting privilege demands ⋆
+//	(3) DR(h) > ⋆  ⇒ PS(h) = ⋆   — raising another's receive label likewise
+//
+// The remaining requirements — (1) ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR and (4)
+// DR ⊑ pR — and the label effects are evaluated per message when the
+// receiver attempts delivery (Process.scan); a message failing them is
+// silently dropped. A nil error therefore does NOT imply delivery
+// (unreliable messaging, §4): a batch may be partially delivered and
+// partially dropped, and batching changes the cost of sending, never the
+// paper's delivery semantics.
+//
+// The per-message overheads are amortized across the batch:
+//
+//   - the sender's labels are snapshotted once, under its own lock — the
+//     batch is one syscall, so one snapshot is exactly the enqueue-time
+//     atomicity Figure 4 asks for;
+//   - requirements (2) and (3) run once per run of entries sharing one
+//     Opts pointer rather than once per message;
+//   - the destination's routing state is one atomic load;
+//   - all admitted messages are published to the receiver's lock-free
+//     inbox with ONE compare-and-swap, and the receiver is unparked at most
+//     once. The receiver's mutex is never taken: the empty→non-empty wakeup
+//     goes through its waiter set's leaf lock, so a send does not wait out
+//     a receive scan (package lock-ordering rule 3).
 //
 // Per-sender FIFO order is preserved: the batch occupies one slot in the
 // receiver's arrival order and its entries are delivered in slice order.
-// Receiver-side checks (requirements 1 and 4) still run per message at the
-// instant of each receive, so a batch may be partially delivered and
-// partially dropped — batching changes the cost of sending, never the
-// paper's delivery semantics.
 //
-// If any entry's options fail the sender-side checks, the whole batch is
-// rejected and nothing is enqueued (one syscall, one error). Queue-limit
-// accounting matches N individual Sends exactly: the prefix that fits is
-// enqueued and the overflowing tail is dropped and counted, so a batch
-// racing the limit behaves like the same messages sent one at a time. A
-// batch to an unknown port or a dead receiver is dropped whole and
-// silently, like any other undeliverable send (§4).
+// If any entry's options fail the sender-side checks, the whole call is
+// rejected with ErrPrivilege and nothing is enqueued; every entry is
+// counted as a "reject:<class>" drop, or "reject" when the destination is
+// unresolvable, since an invisible rejection is undebuggable. A send to an
+// unknown or dissociated port still runs the privilege checks, so a
+// violation is reported identically either way, then drops every entry as
+// "dead" without building a message. Queue-limit accounting matches N
+// individual sends exactly: the prefix that fits is enqueued and the
+// overflowing tail is dropped and counted.
 func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
@@ -63,47 +82,42 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 	if err != nil {
 		return err
 	}
-
-	st, stOK := vn.state()
-	if !stOK || st == nil || st.owner == nil {
-		// Undeliverable (§4); the sender-side checks still run so a
-		// privilege violation is reported identically either way — but no
-		// messages need building.
-		if err := checkBatchPrivs(ps, entries); err != nil {
-			p.sys.countDrop(dropClassReject, uint64(len(entries)))
-			return err
-		}
-		p.sys.countDrop(dropClassDead, uint64(len(entries)))
-		return nil
+	var owner *Process
+	if st, ok := vn.state(); ok && st != nil {
+		owner = st.owner
 	}
 
-	// Prepare the label set once per distinct Opts pointer. A single
-	// memo slot suffices: real batches either share one Opts value or
-	// group entries with equal options together.
+	// Prepare the label set once per run of entries sharing one Opts
+	// pointer: real batches either share one Opts value or group entries
+	// with equal options together. A one-entry send lists its message in
+	// buf, so it allocates no list.
 	var (
-		memoOpts      *SendOpts
-		memoValid     bool
 		es, ds, dr, v *label.Label
+		buf           [1]*Message
 	)
-	msgs := make([]*Message, len(entries))
-	for i, e := range entries {
-		if !memoValid || e.Opts != memoOpts {
-			cs, ds2, dr2, v2 := e.Opts.defaults()
-			if err := checkSendPrivs(ps, ds2, dr2); err != nil {
-				// Reject the batch atomically: nothing was published, so
-				// the built prefix just goes back to the freelist. The
-				// reject is counted like any other loss — callers flush
-				// batches fire-and-forget, and an invisible whole-batch
-				// rejection is undebuggable (it strands every entry, not
-				// just the offending one).
-				for _, m := range msgs[:i] {
-					freeMsg(m)
+	msgs := buf[:0]
+	if owner != nil && len(entries) > len(buf) {
+		msgs = make([]*Message, 0, len(entries))
+	}
+	for i := range entries {
+		e := &entries[i]
+		if i == 0 || e.Opts != entries[i-1].Opts {
+			var cs *label.Label
+			cs, ds, dr, v = e.Opts.defaults()
+			if !label.Req2(ds, ps) || !label.Req3(dr, ps) {
+				class := dropClassReject
+				if owner != nil {
+					class += ":" + portClass(owner.name)
 				}
-				p.sys.countDrop("reject:"+portClass(st.owner.name), uint64(len(entries)))
-				return err
+				p.sys.dropMsgs(msgs, class, len(entries))
+				return ErrPrivilege
 			}
-			es, ds, dr, v = ps.Lub(cs), ds2, dr2, v2
-			memoOpts, memoValid = e.Opts, true
+			if owner != nil {
+				es = ps.Lub(cs)
+			}
+		}
+		if owner == nil {
+			continue
 		}
 		m := getMsg()
 		m.Port = port
@@ -114,24 +128,22 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 		}
 		m.es, m.ds, m.dr, m.v = es, ds, dr, v
 		m.next = nil
-		msgs[i] = m
+		msgs = append(msgs, m)
+	}
+	if owner == nil {
+		// Undeliverable, but the send still "succeeds" (§4).
+		p.sys.countDrop(dropClassDead, uint64(len(entries)))
+		return nil
 	}
 
 	if p.sys.fault != nil {
-		msgs = p.sys.injectBatch(st.owner, msgs)
-		if len(msgs) == 0 {
-			return nil
-		}
+		msgs = p.sys.inject(owner, msgs)
 	}
-
-	// Queue-limit parity with single sends: admit the prefix that fits,
-	// drop the tail.
-	k := st.owner.admit(len(msgs))
+	// Admit the prefix that fits; drop the tail (dead receiver or resource
+	// exhaustion, §4).
+	k := owner.admit(len(msgs))
 	if k < len(msgs) {
-		p.sys.countDrop(portClass(st.owner.name), uint64(len(msgs)-k))
-		for _, m := range msgs[k:] {
-			freeMsg(m)
-		}
+		p.sys.dropMsgs(msgs[k:], portClass(owner.name), len(msgs)-k)
 	}
 	if k == 0 {
 		return nil
@@ -141,26 +153,17 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 	for i := 1; i < k; i++ {
 		msgs[i].next = msgs[i-1]
 	}
-	st.owner.publish(msgs[0], msgs[k-1])
+	owner.publish(msgs[0], msgs[k-1])
 	return nil
 }
 
-// checkBatchPrivs runs the Figure 4 sender-side requirements for every
-// entry of a batch against the sender's label snapshot, memoized per
-// distinct Opts pointer like the build loop in sendBatchVia.
-func checkBatchPrivs(ps *label.Label, entries []BatchEntry) error {
-	var memoOpts *SendOpts
-	memoValid := false
-	for _, e := range entries {
-		if !memoValid || e.Opts != memoOpts {
-			_, ds, dr, _ := e.Opts.defaults()
-			if err := checkSendPrivs(ps, ds, dr); err != nil {
-				return err
-			}
-			memoOpts, memoValid = e.Opts, true
-		}
+// dropMsgs counts n messages bound for class as dropped and recycles those
+// of them already built, which were never published.
+func (s *System) dropMsgs(built []*Message, class string, n int) {
+	for _, m := range built {
+		freeMsg(m)
 	}
-	return nil
+	s.countDrop(class, uint64(n))
 }
 
 // admit reserves queue slots for up to n incoming messages against p's

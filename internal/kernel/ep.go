@@ -68,7 +68,7 @@ func (p *Process) CheckpointCtx(ctx context.Context) (*Delivery, *EventProcess, 
 	for {
 		stop := p.sys.prof.Time(stats.CatKernelIPC)
 		p.drainInbox()
-		d, ep := p.checkpointScan()
+		d, ep := p.scan(nil, true)
 		stop()
 		if d != nil {
 			return d, ep, nil
@@ -87,66 +87,20 @@ func (p *Process) Checkpoint() (*Delivery, *EventProcess, error) {
 	return p.CheckpointCtx(context.Background())
 }
 
-// checkpointScan is the delivery loop of Checkpoint. Caller holds p.mu and
-// has drained the inbox; port state is snapshotted via the shard locks, and
-// drops are counted and freed, as in recvScan.
-func (p *Process) checkpointScan() (*Delivery, *EventProcess) {
-	i := 0
-	for i < len(p.pending) {
-		m := p.pending[i]
-		owner, ownerEP, pr, ok := p.sys.portState(m.Port)
-		if !ok || owner != p {
-			// Port dissociated, re-owned elsewhere, or its event process
-			// exited while the message was queued: drop.
-			p.removePending(i)
-			p.sys.countDrop(dropClassDead, 1)
-			freeMsg(m)
-			continue
-		}
-		if ownerEP != 0 {
-			ep := p.eps[ownerEP]
-			if ep == nil {
-				// Owner event process exited; message undeliverable.
-				p.removePending(i)
-				p.sys.countDrop(dropClassDead, 1)
-				freeMsg(m)
-				continue
-			}
-			p.removePending(i)
-			if !deliverable(m, ep.recvL, pr) {
-				p.sys.countDrop(portClass(p.name), 1)
-				freeMsg(m)
-				continue
-			}
-			applyEffects(m, &ep.sendL, &ep.recvL)
-			ep.active = true
-			p.cur = ep
-			return newDelivery(m), ep
-		}
-		// Base-owned port: a deliverable message forks a new event process
-		// with labels copied from the base (§6.1).
-		p.removePending(i)
-		if !deliverable(m, p.recvL, pr) {
-			p.sys.countDrop(portClass(p.name), 1)
-			freeMsg(m)
-			continue
-		}
-		p.nextEP++
-		ep := &EventProcess{
-			proc:  p,
-			id:    p.nextEP,
-			sendL: p.sendL,
-			recvL: p.recvL,
-			ports: make(map[handle.Handle]bool),
-			view:  mem.NewView(p.space),
-		}
-		p.eps[ep.id] = ep
-		applyEffects(m, &ep.sendL, &ep.recvL)
-		ep.active = true
-		p.cur = ep
-		return newDelivery(m), ep
+// forkEP creates a fresh event process whose labels are copied from the
+// base and whose memory view starts empty (§6.1). Caller holds p.mu.
+func (p *Process) forkEP() *EventProcess {
+	p.nextEP++
+	ep := &EventProcess{
+		proc:  p,
+		id:    p.nextEP,
+		sendL: p.sendL,
+		recvL: p.recvL,
+		ports: make(map[handle.Handle]bool),
+		view:  mem.NewView(p.space),
 	}
-	return nil, nil
+	p.eps[ep.id] = ep
+	return ep
 }
 
 // Yield implements ep_yield: it saves the current event process's labels,

@@ -232,7 +232,7 @@ func TestEPExitFreesState(t *testing.T) {
 
 // TestCheckpointCountsAndFreesDrops: a message queued to an event process's
 // port while it runs, and still pending when it exits, is dropped by the next
-// Checkpoint as recvScan drops one to a dead port — counted under "dead" in
+// Checkpoint like any message to a dead port — counted under "dead" in
 // DropStats as well as in Drops, and its payload returned to the pool — so
 // DropStats still sums to Drops.
 func TestCheckpointCountsAndFreesDrops(t *testing.T) {

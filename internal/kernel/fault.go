@@ -10,40 +10,22 @@ import "time"
 // arrives late. With no injector installed the cost is one nil check per
 // send.
 
-// injectOne applies one fault decision to a built single-send message
-// bound for owner. It reports whether the injector consumed the message
-// (dropped or delayed); the caller must not admit or publish it then. A
-// duplicate is enqueued immediately alongside the original.
-func (s *System) injectOne(owner *Process, msg *Message) (consumed bool) {
+// inject applies one fault decision to each built message of a send call
+// bound for owner, in send order, and returns the messages to admit in
+// their place. A dropped message is freed and counted under owner's class.
+// A delayed one is re-admitted on its own after the pause, so it may arrive
+// after later sends — deliberate disorder, bounded by the same
+// unreliability contract as everything else. A duplicate joins the call
+// right behind its original, so N Sends and one N-entry SendBatch deliver
+// the same sequence.
+func (s *System) inject(owner *Process, msgs []*Message) []*Message {
 	class := portClass(owner.name)
-	d := s.fault.Decide(class)
-	if d.Dup {
-		s.enqueueInjected(owner, class, cloneMsg(msg))
-	}
-	switch {
-	case d.Drop:
-		freeMsg(msg)
-		s.countDrop(class, 1)
-		return true
-	case d.Delay > 0:
-		s.delayMsg(owner, class, msg, d.Delay)
-		return true
-	}
-	return false
-}
-
-// injectBatch applies per-message fault decisions to a built batch,
-// filtering msgs in place and returning the surviving prefix. Duplicates
-// and delayed re-admissions are published as their own inbox pushes, so a
-// faulted batch may interleave with other senders — deliberate disorder,
-// bounded by the same unreliability contract as everything else.
-func (s *System) injectBatch(owner *Process, msgs []*Message) []*Message {
-	class := portClass(owner.name)
-	kept := msgs[:0]
+	kept := make([]*Message, 0, len(msgs))
 	for _, m := range msgs {
 		d := s.fault.Decide(class)
+		var dup *Message
 		if d.Dup {
-			s.enqueueInjected(owner, class, cloneMsg(m))
+			dup = cloneMsg(m)
 		}
 		switch {
 		case d.Drop:
@@ -53,6 +35,9 @@ func (s *System) injectBatch(owner *Process, msgs []*Message) []*Message {
 			s.delayMsg(owner, class, m, d.Delay)
 		default:
 			kept = append(kept, m)
+		}
+		if dup != nil {
+			kept = append(kept, dup)
 		}
 	}
 	return kept
@@ -69,26 +54,21 @@ func cloneMsg(m *Message) *Message {
 	return c
 }
 
-// enqueueInjected admits and publishes an injector-created or
-// injector-delayed message, or drops it if the receiver has died or
-// filled up in the meantime.
-func (s *System) enqueueInjected(owner *Process, class string, msg *Message) {
-	if owner.admit(1) == 0 {
-		freeMsg(msg)
-		s.countDrop(class, 1)
-		return
-	}
-	owner.publish(msg, msg)
-}
-
-// delayMsg re-admits msg after d. The timer goroutine holds no locks when
-// it fires; publish takes only the receiver's own mutex to unpark it
-// (lock-ordering rule 3), so delivery from a timer is as safe as from any
-// sender. delayed lets harnesses quiesce before asserting pool balance.
+// delayMsg re-admits msg after d, or drops it if the receiver has died or
+// filled up in the meantime. The timer goroutine holds no locks when it
+// fires, and publish takes only the receiver's waiter-set leaf lock to
+// unpark it (lock-ordering rule 3), so delivery from a timer is as safe as
+// from any sender. delayed lets harnesses quiesce before asserting pool
+// balance.
 func (s *System) delayMsg(owner *Process, class string, msg *Message, d time.Duration) {
 	s.delayed.Add(1)
 	time.AfterFunc(d, func() {
 		defer s.delayed.Add(-1)
-		s.enqueueInjected(owner, class, msg)
+		if owner.admit(1) == 0 {
+			freeMsg(msg)
+			s.countDrop(class, 1)
+			return
+		}
+		owner.publish(msg, msg)
 	})
 }

@@ -203,78 +203,6 @@ func (p *Process) sendSnapshot() (*label.Label, error) {
 	return *sendL, nil
 }
 
-// checkSendPrivs evaluates the sender-side requirements of Figure 4 against
-// an immutable label snapshot; it needs no locks.
-//
-//	(2) DS(h) < 3  ⇒ PS(h) = ⋆   — granting privilege demands ⋆
-//	(3) DR(h) > ⋆  ⇒ PS(h) = ⋆   — raising another's receive label likewise
-func checkSendPrivs(ps, ds, dr *label.Label) error {
-	if !label.Req2(ds, ps) || !label.Req3(dr, ps) {
-		return ErrPrivilege
-	}
-	return nil
-}
-
-// sendVia is the send system call behind Port.Send (Figure 4); the
-// destination's vnode has already been resolved (nil when the handle is
-// unknown). The payload is copied.
-//
-// Sender-side requirements (2) and (3) are checked immediately — they
-// depend only on the caller's own labels, so failing them leaks nothing.
-// The remaining requirements — (1) ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR and (4)
-// DR ⊑ pR — are evaluated when the receiver attempts delivery; a message
-// failing them is silently dropped. A nil send error therefore does NOT
-// imply delivery (unreliable messaging, §4).
-//
-// Concurrency: the sender's labels are snapshotted under its own lock, the
-// requirement checks run lock-free against the snapshot, the destination's
-// routing state is one atomic load, and the enqueue is a single CAS on the
-// receiver's lock-free inbox. The receiver's mutex is never taken: the
-// empty→non-empty wakeup goes through its waiter set's leaf lock, so a send
-// does not wait out a receive scan; no two process locks are ever held
-// together (package lock-ordering rule 3).
-func (p *Process) sendVia(port handle.Handle, vn *vnode, data []byte, opts *SendOpts) error {
-	stop := p.sys.prof.Time(stats.CatKernelIPC)
-	defer stop()
-
-	ps, err := p.sendSnapshot()
-	if err != nil {
-		return err
-	}
-	cs, ds, dr, v := opts.defaults()
-	if err := checkSendPrivs(ps, ds, dr); err != nil {
-		return err
-	}
-
-	st, ok := vn.state()
-	if !ok || st == nil || st.owner == nil {
-		// Undeliverable, but send still "succeeds" (§4).
-		p.sys.countDrop(dropClassDead, 1)
-		return nil
-	}
-	msg := getMsg()
-	msg.Port = port
-	msg.Data = append(getPayload(), data...)
-	msg.es = ps.Lub(cs)
-	msg.ds = ds
-	msg.dr = dr
-	msg.v = v
-	msg.next = nil
-	if p.sys.fault != nil && p.sys.injectOne(st.owner, msg) {
-		// The injector consumed the message (dropped or delayed it); the
-		// send still "succeeds", exactly like a queue-overflow drop.
-		return nil
-	}
-	if st.owner.admit(1) == 0 {
-		// Dead receiver or resource exhaustion (§4).
-		freeMsg(msg)
-		p.sys.countDrop(portClass(st.owner.name), 1)
-		return nil
-	}
-	st.owner.publish(msg, msg)
-	return nil
-}
-
 func minLevel(a, b label.Level) label.Level {
 	if a < b {
 		return a
@@ -381,41 +309,67 @@ func matchFilter(port handle.Handle, filter []handle.Handle) bool {
 	return false
 }
 
-// recvScan walks the pending list for the first message deliverable to the
-// current context, applying drops along the way. It returns nil if nothing
-// is available right now. Caller holds p.mu and has drained the inbox; port
-// state is snapshotted per message via the vnode shard locks (ordering rule
-// 2), and the Figure 4 receiver-side checks run against the receiver's
-// labels at this instant.
-func (p *Process) recvScan(filter []handle.Handle) *Delivery {
-	sendL, recvL := p.ctxLabels()
-	i := 0
-	for i < len(p.pending) {
+// scan walks the pending list for the first deliverable message and is the
+// only kernel path that checks queued messages against the receiver:
+// Figure 4's requirements 1 and 4 (deliverable) and its label effects
+// (applyEffects). Caller holds p.mu and has drained the inbox; port state
+// is snapshotted per message via the vnode shard locks (ordering rule 2),
+// and the checks run against the target context's labels at this instant.
+// It returns nil if nothing is deliverable right now.
+//
+// The two modes differ only in which context a message targets. A receive
+// (checkpoint false) targets the current context and leaves queued the
+// messages of other contexts' ports and of ports the filter excludes. A
+// checkpoint targets the event process owning the port, or — for a port
+// still owned by the base process — a fresh event process forked from the
+// base labels once the message has passed the check against them (§6.1);
+// the chosen event process becomes current.
+//
+// Messages to a dissociated or re-owned port, or to an event process that
+// exited while they were queued, are dropped as "dead"; messages failing
+// the check are dropped under the receiver's class.
+func (p *Process) scan(filter []handle.Handle, checkpoint bool) (*Delivery, *EventProcess) {
+	for i := 0; i < len(p.pending); {
 		m := p.pending[i]
 		owner, ownerEP, pr, ok := p.sys.portState(m.Port)
-		if !ok || owner != p {
-			// Port dissociated or re-owned elsewhere: drop.
+		ep := p.cur
+		if checkpoint {
+			ep = p.eps[ownerEP] // nil for a base-owned port
+		}
+		if !ok || owner != p || (checkpoint && ownerEP != 0 && ep == nil) {
+			// Port dissociated or re-owned, or its event process exited.
 			p.removePending(i)
 			p.sys.countDrop(dropClassDead, 1)
 			freeMsg(m)
 			continue
 		}
-		if ownerEP != p.curID() || !matchFilter(m.Port, filter) {
-			// Belongs to a different context of this process (handled by
-			// Checkpoint) or filtered out: leave queued.
+		if !checkpoint && (ownerEP != p.curID() || !matchFilter(m.Port, filter)) {
+			// Another context's port, or filtered out: leave it queued.
 			i++
 			continue
 		}
 		p.removePending(i)
+		sendL, recvL := &p.sendL, &p.recvL
+		if ep != nil {
+			sendL, recvL = &ep.sendL, &ep.recvL
+		}
 		if !deliverable(m, *recvL, pr) {
 			p.sys.countDrop(portClass(p.name), 1)
 			freeMsg(m)
 			continue
 		}
+		if checkpoint {
+			if ep == nil {
+				ep = p.forkEP()
+			}
+			ep.active = true
+			p.cur = ep
+			sendL, recvL = &ep.sendL, &ep.recvL
+		}
 		applyEffects(m, sendL, recvL)
-		return newDelivery(m)
+		return newDelivery(m), ep
 	}
-	return nil
+	return nil, nil
 }
 
 // RecvCtx blocks until a message is deliverable to the current context on
@@ -431,6 +385,18 @@ func (p *Process) recvScan(filter []handle.Handle) *Delivery {
 // context.Background()/TODO() wedges the goroutine forever and is rejected
 // by asbestosvet's ctxrecv analyzer.
 func (p *Process) RecvCtx(ctx context.Context, filter ...handle.Handle) (*Delivery, error) {
+	return p.recv(ctx, filter, true)
+}
+
+// TryRecv is Recv without blocking: it returns nil if no message is
+// currently deliverable.
+func (p *Process) TryRecv(filter ...handle.Handle) (*Delivery, error) {
+	return p.recv(context.TODO(), filter, false)
+}
+
+// recv is the body of RecvCtx and TryRecv. park — whether to wait when
+// nothing is deliverable — is all that tells them apart.
+func (p *Process) recv(ctx context.Context, filter []handle.Handle, park bool) (*Delivery, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -442,9 +408,9 @@ func (p *Process) RecvCtx(ctx context.Context, filter ...handle.Handle) (*Delive
 		}
 		stop := p.sys.prof.Time(stats.CatKernelIPC)
 		p.drainInbox()
-		d := p.recvScan(filter)
+		d, _ := p.scan(filter, false)
 		stop()
-		if d != nil {
+		if d != nil || !park {
 			return d, nil
 		}
 		// Park. The last drain left the inbox empty (drain always swaps it
@@ -455,24 +421,6 @@ func (p *Process) RecvCtx(ctx context.Context, filter ...handle.Handle) (*Delive
 			return nil, err
 		}
 	}
-}
-
-// TryRecv is Recv without blocking: it returns nil if no message is
-// currently deliverable.
-func (p *Process) TryRecv(filter ...handle.Handle) (*Delivery, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dead {
-		return nil, ErrDead
-	}
-	if p.inRealm && p.cur == nil {
-		return nil, ErrNotInRealm
-	}
-	stop := p.sys.prof.Time(stats.CatKernelIPC)
-	p.drainInbox()
-	d := p.recvScan(filter)
-	stop()
-	return d, nil
 }
 
 // QueueLen reports the number of queued (not yet delivered) messages;

@@ -67,16 +67,18 @@ func (pt *Port) resolve() *vnode {
 	return vn
 }
 
-// Send sends one message to the port (Figure 4), with the cached-vnode
-// fast path: no handle-table lookup, no shard lock. Semantics are exactly
-// those of Process.Send.
+// Send sends one message to the port (Figure 4), copying the payload, with
+// the cached-vnode fast path: no handle-table lookup, no shard lock. It is
+// a one-entry SendBatch — same checks, same drop accounting — so a nil
+// error does not imply delivery.
 func (pt *Port) Send(data []byte, opts *SendOpts) error {
-	return pt.p.sendVia(pt.h, pt.resolve(), data, opts)
+	e := [1]BatchEntry{{Data: data, Opts: opts}}
+	return pt.p.sendBatchVia(pt.h, pt.resolve(), e[:])
 }
 
 // SendBatch sends N messages to the port in a single syscall, with the
-// cached-vnode fast path. Semantics are exactly those of
-// Process.SendBatch.
+// cached-vnode fast path: semantically N Sends in order, with the
+// sender-side work amortized (see BatchEntry).
 func (pt *Port) SendBatch(entries []BatchEntry) error {
 	return pt.p.sendBatchVia(pt.h, pt.resolve(), entries)
 }

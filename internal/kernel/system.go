@@ -34,7 +34,8 @@
 //     cancellation, service shutdown — or span several processes (Select).
 //     The incoming message queue is NOT under this mutex: it is an
 //     intrusive lock-free MPSC mailbox (mpsc.go) that senders push into
-//     with an atomic CAS — one CAS per SendBatch, however many messages —
+//     with an atomic CAS — one CAS per send call, whether Send or a
+//     SendBatch of however many messages —
 //     and the owner drains with one atomic swap. The receiver parks only
 //     after draining the mailbox empty, and a sender signals waiters only
 //     on the empty→non-empty transition, so steady-state traffic to a busy
@@ -366,8 +367,9 @@ func (s *System) countDrop(class string, n uint64) {
 }
 
 // dropClassDead is the drop class for undeliverable destinations;
-// dropClassReject counts whole batches rejected by a sender-side privilege
-// failure (the destination was unresolvable, so no port class applies).
+// dropClassReject counts the entries of send calls rejected by a
+// sender-side privilege failure. A reject to a live port is counted as
+// "reject:<class>"; the bare class covers unresolvable destinations.
 const (
 	dropClassDead   = "dead"
 	dropClassReject = "reject"
