@@ -3,6 +3,7 @@ package idd_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,14 +13,16 @@ import (
 	"asbestos/internal/handle"
 	"asbestos/internal/idd"
 	"asbestos/internal/kernel"
+	"asbestos/internal/label"
 	"asbestos/internal/passhash"
 )
 
 // The hardening regressions: lockout-ladder arithmetic, deferred verdicts,
 // the failed-login capability leak, the payload-pool leak, bounded-cache
-// eviction safety, the cached-login database bypass, plaintext-row
-// migration, and the sharded deployment (ownership, forwarding, broadcast,
-// and a credential-stuffing stress).
+// eviction safety, the cached-login database bypass, fail-closed non-hash
+// rows, unknown-user timing, and the sharded deployment (ownership,
+// forwarding, the owner's ladder for misrouted logins, and a
+// credential-stuffing stress).
 
 // bootOpts is boot with idd's Options pinned; it returns the backing
 // database too, so tests can corrupt or seed rows behind idd's back.
@@ -51,7 +54,26 @@ func addUser(t *testing.T, h *harness, user, pass, uid string) {
 		t.Fatalf("add user %s: %v", user, err)
 	}
 	d.Release()
+	// idd sends the reply before it drops the reply ⋆; wait for the drop,
+	// so a test that reads idd's labels next sees a settled baseline.
+	deadline := time.Now().Add(5 * time.Second)
+	for holdsStar(h.id, reply) {
+		if time.Now().After(deadline) {
+			t.Fatalf("add user %s: idd still holds the reply capability", user)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	admin.Exit()
+}
+
+// holdsStar reports whether any idd shard's send label holds h at ⋆.
+func holdsStar(id *idd.Idd, h handle.Handle) bool {
+	for _, p := range id.Processes() {
+		if p.SendLabel().Get(h) == label.Star {
+			return true
+		}
+	}
+	return false
 }
 
 // noLockout disables the backoff ladder (distinct from nil = DefaultLadder).
@@ -266,10 +288,10 @@ func TestCachedLoginSkipsDatabase(t *testing.T) {
 	}
 }
 
-// TestPlaintextMigration covers the seed-era rows: a plaintext password
-// still authenticates (constant-time compare), and the first success
-// rewrites the row as an Argon2id hash that subsequent logins verify.
-func TestPlaintextMigration(t *testing.T) {
+// TestNonHashRowFailsClosed: a row whose password is not a PHC Argon2id
+// string (a plaintext, say) fails every login, including one that presents
+// the stored string itself, and idd leaves the row as it found it.
+func TestNonHashRowFailsClosed(t *testing.T) {
 	h, dbh := bootOpts(t, idd.Options{Ladder: noLockout})
 	if _, err := dbh.Exec("INSERT INTO "+idd.UsersTable+
 		" (name, password, uid, ut, ug) VALUES (?, ?, ?, ?, ?)",
@@ -277,25 +299,17 @@ func TestPlaintextMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := h.sys.NewProcess("client")
-	if _, ok := h.login(t, client, "legacy", "WRONG"); ok {
-		t.Fatal("wrong plaintext password accepted")
+	for _, pass := range []string{"WRONG", "oldpw"} {
+		if _, ok := h.login(t, client, "legacy", pass); ok {
+			t.Fatalf("non-hash row accepted password %q", pass)
+		}
 	}
-	if _, ok := h.login(t, client, "legacy", "oldpw"); !ok {
-		t.Fatal("plaintext-row login failed")
-	}
-	res, err := dbh.Exec("SELECT password FROM "+idd.UsersTable+" WHERE name = ?", "legacy")
+	res, err := dbh.Exec("SELECT password, ut, ug FROM "+idd.UsersTable+" WHERE name = ?", "legacy")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("row lookup: %v %v", res, err)
 	}
-	stored := res.Rows[0][0]
-	if !passhash.IsHash(stored) {
-		t.Fatalf("row not migrated to a hash: %q", stored)
-	}
-	if !passhash.Verify("oldpw", stored) {
-		t.Fatal("migrated hash does not verify the original password")
-	}
-	if _, ok := h.login(t, client, "legacy", "oldpw"); !ok {
-		t.Fatal("post-migration login failed")
+	if row := res.Rows[0]; row[0] != "oldpw" || row[1] != "" || row[2] != "" {
+		t.Fatalf("row changed: %q", row)
 	}
 }
 
@@ -323,9 +337,8 @@ func loginAt(t *testing.T, sys *kernel.System, p *kernel.Process, port, reply ha
 }
 
 // TestMisroutedLoginForwarded sends logins to the WRONG shard and requires
-// the right answer anyway: the first attempt is forwarded to the owner, and
-// once the owner's broadcast lands, the replica can answer by itself —
-// with the same identity either way.
+// the right answer anyway: every misrouted attempt is forwarded to the
+// owner, which answers with the same identity each time.
 func TestMisroutedLoginForwarded(t *testing.T) {
 	h, _ := bootOpts(t, idd.Options{Shards: 2, Ladder: noLockout})
 	ports := h.id.LoginPorts()
@@ -344,6 +357,119 @@ func TestMisroutedLoginForwarded(t *testing.T) {
 	}
 	if _, ok := loginAt(t, h.sys, client, wrong, reply, 3, "alice", "WRONG"); ok {
 		t.Fatal("misrouted wrong password accepted")
+	}
+}
+
+// TestLockoutHoldsForMisroutedLogin: a login that reaches a non-owner
+// shard is decided by the owner's ladder. With alice locked at her owner,
+// her correct password sent to the other shard must fail, and not before
+// the lockout expires.
+func TestLockoutHoldsForMisroutedLogin(t *testing.T) {
+	const lockout = 300 * time.Millisecond
+	h, _ := bootOpts(t, idd.Options{
+		Shards: 2,
+		Ladder: []idd.BackoffRung{{Fails: 2, Delay: lockout}},
+	})
+	ports := h.id.LoginPorts()
+	owner := idd.ShardFor("alice", len(ports))
+	client := h.sys.NewProcess("client")
+	reply := client.Open(nil).Handle()
+
+	if _, ok := loginAt(t, h.sys, client, ports[owner], reply, 1, "alice", "pw-a"); !ok {
+		t.Fatal("login at owner failed")
+	}
+	// The owner reads the clock after this send, so the second failure
+	// locks the name until at least start+lockout.
+	var start time.Time
+	for tok := uint64(2); tok <= 3; tok++ {
+		start = time.Now()
+		if _, ok := loginAt(t, h.sys, client, ports[owner], reply, tok, "alice", "WRONG"); ok {
+			t.Fatal("wrong password accepted")
+		}
+	}
+	id, ok := loginAt(t, h.sys, client, ports[1-owner], reply, 4, "alice", "pw-a")
+	if ok {
+		t.Fatalf("misrouted login during lockout accepted (identity %+v)", id)
+	}
+	if waited := time.Since(start); waited < lockout {
+		t.Fatalf("misrouted verdict %v after the locking failure, want no earlier than the %v lockout", waited, lockout)
+	}
+}
+
+// TestIddShardHoldsOnlyOwnedStar: an idd shard holds a user's uT ⋆ and
+// uG ⋆, and clearance for uT 3, only when it owns the user — even after
+// the user's logins have reached the other shard too.
+func TestIddShardHoldsOnlyOwnedStar(t *testing.T) {
+	h, _ := bootOpts(t, idd.Options{Shards: 2, Ladder: noLockout})
+	ports := h.id.LoginPorts()
+	var users []string
+	perShard := make([]int, len(ports))
+	for i := 0; perShard[0] < 2 || perShard[1] < 2; i++ {
+		u := fmt.Sprintf("own%02d", i)
+		if o := idd.ShardFor(u, len(ports)); perShard[o] < 2 {
+			perShard[o]++
+			users = append(users, u)
+			addUser(t, h, u, "pw-"+u, fmt.Sprint(50000+i))
+		}
+	}
+	client := h.sys.NewProcess("client")
+	reply := client.Open(nil).Handle()
+	ids := make(map[string]idd.Identity)
+	tok := uint64(0)
+	for _, u := range users {
+		owner := idd.ShardFor(u, len(ports))
+		// At the owner first, then misrouted. The misrouted verdict returns
+		// only after the other shard took the request, and so after it took
+		// everything the owner sent it during the first login.
+		for _, port := range []handle.Handle{ports[owner], ports[1-owner]} {
+			tok++
+			id, ok := loginAt(t, h.sys, client, port, reply, tok, u, "pw-"+u)
+			if !ok {
+				t.Fatalf("login %s at %v failed", u, port)
+			}
+			ids[u] = id
+		}
+	}
+	for i, p := range h.id.Processes() {
+		send, recv := p.SendLabel(), p.RecvLabel()
+		for _, u := range users {
+			id, owns := ids[u], idd.ShardFor(u, len(ports)) == i
+			for _, hd := range []handle.Handle{id.UT, id.UG} {
+				if held := send.Get(hd) == label.Star; held != owns {
+					t.Errorf("shard %d (owns %s: %v) holds %v at ⋆: %v", i, u, owns, hd, held)
+				}
+			}
+			if cleared := recv.Get(id.UT) == label.L3; cleared != owns {
+				t.Errorf("shard %d (owns %s: %v) receives uT %v at 3: %v", i, u, owns, id.UT, cleared)
+			}
+		}
+	}
+}
+
+// TestUnknownUserCostsAFullVerify: a login for a name with no row verifies
+// against a dummy hash, so it takes about as long as a wrong password for
+// a real user, and verdict latency does not tell which usernames exist.
+// The hash is heavy (16 MiB) so that Argon2id, not the message round
+// trips, dominates both timings.
+func TestUnknownUserCostsAFullVerify(t *testing.T) {
+	heavy := passhash.Params{Time: 1, Memory: 16 * 1024, Threads: 1, KeyLen: 32}
+	h, _ := bootOpts(t, idd.Options{Hash: heavy, Ladder: noLockout})
+	client := h.sys.NewProcess("client")
+	median := func(user string) time.Duration {
+		var ds []time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, ok := h.login(t, client, user, "WRONG"); ok {
+				t.Fatalf("login %s accepted", user)
+			}
+			ds = append(ds, time.Since(start))
+		}
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return ds[1]
+	}
+	unknown, wrong := median("nobody"), median("alice")
+	if unknown < wrong/4 {
+		t.Fatalf("unknown user answered in %v, wrong password in %v: want at least a quarter", unknown, wrong)
 	}
 }
 
@@ -380,7 +506,7 @@ func TestShardedLoginStress(t *testing.T) {
 				port := ports[idd.ShardFor(user, len(ports))]
 				tok++
 				switch i % 5 {
-				case 1: // misroute: the replica must forward or answer
+				case 1: // misroute: the shard must forward to the owner
 					port = ports[1-idd.ShardFor(user, len(ports))]
 				case 2: // wrong password
 					pass = "WRONG"

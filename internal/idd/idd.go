@@ -9,9 +9,11 @@
 //
 //   - A USERNAME is owned by ShardFor(user, N) — shard.Of over the
 //     SHA-256 of the name, so the owner cannot be steered by crafting
-//     usernames that collide under a weak hash. The owner authenticates
-//     the user, mints and persists the handle pair, and runs the backoff
-//     ladder.
+//     usernames that collide under a weak hash. One owner answers every
+//     login for the name: it authenticates the user, mints and persists
+//     the handle pair, and runs the backoff ladder. A login that reaches
+//     another shard is forwarded to the owner, so only the owner holds the
+//     user's uT ⋆/uG ⋆ and only the owner's ladder decides.
 //   - Each shard holds a BOUNDED identity cache (Options.CacheCap, an LRU)
 //     mapping username → (uid, uT, uG, password hash). Repeat logins
 //     genuinely skip the database: a cache hit verifies the password
@@ -20,12 +22,6 @@
 //     pair is persisted in the user's row at mint time, so a post-eviction
 //     login reloads the SAME uT/uG, and the mappings previously pushed to
 //     ok-dbproxy (and the ⋆ the owner's process retains) stay valid.
-//   - The owner broadcasts each authenticated identity (with the hash) to
-//     its sibling shards the way idd pushes mappings to every ok-dbproxy
-//     shard, granting them uT ⋆/uG ⋆ — so a login that lands on the wrong
-//     shard (legacy single-port clients) is usually answered right there
-//     from the replica cache; on a replica miss the request is forwarded
-//     to the owner.
 //
 // Failed-login backoff: the owner keeps a bounded per-username failure
 // count and, past the ladder's first rung (Options.Ladder; DefaultLadder:
@@ -34,17 +30,19 @@
 // failure replies are deferred until the lockout expires (driven by a
 // timer on the shard's evloop wheel), so a credential-stuffing flood costs
 // the attacker time instead of idd capacity. A success resets the name's
-// ladder.
+// ladder. The per-name lockout is observable by design: it answers the
+// attacker's own attempts against a name. Unknown names climb the same
+// ladder, so a lockout does not tell which names exist.
 //
 // Passwords are stored as PHC-encoded Argon2id strings (internal/passhash)
-// and compared in constant time. Seed-era plaintext rows still work: the
-// first successful login compares constant-time against the stored
-// plaintext, then rewrites the row with its hash (self-migrating table).
+// and compared in constant time; a row holding anything else fails every
+// login. An unknown username is verified against a dummy hash built at
+// boot, so it costs the same Argon2id as a wrong password and verdict
+// latency does not tell which usernames exist.
 package idd
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"strconv"
 	"time"
 
@@ -77,17 +75,10 @@ const (
 	OpAddUserR = 13 // ok byte
 )
 
-// opShareID is the shard-internal identity broadcast on the forward ports:
-// user, uid, uT, uG, hash — with uT ⋆/uG ⋆ granted so the replica can
-// answer logins for the user itself. Forwarded OpLogin messages travel on
-// the same ports.
-const opShareID = 14
-
 // UsersTable is the password table idd keeps through ok-dbproxy's admin
 // interface: (name, password, uid, ut, ug). password is a PHC Argon2id
-// string (or a seed-era plaintext, until the first successful login
-// migrates it); ut/ug persist the minted handle pair so cache eviction can
-// never orphan the bindings pushed to ok-dbproxy.
+// string; ut/ug persist the minted handle pair so cache eviction can never
+// orphan the bindings pushed to ok-dbproxy.
 const UsersTable = "okws_users"
 
 // EnvLoginPort and EnvAdminPort are the environment names for idd's shard-0
@@ -186,6 +177,9 @@ type Idd struct {
 
 	hash   passhash.Params
 	ladder []BackoffRung
+	// dummy is a hash under hash's parameters. A login for an unknown
+	// username is verified against it and fails whatever the result.
+	dummy string
 
 	shards []*iddShard
 }
@@ -207,10 +201,9 @@ type iddShard struct {
 	dbAdmins []*kernel.Port
 	dbReply  *kernel.Port
 
-	// cache is the bounded identity cache: on the owner it is authoritative
-	// (filled from the database), on replicas it is warmed by opShareID
-	// broadcasts. Either way an entry carries the password hash, so a hit
-	// verifies locally — no database round trip.
+	// cache is the bounded identity cache of the users this shard owns,
+	// filled from the database. An entry carries the password hash, so a
+	// hit verifies locally — no database round trip.
 	cache *lru.Cache[string, cacheEntry]
 
 	// backoff is the owner's bounded per-username failure ladder. Eviction
@@ -273,7 +266,8 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 		Shards:   o.Shards,
 		Category: stats.CatOKWS,
 	})
-	i := &Idd{sys: sys, g: g, hash: o.Hash, ladder: o.Ladder}
+	i := &Idd{sys: sys, g: g, hash: o.Hash, ladder: o.Ladder,
+		dummy: passhash.Hash("", o.Hash)}
 	n := g.Shards()
 	perShard := o.CacheCap / n
 	if perShard < 1 {
@@ -332,7 +326,9 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 
 		lp.Handle(login, s.handleLogin)
 		lp.Handle(admin, s.handleAdmin)
-		lp.HandleForward(s.handleFwd)
+		// Misrouted logins forwarded by a sibling arrive on the forward port
+		// in the login port's own format.
+		lp.HandleForward(s.handleLogin)
 		i.shards = append(i.shards, s)
 	}
 	sys.SetEnv(EnvLoginPort, i.shards[0].loginPort.Handle())
@@ -356,13 +352,10 @@ func (i *Idd) Processes() []*kernel.Process {
 // ShardCount reports the number of login loops.
 func (i *Idd) ShardCount() int { return len(i.shards) }
 
-// LoginPort returns shard 0's login request port (single-shard clients).
-func (i *Idd) LoginPort() handle.Handle { return i.shards[0].loginPort.Handle() }
-
 // LoginPorts returns every shard's login port, indexed by shard; clients
 // route user u's login to LoginPorts()[ShardFor(u, n)]. A login sent to
-// the wrong shard still works — the replica answers from its broadcast
-// cache or forwards to the owner — it just may pay an extra hop.
+// another shard still works — it is forwarded to the owner — it just pays
+// an extra hop.
 func (i *Idd) LoginPorts() []handle.Handle {
 	out := make([]handle.Handle, len(i.shards))
 	for idx, s := range i.shards {
@@ -412,46 +405,13 @@ func (s *iddShard) handleLogin(d *kernel.Delivery) {
 	s.login(token, user, pass, reply)
 }
 
-// handleFwd serves the shard-internal ops: identity broadcasts from sibling
-// owners, and misrouted logins forwarded to this shard as owner.
-func (s *iddShard) handleFwd(d *kernel.Delivery) {
-	op, r := wire.NewReader(d.Data)
-	switch op {
-	case OpLogin:
-		token := r.U64()
-		user := r.String()
-		pass := r.String()
-		reply := r.Handle()
-		if r.Err() {
-			return
-		}
-		s.login(token, user, pass, reply)
-	case opShareID:
-		user := r.String()
-		id := Identity{UID: r.String(), UT: r.Handle(), UG: r.Handle()}
-		hashed := r.String()
-		if r.Err() {
-			return
-		}
-		s.cache.Put(user, cacheEntry{id: id, hash: hashed})
-	}
-}
-
 // login is the full verdict path for one attempt, on whichever shard it
 // reached.
 func (s *iddShard) login(token uint64, user, pass string, reply handle.Handle) {
-	owner := ShardFor(user, len(s.i.shards))
-	if owner != s.idx {
-		// Replica fast path: a broadcast-warmed entry verifies locally (the
-		// broadcast granted this shard uT ⋆/uG ⋆, so it can reply itself).
-		if e, ok := s.cache.Peek(user); ok && passhash.Verify(pass, e.hash) {
-			s.cache.Get(user) // touch only on success; probes must not pin entries
-			s.replyOK(token, e.id, reply)
-			return
-		}
-		// Otherwise the owner decides — it holds the backoff ladder and the
-		// authoritative cache. Re-grant the reply capability along the
-		// forward, then shed this shard's copy.
+	if owner := ShardFor(user, len(s.i.shards)); owner != s.idx {
+		// The owner decides — it holds the user's ⋆, the backoff ladder and
+		// the cache. Re-grant the reply capability along the forward, then
+		// shed this shard's copy.
 		msg := wire.NewWriter(OpLogin).U64(token).String(user).String(pass).Handle(reply).Done()
 		s.lp.Peer(owner).Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
 		s.proc.DropPrivilege(reply, label.L1)
@@ -551,11 +511,10 @@ func refersTo(deferred []deferredReply, reply handle.Handle) bool {
 
 // authenticate validates credentials on the owner shard. A cache hit
 // verifies against the stored hash locally — no database round trip. A
-// miss reads the user's row, verifying Argon2id (or constant-time
-// plaintext for a seed-era row, which is then migrated to a hash in
-// place), and reuses the persisted handle pair — minting and persisting a
-// fresh one only on the user's first-ever login ("it either generates new
-// uT and uG handles ... or returns cached handles", §7.4).
+// miss reads the user's row, verifies Argon2id, and reuses the persisted
+// handle pair — minting and persisting a fresh one only on the user's
+// first-ever login ("it either generates new uT and uG handles ... or
+// returns cached handles", §7.4).
 func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 	if e, ok := s.cache.Peek(user); ok {
 		if !passhash.Verify(pass, e.hash) {
@@ -567,24 +526,17 @@ func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 	res, ok := s.adminExec(
 		"SELECT password, uid, ut, ug FROM "+UsersTable+" WHERE name = ?", user)
 	if !ok || len(res.Rows) != 1 {
+		// No such user: pay a full verify anyway, so the verdict takes as
+		// long as a wrong password's.
+		passhash.Verify(pass, s.i.dummy)
 		return Identity{}, false
 	}
 	row := res.Rows[0]
-	stored, uid := row[0], row[1]
-	hashed := stored
-	if passhash.IsHash(stored) {
-		if !passhash.Verify(pass, stored) {
-			return Identity{}, false
-		}
-	} else {
-		// Seed-era plaintext row.
-		if subtle.ConstantTimeCompare([]byte(stored), []byte(pass)) != 1 {
-			return Identity{}, false
-		}
-		hashed = passhash.Hash(pass, s.i.hash)
-		s.adminExec("UPDATE "+UsersTable+" SET password = ? WHERE name = ?", hashed, user)
+	hashed := row[0]
+	if !passhash.Verify(pass, hashed) {
+		return Identity{}, false
 	}
-	id := Identity{UID: uid}
+	id := Identity{UID: row[1]}
 	if ut, okT := parseHandle(row[2]); okT {
 		ug, okG := parseHandle(row[3])
 		if !okG {
@@ -603,35 +555,13 @@ func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 		return Identity{}, false
 	}
 	s.cache.Put(user, cacheEntry{id: id, hash: hashed})
-	// Push the binding to every ok-dbproxy shard so each can taint rows,
-	// and to every sibling idd shard so misrouted logins verify locally.
+	// Push the binding to every ok-dbproxy shard so each can taint rows.
 	for _, adm := range s.dbAdmins {
 		dbproxy.PushMapping(adm, user, dbproxy.Mapping{
 			UID: id.UID, UT: id.UT, UG: id.UG,
 		})
 	}
-	s.broadcast(user, id, hashed)
 	return id, true
-}
-
-// broadcast shares an authenticated identity with the sibling shards,
-// granting them the ⋆ they need to answer the user's logins themselves.
-func (s *iddShard) broadcast(user string, id Identity, hashed string) {
-	if len(s.i.shards) == 1 {
-		return
-	}
-	msg := wire.NewWriter(opShareID).String(user).String(id.UID).
-		Handle(id.UT).Handle(id.UG).String(hashed).Done()
-	for j := range s.i.shards {
-		if j == s.idx {
-			continue
-		}
-		s.lp.Peer(j).Send(msg, &kernel.SendOpts{
-			//asbestos:keepstar idd is the identity authority: it holds uT/uG ⋆ for the account's lifetime to answer logins and re-grant on every shard
-			DecontSend: kernel.Grant(id.UT, id.UG),
-			DecontRecv: kernel.AllowRecv(label.L3, id.UT),
-		})
-	}
 }
 
 func (s *iddShard) replyOK(token uint64, id Identity, reply handle.Handle) {

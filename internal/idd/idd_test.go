@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"asbestos/internal/db"
 	"asbestos/internal/dbproxy"
 	"asbestos/internal/handle"
 	"asbestos/internal/idd"
@@ -23,30 +22,8 @@ type harness struct {
 
 func boot(t *testing.T) *harness {
 	t.Helper()
-	sys := kernel.NewSystem(kernel.WithSeed(11))
-	proxy := dbproxy.New(sys, db.Open())
-	id := idd.New(sys, proxy)
-	go proxy.Run()
-	go id.Run()
-	t.Cleanup(func() { proxy.Stop(); id.Stop() })
-
-	admin := sys.NewProcess("setup")
-	reply := admin.Open(nil).Handle()
-	adminPort, _ := sys.Env(idd.EnvAdminPort)
-	if err := idd.AddUser(admin.Port(adminPort), "alice", "pw-a", "1001", reply); err != nil {
-		t.Fatal(err)
-	}
-	d, err := admin.RecvCtx(context.Background(), reply)
-	if err != nil || !idd.ParseAddUserReply(d) {
-		t.Fatalf("add user: %v", err)
-	}
-	if err := idd.AddUser(admin.Port(adminPort), "bob", "pw-b", "1002", reply); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := admin.RecvCtx(context.Background(), reply); !idd.ParseAddUserReply(d) {
-		t.Fatal("add bob failed")
-	}
-	return &harness{sys: sys, proxy: proxy, id: id}
+	h, _ := bootOpts(t, idd.Options{})
+	return h
 }
 
 // login authenticates and returns the identity; the caller process gains
@@ -136,7 +113,8 @@ func TestIddSendLabelGrowsPerUser(t *testing.T) {
 	// Exactly uT ⋆ + uG ⋆ per user: the per-request reply capability is
 	// dropped after each reply, so it does not accumulate. idd sheds it
 	// just AFTER sending the reply, so poll briefly — a fast client can
-	// observe the label between the send and the drop.
+	// observe the label between the send and the drop. (The baseline is
+	// clean: addUser waited for idd to shed its reply capability.)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		after := h.id.Process().SendLabel().Len()

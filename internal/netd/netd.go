@@ -8,7 +8,6 @@ import (
 	"asbestos/internal/handle"
 	"asbestos/internal/kernel"
 	"asbestos/internal/label"
-	"asbestos/internal/shard"
 	"asbestos/internal/stats"
 	"asbestos/internal/wire"
 )
@@ -22,9 +21,9 @@ const EnvName = "netd"
 // process owning a disjoint slice of the connections by connection-id
 // hash. The driver process deals every connection event straight to the
 // owning shard's driver port, so per-shard connection state needs no
-// locking; the service port (listen/connect) lives on shard 0, which
-// replicates listener registrations to the other shards and hands adopted
-// outbound connections to their owners over the runtime's forward ports.
+// locking; the service port (listen) lives on shard 0, which replicates
+// listener registrations to the other shards over the runtime's forward
+// ports.
 //
 // Create with New (one loop) or NewSharded, then run the loops on a
 // goroutine with Run.
@@ -138,9 +137,9 @@ func NewOpts(sys *kernel.System, o Options) *Netd {
 	// The driver process models the interrupt path: it injects connection
 	// events, dealing each to the shard owning the connection. Driver ports
 	// are closed by capability ({drv 0, 3}), so the driver is granted ⋆ for
-	// each; shard-to-shard traffic (evListen replication, evAdopt
-	// handovers) travels on the runtime's forward ports, whose grants the
-	// evloop Group already exchanged.
+	// each; shard-to-shard traffic (evListen replication) travels on the
+	// runtime's forward ports, whose grants the evloop Group already
+	// exchanged.
 	drv := sys.NewProcess("netdrv")
 	drivers := make([]*kernel.Port, n)
 	var grants []kernel.BootstrapGrant
@@ -232,9 +231,9 @@ func (nd *Netd) Processes() []*kernel.Process {
 func (nd *Netd) Run() { nd.g.Run() }
 
 // Stop shuts netd down: it closes every transport (so no new connections
-// or events arrive and pending accepts unblock with ErrClosed), then
-// cancels the lifecycle context, which returns Run and releases every
-// shard process's kernel state.
+// or events arrive, and Dial returns ErrClosed), then cancels the lifecycle
+// context, which returns Run and releases every shard process's kernel
+// state.
 func (nd *Netd) Stop() {
 	nd.tmu.Lock()
 	ts := append([]Transport(nil), nd.transports...)
@@ -256,66 +255,37 @@ func (s *netdShard) handleConnPort(d *kernel.Delivery) {
 // handleService runs on shard 0 only (it owns the service port).
 func (s *netdShard) handleService(d *kernel.Delivery) {
 	op, r := wire.NewReader(d.Data)
-	switch op {
-	case opListen:
-		lport := r.U16()
-		notify := r.Handle()
-		if r.Err() {
-			return
-		}
-		// Replicate the registration to the sibling shards BEFORE marking
-		// the port listening: a Dial that sneaks in after markListening
-		// produces an evNewConn that is pushed to the owning shard's
-		// process queue after this broadcast, so per-process FIFO order
-		// guarantees the shard knows the listener by then (the forward port
-		// and the driver port feed the same queue). The sends are direct —
-		// a batched replication would flush after markListening and lose
-		// that ordering. The listener's ⋆ (granted to this shard by the
-		// Listen message) is re-granted alongside — a sibling's
-		// notifications to a capability-closed notify port would otherwise
-		// be dropped.
-		for _, sib := range s.nd.shards {
-			if sib == s {
-				s.addListener(lport, notify)
-				continue
-			}
-			msg := wire.NewWriter(evListen).U16(lport).Handle(notify).Done()
-			s.lp.Peer(sib.idx).Send(msg, &kernel.SendOpts{
-				//asbestos:keepstar listener replication: every shard holds the notify-port ⋆ for as long as the listen registration lives, or sibling accept notifications would be capability-dropped
-				DecontSend: kernel.Grant(notify),
-			})
-		}
-		s.nd.inj.markListening(lport)
-	case opConnect:
-		lport := r.U16()
-		reply := r.Handle()
-		if r.Err() {
-			return
-		}
-		c := s.nd.nw.connectExternal(lport)
-		if c == nil {
-			s.out.Add(reply, wire.NewWriter(OpConnectReply).Byte(0).Handle(handle.None).Done(), nil)
-			// Shed the reply capability on the refusal path too, or every
-			// refused connect grows this shard's send label forever.
-			s.out.DropAfter(reply)
-			return
-		}
-		owner := s.nd.shards[shard.OfU64(c.ID(), len(s.nd.shards))]
-		if owner == s {
-			sc := s.newSconn(c, lport)
-			msg := wire.NewWriter(OpConnectReply).Byte(1).Handle(sc.port.Handle()).Done()
-			s.out.Add(reply, msg, &kernel.SendOpts{DecontSend: kernel.Grant(sc.port.Handle())})
-			s.out.DropAfter(reply)
-			return
-		}
-		// The connection hashes to a sibling: hand it over on the forward
-		// port, re-granting the requester's reply capability so the owner
-		// can answer directly.
-		msg := wire.NewWriter(evAdopt).U64(c.ID()).U16(lport).Handle(reply).Done()
-		s.lp.Peer(owner.idx).Send(msg,
-			&kernel.SendOpts{DecontSend: kernel.Grant(reply)})
-		s.proc.DropPrivilege(reply, label.L1)
+	if op != opListen {
+		return
 	}
+	lport := r.U16()
+	notify := r.Handle()
+	if r.Err() {
+		return
+	}
+	// Replicate the registration to the sibling shards BEFORE marking
+	// the port listening: a Dial that sneaks in after markListening
+	// produces an evNewConn that is pushed to the owning shard's
+	// process queue after this broadcast, so per-process FIFO order
+	// guarantees the shard knows the listener by then (the forward port
+	// and the driver port feed the same queue). The sends are direct —
+	// a batched replication would flush after markListening and lose
+	// that ordering. The listener's ⋆ (granted to this shard by the
+	// Listen message) is re-granted alongside — a sibling's
+	// notifications to a capability-closed notify port would otherwise
+	// be dropped.
+	for _, sib := range s.nd.shards {
+		if sib == s {
+			s.addListener(lport, notify)
+			continue
+		}
+		msg := wire.NewWriter(evListen).U16(lport).Handle(notify).Done()
+		s.lp.Peer(sib.idx).Send(msg, &kernel.SendOpts{
+			//asbestos:keepstar listener replication: every shard holds the notify-port ⋆ for as long as the listen registration lives, or sibling accept notifications would be capability-dropped
+			DecontSend: kernel.Grant(notify),
+		})
+	}
+	s.nd.inj.markListening(lport)
 }
 
 // addListener records a notify port for lport (deduplicated).
@@ -429,36 +399,18 @@ func (s *netdShard) handleDriver(d *kernel.Delivery) {
 }
 
 // handleShard processes shard-internal traffic on the evloop forward port:
-// listener replications from shard 0 and adopted outbound connections
-// handed to this shard as their id-hash owner.
+// listener replications from shard 0.
 func (s *netdShard) handleShard(d *kernel.Delivery) {
 	op, r := wire.NewReader(d.Data)
-	switch op {
-	case evListen:
-		lport := r.U16()
-		notify := r.Handle()
-		if r.Err() {
-			return
-		}
-		s.addListener(lport, notify)
-	case evAdopt:
-		id := r.U64()
-		lport := r.U16()
-		reply := r.Handle()
-		if r.Err() {
-			return
-		}
-		c := s.nd.inj.Conn(id)
-		if c == nil {
-			s.out.Add(reply, wire.NewWriter(OpConnectReply).Byte(0).Handle(handle.None).Done(), nil)
-			s.out.DropAfter(reply)
-			return
-		}
-		sc := s.newSconn(c, lport)
-		msg := wire.NewWriter(OpConnectReply).Byte(1).Handle(sc.port.Handle()).Done()
-		s.out.Add(reply, msg, &kernel.SendOpts{DecontSend: kernel.Grant(sc.port.Handle())})
-		s.out.DropAfter(reply)
+	if op != evListen {
+		return
 	}
+	lport := r.U16()
+	notify := r.Handle()
+	if r.Err() {
+		return
+	}
+	s.addListener(lport, notify)
 }
 
 func (s *netdShard) handleConn(sc *sconn, d *kernel.Delivery) {
@@ -505,14 +457,6 @@ func (s *netdShard) handleConn(sc *sconn, d *kernel.Delivery) {
 		if okb == 1 {
 			s.teardown(sc)
 		}
-	case opSelect:
-		reply := r.Handle()
-		if r.Err() {
-			return
-		}
-		readable, writable := sc.c.BufferState()
-		msg := wire.NewWriter(OpSelectReply).U32(uint32(readable)).U32(uint32(writable)).Done()
-		s.reply(sc, reply, msg)
 	case opAddTaint:
 		reply := r.Handle()
 		taint := r.Handle()

@@ -191,35 +191,6 @@ func TestAppCloseGivesRemoteEOF(t *testing.T) {
 	}
 }
 
-func TestSelectReportsBuffers(t *testing.T) {
-	r := newRig(t)
-	c, connPort := r.accept(t)
-	c.Write([]byte("12345"))
-	// Give the driver event time to land; SELECT itself is served by netd.
-	reply := r.replyPort(r.app)
-	deadline := time.Now().Add(time.Second)
-	for {
-		Select(r.app.Port(connPort), reply)
-		d, _ := recvOn(r.app, reply)
-		_, rr := splitSelect(t, d.Data)
-		if rr == 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("select never saw 5 readable bytes (got %d)", rr)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func splitSelect(t *testing.T, b []byte) (op byte, readable uint32) {
-	t.Helper()
-	if len(b) < 9 || b[0] != OpSelectReply {
-		t.Fatalf("bad select reply % x", b)
-	}
-	return b[0], uint32(b[1])<<24 | uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
-}
-
 func TestTaintedConnectionFlow(t *testing.T) {
 	// The heart of §7.7: after AddTaint, (a) replies carry uT 3, (b) only
 	// processes whose labels tolerate uT can interact, and (c) a process
@@ -311,51 +282,6 @@ func TestTaintedConnectionFlow(t *testing.T) {
 	case b := <-got:
 		t.Fatalf("cross-user data leaked to u's connection: %q", b)
 	case <-time.After(20 * time.Millisecond):
-	}
-}
-
-func TestOutgoingConnect(t *testing.T) {
-	r := newRig(t)
-	ext := r.nd.Network().ListenExternal(443)
-	reply := r.replyPort(r.app)
-	svc, _ := r.sys.Env(EnvName)
-	if err := Connect(r.app.Port(svc), 443, reply); err != nil {
-		t.Fatal(err)
-	}
-	remote, err := ext.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := recvOn(r.app, reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	connPort, ok := ParseConnectReply(d)
-	if !ok {
-		t.Fatalf("connect reply: % x", d.Data)
-	}
-	if err := Write(r.app.Port(connPort), reply, []byte("hi out")); err != nil {
-		t.Fatal(err)
-	}
-	recvOn(r.app, reply)
-	buf := make([]byte, 16)
-	n, _ := remote.Read(buf)
-	if string(buf[:n]) != "hi out" {
-		t.Fatalf("external listener got %q", buf[:n])
-	}
-}
-
-func TestConnectRefusedWithoutExternalListener(t *testing.T) {
-	r := newRig(t)
-	reply := r.replyPort(r.app)
-	svc, _ := r.sys.Env(EnvName)
-	Connect(r.app.Port(svc), 12345, reply)
-	d, err := recvOn(r.app, reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ParseConnectReply(d); ok {
-		t.Fatal("connect to dead port should fail")
 	}
 }
 
@@ -511,43 +437,6 @@ func TestShardedNetdDealsConnections(t *testing.T) {
 	}
 }
 
-// TestShardedOutgoingConnect exercises the evAdopt handover: outbound
-// connections are created by shard 0 (the service-port owner) but owned by
-// the shard hashing their id, which must adopt them and answer the
-// requester directly.
-func TestShardedOutgoingConnect(t *testing.T) {
-	r, _ := shardedRig(t)
-	ext := r.nd.Network().ListenExternal(443)
-	svc, _ := r.sys.Env(EnvName)
-	for i := 0; i < 6; i++ {
-		reply := r.replyPort(r.app)
-		if err := Connect(r.app.Port(svc), 443, reply); err != nil {
-			t.Fatal(err)
-		}
-		remote, aerr := ext.Accept()
-		if aerr != nil {
-			t.Fatal(aerr)
-		}
-		d, err := recvOn(r.app, reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		connPort, ok := ParseConnectReply(d)
-		if !ok {
-			t.Fatalf("connect %d rejected: % x", i, d.Data)
-		}
-		if err := Write(r.app.Port(connPort), reply, []byte("out")); err != nil {
-			t.Fatal(err)
-		}
-		recvOn(r.app, reply)
-		buf := make([]byte, 8)
-		n, _ := remote.Read(buf)
-		if string(buf[:n]) != "out" {
-			t.Fatalf("connect %d: external listener got %q", i, buf[:n])
-		}
-	}
-}
-
 // TestEmptyDeliveryIgnoredByNetd fires zero-length payloads at the service
 // and (via capability) a connection port: both dispatchers must ignore them
 // and keep serving.
@@ -589,7 +478,7 @@ func TestUnacknowledgedWriteAndClose(t *testing.T) {
 	netdBefore := r.nd.Process().SendLabel().String() // holds the notify ⋆ only
 	c, connPort := r.accept(t)
 	conn := r.app.Port(connPort)
-	reply := r.replyPort(r.app)             // for the Select below
+	reply := r.replyPort(r.app)             // for the fence below
 	appBefore := r.app.SendLabel().String() // holds uC ⋆ and reply ⋆
 
 	if err := Write(conn, handle.None, []byte("fire")); err != nil {
@@ -598,13 +487,15 @@ func TestUnacknowledgedWriteAndClose(t *testing.T) {
 	if err := Write(conn, handle.None, []byte(" and forget")); err != nil {
 		t.Fatal(err)
 	}
-	// A Select behind the writes is answered after them (per-sender FIFO),
-	// so once it returns the writes have been applied.
-	if err := Select(conn, reply); err != nil {
+	// An acknowledged empty Write behind the writes is answered after them
+	// (per-sender FIFO), so once it returns the writes have been applied.
+	if err := Write(conn, reply, nil); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := recvOn(r.app, reply); err != nil || d.Data[0] != OpSelectReply {
-		t.Fatalf("select reply: %v %v", d, err)
+	if d, err := recvOn(r.app, reply); err != nil {
+		t.Fatalf("fence write: %v", err)
+	} else if n, ok := ParseWriteReply(d); !ok || n != 0 {
+		t.Fatalf("fence write reply: n=%d ok=%v", n, ok)
 	}
 	buf := make([]byte, 32)
 	n, err := io.ReadFull(c, buf[:15])
@@ -634,7 +525,7 @@ func TestUnacknowledgedWriteAndClose(t *testing.T) {
 	if got := r.app.SendLabel().String(); got != appBefore {
 		t.Fatalf("caller's send label moved:\n before %s\n after  %s", appBefore, got)
 	}
-	// netd shed uC ⋆ with the connection and the Select's reply ⋆ after its
+	// netd shed uC ⋆ with the connection and the fence's reply ⋆ after its
 	// flush; the unacknowledged messages granted it nothing to shed.
 	if got := r.nd.Process().SendLabel().String(); got != netdBefore {
 		t.Fatalf("netd's send label moved:\n before %s\n after  %s", netdBefore, got)

@@ -1,10 +1,10 @@
 package netd
 
 import (
-	"context"
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"asbestos/internal/wire"
 )
@@ -17,41 +17,34 @@ const connWindow = 256 * 1024
 // ErrRefused is returned by Dial when nothing listens on the port.
 var ErrRefused = errors.New("netd: connection refused")
 
-// ErrClosed is returned on operations over a closed connection, listener
-// or network.
+// ErrClosed is returned on operations over a closed connection or
+// network.
 var ErrClosed = errors.New("netd: connection closed")
 
 // Network is the simulated wire: the world outside the Asbestos box, and
 // the Transport the netd test suites and benchmarks run over. Remote peers
-// obtain Conns via Dial (connecting in to an Asbestos listener) or
-// ListenExternal (accepting connections that Asbestos processes open
-// outward). It substitutes for the paper's gigabit LAN and HTTP load
-// generator host. On Linux, ListenTCP's epoll poller carries real sockets
-// beside it; on other platforms this is the only wire (ListenTCP returns
-// ErrTCPUnsupported).
+// only dial in: Dial connects to an Asbestos listener, and nothing inside
+// Asbestos opens a connection outward. It substitutes for the paper's
+// gigabit LAN and HTTP load generator host. On Linux, ListenTCP's epoll
+// poller carries real sockets beside it; on other platforms this is the
+// only wire (ListenTCP returns ErrTCPUnsupported).
 type Network struct {
-	inj *Injector
-
-	mu       sync.Mutex
-	closed   bool
-	external map[uint16]*ExternalListener
+	inj    *Injector
+	closed atomic.Bool
 }
 
 var _ Transport = (*Network)(nil)
 
 func newNetwork(inj *Injector) *Network {
-	return &Network{inj: inj, external: make(map[uint16]*ExternalListener)}
+	return &Network{inj: inj}
 }
 
 // Dial opens a connection from the simulated remote host to an Asbestos
 // listener on lport.
 func (nw *Network) Dial(lport uint16) (*Conn, error) {
-	nw.mu.Lock()
-	if nw.closed {
-		nw.mu.Unlock()
+	if nw.closed.Load() {
 		return nil, ErrClosed
 	}
-	nw.mu.Unlock()
 	if !nw.inj.Listening(lport) {
 		return nil, ErrRefused
 	}
@@ -59,20 +52,6 @@ func (nw *Network) Dial(lport uint16) (*Conn, error) {
 	nw.inj.Register(c)
 	nw.inj.EventNewConn(c.id, lport)
 	return c, nil
-}
-
-// ListenExternal registers a remote-side listener: Asbestos processes that
-// Connect to lport get paired with Conns accepted here.
-func (nw *Network) ListenExternal(lport uint16) *ExternalListener {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	l := &ExternalListener{nw: nw, lport: lport, ch: make(chan *Conn, 64), done: make(chan struct{})}
-	if nw.closed {
-		close(l.done)
-		return l
-	}
-	nw.external[lport] = l
-	return l
 }
 
 // Listening reports whether lport currently accepts connections (set once
@@ -83,104 +62,8 @@ func (nw *Network) Listening(lport uint16) bool {
 }
 
 // Close tears the simulated wire down (Transport contract): future Dials
-// fail with ErrClosed and every external listener — including accepts
-// already blocked in Accept/AcceptCtx — unblocks with ErrClosed.
-func (nw *Network) Close() {
-	nw.mu.Lock()
-	if nw.closed {
-		nw.mu.Unlock()
-		return
-	}
-	nw.closed = true
-	listeners := make([]*ExternalListener, 0, len(nw.external))
-	for _, l := range nw.external {
-		listeners = append(listeners, l)
-	}
-	nw.external = make(map[uint16]*ExternalListener)
-	nw.mu.Unlock()
-	for _, l := range listeners {
-		l.close()
-	}
-}
-
-// connectExternal pairs an Asbestos-initiated connection with an external
-// listener, returning the new conn or nil if nothing listens.
-func (nw *Network) connectExternal(lport uint16) *Conn {
-	nw.mu.Lock()
-	l := nw.external[lport]
-	nw.mu.Unlock()
-	if l == nil {
-		return nil
-	}
-	c := newConn(nw.inj, nw.inj.NewID())
-	nw.inj.Register(c)
-	select {
-	case l.ch <- c:
-		return c
-	default:
-		// Listener backlog full: refuse.
-		nw.inj.Unregister(c.id)
-		return nil
-	}
-}
-
-// ExternalListener accepts connections initiated from inside Asbestos.
-type ExternalListener struct {
-	nw    *Network
-	lport uint16
-	ch    chan *Conn
-
-	once sync.Once
-	done chan struct{}
-}
-
-// Accept blocks for the next connection. It returns ErrClosed once the
-// listener (or the whole Network) is closed — including for accepts
-// already blocked at that moment.
-func (l *ExternalListener) Accept() (*Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		// Drain connections that raced the close.
-		select {
-		case c := <-l.ch:
-			return c, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
-// AcceptCtx is Accept bounded by ctx.
-func (l *ExternalListener) AcceptCtx(ctx context.Context) (*Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.done:
-		select {
-		case c := <-l.ch:
-			return c, nil
-		default:
-			return nil, ErrClosed
-		}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Close deregisters the listener and unblocks pending accepts with
-// ErrClosed. Safe to call more than once, and concurrently with Accept.
-func (l *ExternalListener) Close() {
-	l.nw.mu.Lock()
-	if l.nw.external[l.lport] == l {
-		delete(l.nw.external, l.lport)
-	}
-	l.nw.mu.Unlock()
-	l.close()
-}
-
-func (l *ExternalListener) close() { l.once.Do(func() { close(l.done) }) }
+// fail with ErrClosed.
+func (nw *Network) Close() { nw.closed.Store(true) }
 
 // Conn is the remote peer's endpoint of one simulated TCP connection.
 // Read/Write/Close are called from remote-host goroutines (the load

@@ -5,10 +5,12 @@
 // burst-draining loop, reply batching, cross-shard forward ports and
 // delivery release; see the evloop package doc for its ownership and
 // Release rules). netd wraps each connection in an Asbestos port, services
-// READ/WRITE/CONTROL/SELECT messages on that port, and optionally taints
-// each connection with a user handle so that every byte read from user u's
-// connection carries uT 3 and only suitably labeled processes can write to
-// it.
+// READ/WRITE/CONTROL/ADDTAINT messages on that port — the ops Figure 5
+// needs, beside LISTEN and its new-connection notify on the service port —
+// and with ADDTAINT taints a connection with a user handle, so that every
+// byte read from user u's connection carries uT 3 and only suitably labeled
+// processes can write to it. Remote peers only dial in: netd opens no
+// outbound connections.
 //
 // The paper's netd contains an LWIP TCP/IP stack and an E1000 driver; here
 // the wire is pluggable. Everything below the shard loops goes through the
@@ -80,7 +82,9 @@
 //     must land on the transport's writer (and ultimately the client),
 //     never block the shard.
 //   - Netd.Stop closes transports (Transport.Close) before stopping the
-//     shard loops. Close unblocks pending accepts with ErrClosed, and a
+//     shard loops. Close unblocks pending accepts — only the TCP front
+//     end has any: its pollers stop accepting and close their listen
+//     sockets. On the simulated wire, later Dials fail with ErrClosed. A
 //     connection's end — remote close or transport teardown — is always
 //     reported via evClosed, never by vanishing silently.
 package netd
@@ -91,11 +95,8 @@ import (
 	"asbestos/internal/wire"
 )
 
-// Request ops (application → netd service port).
-const (
-	opListen  = 1 // lport u16, notify handle; DS grants notify ⋆
-	opConnect = 2 // lport u16, reply handle; DS grants reply ⋆
-)
+// Request op (application → netd service port).
+const opListen = 1 // lport u16, notify handle; DS grants notify ⋆
 
 // Driver events (driver process → netd driver ports; each event is dealt
 // to the shard owning the connection id).
@@ -105,20 +106,15 @@ const (
 	evClosed  = 12 // connID u64
 )
 
-// Internal shard-to-shard events, carried on the evloop forward ports.
-// Shard 0 (the service-port owner) replicates listener registrations and
-// hands hash-misrouted outbound connections to their owning shard.
-const (
-	evListen = 13 // lport u16, notify handle
-	evAdopt  = 14 // connID u64, lport u16, reply handle; DS re-grants reply ⋆
-)
+// Internal shard-to-shard event, carried on the evloop forward ports:
+// shard 0 (the service-port owner) replicates listener registrations.
+const evListen = 13 // lport u16, notify handle
 
 // Connection ops (application → connection port uC).
 const (
 	opRead     = 20 // reply handle, maxLen u32; DS grants reply ⋆
 	opWrite    = 21 // reply handle (None = unacknowledged), data; DS grants reply ⋆
 	opControl  = 22 // reply handle (None = unacknowledged), cmd byte; DS grants reply ⋆
-	opSelect   = 23 // reply handle; DS grants reply ⋆
 	opAddTaint = 24 // reply handle, taint handle; DS grants reply ⋆ and taint ⋆
 )
 
@@ -133,9 +129,7 @@ const (
 	OpReadReply     = 31 // eof byte, data
 	OpWriteReply    = 32 // n u32
 	OpControlReply  = 33 // ok byte
-	OpSelectReply   = 34 // readable u32, writable u32
 	OpAddTaintReply = 35 // ok byte
-	OpConnectReply  = 36 // ok byte, conn port handle (granted ⋆)
 )
 
 // The client helpers below take the destination as a *kernel.Port — an
@@ -150,13 +144,6 @@ const (
 func Listen(netdPort *kernel.Port, lport uint16, notify handle.Handle) error {
 	msg := wire.NewWriter(opListen).U16(lport).Handle(notify).Done()
 	return netdPort.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(notify)})
-}
-
-// Connect asks netd to open an outgoing connection to lport on the
-// simulated network; the reply (OpConnectReply) grants a connection port.
-func Connect(netdPort *kernel.Port, lport uint16, reply handle.Handle) error {
-	msg := wire.NewWriter(opConnect).U16(lport).Handle(reply).Done()
-	return netdPort.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
 }
 
 // Read requests up to maxLen bytes from a connection; netd replies on reply
@@ -192,12 +179,6 @@ func replyGrant(reply handle.Handle) *kernel.SendOpts {
 		return nil
 	}
 	return &kernel.SendOpts{DecontSend: kernel.Grant(reply)}
-}
-
-// Select asks for the connection's buffer availability.
-func Select(conn *kernel.Port, reply handle.Handle) error {
-	msg := wire.NewWriter(opSelect).Handle(reply).Done()
-	return conn.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
 }
 
 // AddTaint attaches a taint handle to a connection (paper §7.7): netd will
@@ -260,18 +241,4 @@ func ParseWriteReply(d *kernel.Delivery) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// ParseConnectReply decodes an OpConnectReply.
-func ParseConnectReply(d *kernel.Delivery) (handle.Handle, bool) {
-	op, r := wire.NewReader(d.Data)
-	if op != OpConnectReply {
-		return handle.None, false
-	}
-	ok := r.Byte() == 1
-	h := r.Handle()
-	if r.Err() || !ok {
-		return handle.None, false
-	}
-	return h, true
 }

@@ -56,8 +56,9 @@ type WireConn interface {
 //     shard.OfU64(id, N), and teardown (Unregister) is netd's — the
 //     transport never removes a registered connection itself.
 //
-// Close tears the transport down: stop producing connections, shut the
-// existing ones, and unblock any pending accept calls with ErrClosed.
+// Close tears the transport down: it stops producing connections. The TCP
+// front end stops accepting and shuts its sockets; the simulated wire
+// fails later Dials with ErrClosed.
 type Transport interface {
 	Close()
 }

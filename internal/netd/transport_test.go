@@ -2,7 +2,6 @@ package netd
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -199,65 +198,21 @@ func TestTCPTransportSharded(t *testing.T) {
 	}
 }
 
-// TestExternalListenerCloseUnblocksAccept pins the satellite fix: a
-// pending Accept must return ErrClosed when the listener closes, instead
-// of wedging forever on a bare channel receive.
-func TestExternalListenerCloseUnblocksAccept(t *testing.T) {
+// TestDialAfterStopReturnsErrClosed covers the whole-transport teardown
+// path: Netd.Stop closes the simulated Network, and a later Dial fails with
+// ErrClosed instead of announcing a connection to stopped shards.
+func TestDialAfterStopReturnsErrClosed(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(7))
 	nd := New(sys)
 	go nd.Run()
-	defer nd.Stop()
-	ext := nd.Network().ListenExternal(443)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := ext.Accept()
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	ext.Close()
-	select {
-	case err := <-errc:
-		if err != ErrClosed {
-			t.Fatalf("Accept after Close = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept still wedged after listener Close")
+	app := sys.NewProcess("app")
+	svc, _ := sys.Env(EnvName)
+	if err := Listen(app.Port(svc), 80, app.Open(nil).Handle()); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestNetworkCloseUnblocksAccept covers the whole-transport teardown path:
-// Netd.Stop closes the Network, which must unblock every listener.
-func TestNetworkCloseUnblocksAccept(t *testing.T) {
-	sys := kernel.NewSystem(kernel.WithSeed(7))
-	nd := New(sys)
-	go nd.Run()
-	ext := nd.Network().ListenExternal(443)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := ext.Accept()
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	waitListening(t, nd, 80)
 	nd.Stop()
-	select {
-	case err := <-errc:
-		if err != ErrClosed {
-			t.Fatalf("Accept after Stop = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept still wedged after Netd.Stop")
-	}
-}
-
-func TestExternalListenerAcceptCtx(t *testing.T) {
-	sys := kernel.NewSystem(kernel.WithSeed(7))
-	nd := New(sys)
-	go nd.Run()
-	defer nd.Stop()
-	ext := nd.Network().ListenExternal(443)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := ext.AcceptCtx(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("AcceptCtx = %v, want DeadlineExceeded", err)
+	if _, err := nd.Network().Dial(80); err != ErrClosed {
+		t.Fatalf("Dial after Stop = %v, want ErrClosed", err)
 	}
 }

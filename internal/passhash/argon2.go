@@ -377,7 +377,7 @@ func Hash(password string, p Params) string {
 }
 
 // IsHash reports whether a stored credential is a PHC-encoded Argon2id
-// hash (as opposed to a seed-era plaintext password).
+// hash; Verify fails for anything else.
 func IsHash(s string) bool { return strings.HasPrefix(s, phcPrefix) }
 
 // Verify re-derives the tag from password under the encoded string's own

@@ -8,8 +8,9 @@
 // Verification is constant-time over the derived tag (crypto/subtle), so a
 // stored hash leaks nothing through idd's comparison timing. The work
 // parameters ride in the encoded string, giving stored credentials a
-// migration path: rows hashed under yesterday's parameters still verify,
-// and IsHash distinguishes hashed rows from seed-era plaintext ones.
+// migration path: rows hashed under yesterday's parameters still verify.
+// A stored string that is not a PHC Argon2id hash (IsHash) verifies
+// nothing.
 package passhash
 
 import (
