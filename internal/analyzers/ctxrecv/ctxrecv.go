@@ -1,8 +1,8 @@
 // Package ctxrecv enforces ctx-aware blocking receives: every
 // Port.Recv/Mailbox.Recv/Process.RecvCtx/Select call must be handed a
 // context that can actually end the wait. Passing context.Background() (or
-// TODO()) makes the receive a wedge-forever path invisible to the timer
-// wheel's deadline ladder.
+// TODO()) makes the receive a wedge-forever path invisible to the evloop
+// timers' deadline ladder.
 package ctxrecv
 
 import (

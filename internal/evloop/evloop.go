@@ -46,25 +46,36 @@
 //
 // # Timers
 //
-// Each shard owns a hierarchical timing wheel (see wheel.go): Shard.Timer
-// makes a per-key one-shot timer whose handler runs on the loop goroutine,
-// exactly like a port handler. The arming rules:
+// Each shard owns a timer set (see timer.go): Shard.Timer makes a per-key
+// one-shot timer whose handler runs on the loop goroutine, exactly like a
+// port handler. The set is a binary min-heap keyed by each timer's exact
+// deadline, so Arm, re-arm and Stop are O(log n) and a timer fires on the
+// first advance at or after its deadline, plus whatever the loop was
+// already busy doing. The rules:
 //
 //   - Timers belong to the shard that created them. Arm, Stop and the
 //     expiry handler all run on the loop goroutine (or before Run, during
 //     construction); arming a sibling shard's timer from a handler is a
 //     data race.
-//   - Arm re-arms: calling it on an armed timer moves the deadline, O(1),
-//     no allocation. Handlers may re-arm their own timer from inside the
-//     expiry callback (the periodic-timer idiom).
+//   - Arm re-arms: calling it on an armed timer moves the deadline.
+//     A deadline at or before the latest advance fires on the next
+//     advance to a later instant, never the current one, so a handler may
+//     re-arm its own timer from inside the expiry callback (the
+//     periodic-timer idiom) without looping.
+//   - An advance pops due timers one at a time, earliest first: a timer
+//     that an earlier handler stops in the same advance does not fire.
 //   - An idle shard arms nothing and sleeps indefinitely: the loop blocks
 //     with a receive deadline only while at least one timer is armed, so a
 //     quiet service costs zero wakeups.
 //   - Expiry handlers may buffer sends on Out(); the loop flushes after
-//     each Advance that fired, same as after a dispatch burst.
-//   - Precision is the wheel granularity, 1ms. A timer never fires before
-//     its deadline; it can fire up to one granule late, plus whatever the
-//     loop was already busy doing.
+//     each advance that fired, same as after a dispatch burst.
+//
+// Why a heap, not a timing wheel: the clocks are few. Under every gated
+// workload no shard ever held more than two armed timers, and no timer
+// fired; only login.cold arms one per request (the pending-login retry,
+// stopped by the reply). At that population a heap operation is a few
+// comparisons, and even 10 000 armed timers cost an arm–stop–arm well
+// under a microsecond.
 //
 // A panicking handler — port or timer — does not kill the shard: the loop
 // recovers, counts the event (Group.HandlerPanics), releases the delivery
@@ -116,11 +127,6 @@ type Config struct {
 // see the package comment.
 const BurstCap = 64
 
-// wheelTick is every shard wheel's granularity: the precision bound on
-// Shard.Timer deadlines. Fine granularity costs nothing while idle — the
-// wheel jumps empty spans.
-const wheelTick = time.Millisecond
-
 // Group is a set of sharded event loops sharing one lifecycle: Run runs
 // every loop until Stop cancels the group context.
 type Group struct {
@@ -138,7 +144,7 @@ type Group struct {
 }
 
 // Shard is one event loop: its own kernel process, dispatch table, Batcher
-// and timer wheel, touched only by its own goroutine once Run starts.
+// and timer set, touched only by its own goroutine once Run starts.
 type Shard struct {
 	g   *Group
 	idx int
@@ -153,7 +159,7 @@ type Shard struct {
 	fallback Handler
 	mbox     *kernel.Mailbox
 
-	wheel *Wheel
+	timers timers
 
 	// Reusable receive-deadline machinery (recvNext): one runtime timer
 	// per shard that cancels the current receive context, instead of a
@@ -185,7 +191,6 @@ func New(sys *kernel.System, cfg Config) *Group {
 			out:      kernel.NewBatcher(proc),
 			fwd:      proc.Open(nil),
 			handlers: make(map[handle.Handle]Handler),
-			wheel:    NewWheel(time.Now(), wheelTick),
 		})
 	}
 	for _, s := range g.shards {
@@ -287,12 +292,12 @@ func (s *Shard) HandleForward(h Handler) { s.Handle(s.fwd, h) }
 // reply ports a handler blocks on inline) untouched.
 func (s *Shard) HandleDefault(h Handler) { s.fallback = h }
 
-// Timer creates an unarmed one-shot timer on the shard's wheel. fn runs
-// on the loop goroutine like any handler (and like any handler, a panic
-// is recovered and counted, not fatal). Arm/Stop/re-arm follow the wheel
-// ownership rules in the package comment.
+// Timer creates an unarmed one-shot timer on the shard's timer set. fn
+// runs on the loop goroutine like any handler (and like any handler, a
+// panic is recovered and counted, not fatal). Arm/Stop/re-arm follow the
+// timer rules in the package comment.
 func (s *Shard) Timer(fn func(now time.Time)) *Timer {
-	return s.wheel.NewTimer(func(now time.Time) {
+	return s.timers.newTimer(func(now time.Time) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.g.panics.Add(1)
@@ -302,15 +307,11 @@ func (s *Shard) Timer(fn func(now time.Time)) *Timer {
 	})
 }
 
-// Wheel exposes the shard's timer wheel (diagnostics; Len/Empty).
-func (s *Shard) Wheel() *Wheel { return s.wheel }
-
-// AdvanceTimers turns the shard's wheel to now, firing due timers, and
-// reports how many fired. The loop calls it after every round; it is
-// exported for the same reason Dispatch is — construction-time plumbing
-// and tests that drive a shard synchronously. At runtime only the loop
-// goroutine may call it.
-func (s *Shard) AdvanceTimers(now time.Time) int { return s.wheel.Advance(now) }
+// AdvanceTimers fires the shard's timers due at now and reports how many
+// fired. The loop calls it after every round; it is exported for the same
+// reason Dispatch is — construction-time plumbing and tests that drive a
+// shard synchronously. At runtime only the loop goroutine may call it.
+func (s *Shard) AdvanceTimers(now time.Time) int { return s.timers.advance(now) }
 
 // HandlerPanics reports how many handler panics the group's loops have
 // recovered from.
@@ -332,8 +333,8 @@ func (s *Shard) Dispatch(d *kernel.Delivery) {
 }
 
 // run is the loop skeleton every trusted service used to copy: block for
-// the first delivery (bounded by the wheel's next deadline), drain up to
-// BurstCap without blocking, flush the Batcher, turn the wheel.
+// the first delivery (bounded by the next timer deadline), drain up to
+// BurstCap without blocking, flush the Batcher, fire due timers.
 func (s *Shard) run() {
 	if s.mbox == nil {
 		if s.fallback != nil {
@@ -369,9 +370,9 @@ func (s *Shard) run() {
 			s.out.Flush()
 			stop()
 		}
-		if !s.wheel.Empty() {
+		if s.timers.Len() > 0 {
 			stop := prof.Time(s.g.cfg.Category)
-			if s.wheel.Advance(time.Now()) > 0 {
+			if s.timers.advance(time.Now()) > 0 {
 				s.out.Flush()
 			}
 			stop()
@@ -394,9 +395,9 @@ func (s *Shard) dispatchRelease(d *kernel.Delivery) {
 	s.Dispatch(d)
 }
 
-// recvNext blocks for the next delivery, bounded by the wheel's earliest
+// recvNext blocks for the next delivery, bounded by the earliest timer
 // deadline while any timer is armed. An expiry returns (nil, nil) so the
-// loop can turn the wheel; a group-context cancellation (or process
+// loop can fire due timers; a group-context cancellation (or process
 // death) ends the loop.
 //
 // The deadline is enforced by one reusable runtime timer per shard that
@@ -405,13 +406,13 @@ func (s *Shard) dispatchRelease(d *kernel.Delivery) {
 // Only an actual expiry poisons the receive context and costs a
 // replacement.
 func (s *Shard) recvNext() (*kernel.Delivery, error) {
-	deadline, armed := s.wheel.NextDeadline()
+	deadline, armed := s.timers.nextDeadline()
 	if !armed {
 		return s.mbox.Recv(s.g.ctx)
 	}
 	wait := time.Until(deadline)
 	if wait <= 0 {
-		return nil, nil // already due: turn the wheel before blocking
+		return nil, nil // already due: fire timers before blocking
 	}
 	if s.recvCtx == nil || s.recvCtx.Err() != nil {
 		if s.recvDone != nil {

@@ -180,7 +180,7 @@ func TestBurstCapBoundsRound(t *testing.T) {
 }
 
 // TestTimerFiresWhileArmed pins the timer path the pending-login deadline
-// rides on: an armed wheel timer fires on an otherwise idle loop, a
+// rides on: an armed shard timer fires on an otherwise idle loop, a
 // handler can re-arm itself periodically, and once disarmed the loop
 // fires nothing (and blocks with no receive deadline at all).
 func TestTimerFiresWhileArmed(t *testing.T) {

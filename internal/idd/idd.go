@@ -28,7 +28,7 @@
 // 3 fails → 5s … 10 fails → 5min), locks the name out. Attempts against a
 // locked name are not verified at all — no hashing, no database — their
 // failure replies are deferred until the lockout expires (driven by a
-// timer on the shard's evloop wheel), so a credential-stuffing flood costs
+// timer on the evloop shard), so a credential-stuffing flood costs
 // the attacker time instead of idd capacity. A success resets the name's
 // ladder. The per-name lockout is observable by design: it answers the
 // attacker's own attempts against a name. Unknown names climb the same
@@ -432,9 +432,9 @@ func (s *iddShard) login(token uint64, user, pass string, reply handle.Handle) {
 		}
 		st.deferred = append(st.deferred, deferredReply{token: token, reply: reply})
 		// Arm the lockout-expiry timer at the window's end; one per-key
-		// timer on the shard wheel replaces the old standing tick, so a
-		// shard with nothing locked arms nothing. Re-arming on each
-		// deferral is idempotent (until is fixed while locked).
+		// shard timer replaces the old standing tick, so a shard with
+		// nothing locked arms nothing. Re-arming on each deferral is
+		// idempotent (until is fixed while locked).
 		if st.timer == nil {
 			st.timer = s.lp.Timer(func(time.Time) { s.flushDeferred(st) })
 		}

@@ -51,7 +51,7 @@ type Demux struct {
 	// reqDeadline bounds a request's whole demux-side life (read, login,
 	// taint, handoff); 0 disables. sessionTTL bounds how long an idle
 	// session entry pins its worker event process; 0 disables. Both ride
-	// the shard wheels — an idle shard arms no standing tick for either.
+	// shard timers — an idle shard arms no standing tick for either.
 	reqDeadline time.Duration
 	sessionTTL  time.Duration
 
@@ -237,7 +237,7 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 	// The runtime owns the loop skeleton: shard processes, forward ports
 	// with ⋆ grants for every ordered pair (a sibling's opFwdConn or
 	// opShardWorker to a capability-closed port would be silently dropped),
-	// the burst drain, Batcher flush, the timer wheel, and stop.
+	// the burst drain, Batcher flush, the shard timers, and stop.
 	g := evloop.New(sys, evloop.Config{
 		Name:     "ok-demux",
 		Shards:   shards,
@@ -661,10 +661,10 @@ func (s *demuxShard) loginExpired(now time.Time, pl *pendingLogin) {
 		if !s.live(cs) {
 			continue
 		}
-		// Re-arm relative to the wheel's notion of now (the fire time), not
+		// Re-arm relative to the timers' notion of now (the fire time), not
 		// the wall clock: the two agree in a running loop, and tests that
-		// advance the wheel synthetically must not see the re-armed
-		// deadline land behind the cursor and re-fire in the same sweep.
+		// advance the timers synthetically must see the retry land
+		// retryAfter past the instant they advanced to.
 		pl.timer.Arm(now.Add(retryAfter))
 		user, pass, _ := cs.req.User()
 		s.loginTok++

@@ -109,3 +109,18 @@ func TestWorkerStopsViaContextAlone(t *testing.T) {
 		t.Fatal("no event process should exist")
 	}
 }
+
+// TestIdleSweepAfterStop pins the sweep–Stop race: the idle sweep runs on
+// a timer goroutine, so it can run after Stop has stopped and cleared
+// epSweep. It must then return at once, not re-arm the cleared timer.
+func TestIdleSweepAfterStop(t *testing.T) {
+	sys := kernel.NewSystem(kernel.WithSeed(80))
+	w := newWorker(sys, "t", func(c *Ctx, req *httpmsg.Request) *httpmsg.Response { return nil })
+	w.epTTL = time.Hour
+	w.touchEP(w.basePort.Handle(), 1)
+	w.Stop()
+	w.sweepIdleEPs()
+	if w.epSweep != nil {
+		t.Fatal("a sweep after Stop re-armed the idle timer")
+	}
+}

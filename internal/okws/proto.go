@@ -59,8 +59,8 @@
 //
 // IPC is unreliable (§4): any send may be dropped silently. Every demux
 // wait on a message that can be lost therefore has exactly one clock, a
-// per-key timer on the shard's wheel set retryAfter past the newest send,
-// and nothing waits on more traffic. A pending login with no verdict
+// per-key shard timer armed retryAfter past the newest send, and nothing
+// waits on more traffic. A pending login with no verdict
 // re-asks idd under a fresh token. A pinned session — a fresh user's start
 // in flight, with later connections parked behind it — probes its oldest
 // waiter to the same replica as a fresh start, or drops the pin if nobody

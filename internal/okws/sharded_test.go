@@ -369,8 +369,8 @@ func TestLoginReplyTokenMatching(t *testing.T) {
 // capped at maxParkedPerSession with 503s beyond it, retryAfter brings
 // exactly one probe — the OLDEST waiter, as a fresh start to the SAME
 // replica — and a late registration drains the rest. A pin nobody waits
-// on is dropped on its clock. The wheel is only ever advanced forward: a
-// deadline armed behind the cursor would not fire in the same sweep.
+// on is dropped on its clock. The timers are only ever advanced forward:
+// a deadline armed at or before the latest advance fires on the next one.
 func TestPinnedSessionProbesOnTimer(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(37))
 	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 1, 0, 0, 0, 0) // dangling service handles

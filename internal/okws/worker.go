@@ -215,9 +215,14 @@ func (w *Worker) forgetEP(sess handle.Handle) {
 // sweepIdleEPs reaps every cached session idle past epTTL, exactly as if
 // the demux's evict had arrived. An event process that is ACTIVE when the
 // sweep looks (mid-request on Run's goroutine) is skipped — its handoff
-// already re-touched it, or the next sweep retries.
+// already re-touched it, or the next sweep retries. A sweep that races
+// Stop finds epSweep nil and returns at once.
 func (w *Worker) sweepIdleEPs() {
 	w.epMu.Lock()
+	defer w.epMu.Unlock()
+	if w.epSweep == nil {
+		return
+	}
 	now := time.Now()
 	var expired []handle.Handle
 	for sess, st := range w.epLast {
@@ -235,7 +240,6 @@ func (w *Worker) sweepIdleEPs() {
 	} else {
 		w.epSweep = nil
 	}
-	w.epMu.Unlock()
 }
 
 // session state persisted in event-process memory.

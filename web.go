@@ -34,7 +34,7 @@ type WebService = okws.Service
 // trips, taint, handoff, and the worker handler's ctx share the one
 // clock), SessionTTL evicts idle sessions and reclaims their worker event
 // processes, and IdleTimeout is netd's backstop that tears down silent
-// connections. All three ride the per-shard timer wheels — an idle shard
+// connections. All three ride per-shard evloop timers — an idle shard
 // arms no standing tick — and each defaults to 0 (disabled).
 type WebConfig = okws.Config
 
