@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	membench [-sessions 1000,2000,...] [-kb 1] [-active] [-both]
+//	membench [-sessions 1000,2000,...] [-kb 1] [-active]
 package main
 
 import (
@@ -20,8 +20,7 @@ func main() {
 	sessions := flag.String("sessions", "100,500,1000,2000,4000",
 		"comma-separated session counts")
 	kb := flag.Int("kb", 1, "session payload size in KB")
-	active := flag.Bool("active", false, "measure active (never-cleaned) sessions only")
-	both := flag.Bool("both", true, "measure both cached and active variants")
+	active := flag.Bool("active", false, "measure active (never-cleaned) sessions instead of cached ones")
 	flag.Parse()
 
 	counts, err := parseInts(*sessions)
@@ -30,31 +29,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	variants := []bool{false, true}
-	if !*both {
-		variants = []bool{*active}
-	}
-
 	fmt.Println("Figure 6: memory used by Web sessions (paper: ~1.5 pages/cached, +8 pages/active)")
+	res, err := asbestos.Figure6(counts, *active, *kb)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "membench:", err)
+		os.Exit(1)
+	}
+	kind := "cached"
+	if *active {
+		kind = "active"
+	}
 	var rows [][]string
-	for _, act := range variants {
-		res, err := asbestos.Figure6(counts, act, *kb)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "membench:", err)
-			os.Exit(1)
-		}
-		for _, r := range res {
-			kind := "cached"
-			if r.Active {
-				kind = "active"
-			}
-			rows = append(rows, []string{
-				kind,
-				strconv.Itoa(r.Sessions),
-				fmt.Sprintf("%.0f", r.TotalPages),
-				fmt.Sprintf("%.2f", r.PagesPerSession),
-			})
-		}
+	for _, r := range res {
+		rows = append(rows, []string{
+			kind,
+			strconv.Itoa(r.Sessions),
+			fmt.Sprintf("%.0f", r.TotalPages),
+			fmt.Sprintf("%.2f", r.PagesPerSession),
+		})
 	}
 	fmt.Print(asbestos.FormatTable(
 		[]string{"variant", "sessions", "total pages", "pages/session"}, rows))

@@ -109,7 +109,7 @@ func run() error {
 	}
 
 	fmt.Println()
-	fmt.Printf("kernel: %d processes, %d active handles, %d messages dropped by label checks\n",
+	fmt.Printf("kernel: %d processes, %d live handles, %d messages dropped by label checks\n",
 		srv.Sys.Processes(), srv.Sys.Handles(), srv.Sys.Drops())
 	fmt.Println("every cross-user denial above was enforced by kernel label checks, not worker code")
 	return nil

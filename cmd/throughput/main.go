@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	throughput [-sessions 1,100,1000,...] [-baseconns 2000]
+//	throughput [-sessions 1,100,1000,...] [-baseconns 2000] [-workers N]
 package main
 
 import (
@@ -23,10 +23,6 @@ func main() {
 	baseConns := flag.Int("baseconns", 2000, "connections per baseline run")
 	workers := flag.Int("workers", 1,
 		"worker replicas per service; >1 adds a multicore sweep over the sharded kernel")
-	shards := flag.Int("shards", 0,
-		"event loops per trusted service (demux/netd/dbproxy) for the parallel sweep; 0 = workers")
-	iddShards := flag.Int("iddshards", 0,
-		"event loops for idd in the parallel sweep; 0 = shards")
 	flag.Parse()
 
 	counts, err := parseInts(*sessions)
@@ -42,12 +38,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "throughput:", err)
 		os.Exit(1)
 	}
-	if *workers > 1 || *shards > 1 || *iddShards > 1 {
-		n := *shards
-		if n == 0 {
-			n = *workers
-		}
-		prows, err := asbestos.Figure7OKWSIddSharded(counts, *workers, n, *iddShards)
+	if *workers > 1 {
+		prows, err := asbestos.Figure7OKWSParallel(counts, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "throughput:", err)
 			os.Exit(1)

@@ -20,20 +20,16 @@ type (
 
 // Figure6 measures memory per cached/active session; Figure7OKWS and
 // Figure7OKWSParallel measure throughput (single-loop versus replicated
-// workers + sharded trusted services); Figure7OKWSSharded varies the shard
-// count independently of the replica count; Figure7OKWSIddSharded
-// additionally pins idd's shard count; Figure7Baselines the Apache
+// workers + sharded trusted services); Figure7Baselines the Apache
 // models; Figure8 the latency table; Figure9 per-component
 // Kcycles/connection.
 var (
-	Figure6               = experiments.Figure6
-	Figure7OKWS           = experiments.Figure7OKWS
-	Figure7OKWSParallel   = experiments.Figure7OKWSParallel
-	Figure7OKWSSharded    = experiments.Figure7OKWSSharded
-	Figure7OKWSIddSharded = experiments.Figure7OKWSIddSharded
-	Figure7Baselines      = experiments.Figure7Baselines
-	Figure8               = experiments.Figure8
-	Figure9               = experiments.Figure9
+	Figure6             = experiments.Figure6
+	Figure7OKWS         = experiments.Figure7OKWS
+	Figure7OKWSParallel = experiments.Figure7OKWSParallel
+	Figure7Baselines    = experiments.Figure7Baselines
+	Figure8             = experiments.Figure8
+	Figure9             = experiments.Figure9
 )
 
 // DefaultSessions is the paper's Figure 7/9 x-axis.

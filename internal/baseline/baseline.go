@@ -246,7 +246,7 @@ func (s *Server) serveCGI(raw []byte) []byte {
 type Result struct {
 	Connections int
 	Elapsed     time.Duration
-	Latency     *stats.Latencies
+	Latency     *stats.Histogram
 }
 
 // ConnsPerSec is the Figure 7 metric.
@@ -261,7 +261,7 @@ func (r Result) ConnsPerSec() float64 {
 // concurrency, measuring throughput and latency (Figures 7 and 8).
 func Run(s *Server, req *httpmsg.Request, count, concurrency int) Result {
 	raw := httpmsg.FormatRequest(req)
-	res := Result{Connections: count, Latency: stats.NewLatencies()}
+	res := Result{Connections: count, Latency: stats.NewHistogram()}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	next := 0
@@ -280,10 +280,7 @@ func Run(s *Server, req *httpmsg.Request, count, concurrency int) Result {
 				mu.Unlock()
 				t0 := time.Now()
 				s.Do(raw)
-				lat := time.Since(t0)
-				mu.Lock()
-				res.Latency.Add(lat)
-				mu.Unlock()
+				res.Latency.Add(time.Since(t0)) // lock-free
 			}
 		}()
 	}

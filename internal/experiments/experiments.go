@@ -88,25 +88,14 @@ func users(n int) []workload.Credentials {
 	return out
 }
 
-// provision boots an OKWS server with the given services and n accounts.
-// The stack runs single-shard: Figures 6–9 reproduce the paper's
-// single-process services, and the shape assertions (label growth, per-
-// component cycles) are statements about that configuration. The sharded
-// stack is measured by Figure7OKWSParallel and the parallel benchmark.
-func provision(n int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
-	return provisionSharded(n, 1, prof, services...)
-}
-
-// provisionSharded is provision with the trusted services sharded; the
-// parallel/sharded sweeps use it.
-func provisionSharded(n, shards int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
-	return provisionIdd(n, shards, 0, prof, services...)
-}
-
-// provisionIdd is provisionSharded with idd's shard count pinned
-// independently (0 follows shards); the idd-sharding sweep uses it.
-func provisionIdd(n, shards, iddShards int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
-	srv, err := okws.Launch(okws.Config{Seed: 42, Shards: shards, IddShards: iddShards,
+// provision boots an OKWS server with the given services and n accounts,
+// each trusted service running the given number of shards. Figures 6–9
+// run single-shard: they reproduce the paper's single-process services,
+// and the shape assertions (label growth, per-component cycles) are
+// statements about that configuration. Figure7OKWSParallel and the
+// parallel benchmark measure the sharded stack.
+func provision(n, shards int, prof *stats.Profiler, services ...okws.Service) (*okws.Server, []workload.Credentials, error) {
+	srv, err := okws.Launch(okws.Config{Seed: 42, Shards: shards,
 		Profiler: prof, Services: services})
 	if err != nil {
 		return nil, nil, err
@@ -146,7 +135,7 @@ func Figure6(sessionCounts []int, active bool, kb int) ([]Fig6Row, error) {
 		payload[i] = 'a' + byte(i%26)
 	}
 	for _, n := range sessionCounts {
-		srv, us, err := provision(n, nil, okws.Service{
+		srv, us, err := provision(n, 1, nil, okws.Service{
 			Name: "store", Handler: storeHandler, NoClean: active,
 		})
 		if err != nil {
@@ -189,7 +178,7 @@ type Fig7Row struct {
 func Figure7OKWS(sessionCounts []int) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for _, n := range sessionCounts {
-		srv, us, err := provision(n, nil, okws.Service{Name: "echo", Handler: echoHandler})
+		srv, us, err := provision(n, 1, nil, okws.Service{Name: "echo", Handler: echoHandler})
 		if err != nil {
 			return nil, err
 		}
@@ -212,36 +201,12 @@ func Figure7OKWS(sessionCounts []int) ([]Fig7Row, error) {
 // the sharded kernel exists for. The client concurrency scales with the
 // replica count so every worker has requests in flight.
 func Figure7OKWSParallel(sessionCounts []int, workers int) ([]Fig7Row, error) {
-	return figure7Parallel(sessionCounts, workers, workers, 0)
-}
-
-// Figure7OKWSSharded is Figure7OKWSParallel with the demux/netd/dbproxy
-// shard count chosen independently of the worker replica count — the
-// shards=1 vs shards=N comparison recorded in CHANGES.md, in the entry that
-// sharded the trusted event loops N-way. idd follows the trusted-service
-// shard count.
-func Figure7OKWSSharded(sessionCounts []int, workers, shards int) ([]Fig7Row, error) {
-	return figure7Parallel(sessionCounts, workers, shards, 0)
-}
-
-// Figure7OKWSIddSharded additionally pins idd's shard count independently
-// of the other trusted services (0 follows shards) — the iddShards=1 vs N
-// comparison isolates the identity server's contribution under login-heavy
-// load.
-func Figure7OKWSIddSharded(sessionCounts []int, workers, shards, iddShards int) ([]Fig7Row, error) {
-	return figure7Parallel(sessionCounts, workers, shards, iddShards)
-}
-
-func figure7Parallel(sessionCounts []int, workers, shards, iddShards int) ([]Fig7Row, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	var rows []Fig7Row
 	for _, n := range sessionCounts {
-		srv, us, err := provisionIdd(n, shards, iddShards, nil, okws.Service{
+		srv, us, err := provision(n, workers, nil, okws.Service{
 			Name: "echo", Handler: echoHandler, Replicas: workers,
 		})
 		if err != nil {
@@ -249,12 +214,8 @@ func figure7Parallel(sessionCounts []int, workers, shards, iddShards int) ([]Fig
 		}
 		reqs := workload.SessionWorkload(us, "/echo?n=11", ConnsPerSession)
 		res := workload.Run(srv.Network(), 80, reqs, OKWSConcurrency*workers)
-		label := fmt.Sprintf("OKWS %d x%dw s%d", n, workers, shards)
-		if iddShards > 0 {
-			label = fmt.Sprintf("%s i%d", label, iddShards)
-		}
 		rows = append(rows, Fig7Row{
-			Label:       label,
+			Label:       fmt.Sprintf("OKWS %d x%dw", n, workers),
 			Sessions:    n,
 			ConnsPerSec: res.ConnsPerSec(),
 			Errors:      res.Errors + res.BadStatus,
@@ -312,7 +273,7 @@ func (l *abLeg) row(sessions int) Fig7Row {
 func Figure7TransportAB(sessions int) (Fig7ABRow, error) {
 	row := Fig7ABRow{Sessions: sessions}
 
-	simSrv, simUs, err := provision(sessions, nil, okws.Service{Name: "echo", Handler: echoHandler})
+	simSrv, simUs, err := provision(sessions, 1, nil, okws.Service{Name: "echo", Handler: echoHandler})
 	if err != nil {
 		return row, err
 	}
@@ -326,7 +287,7 @@ func Figure7TransportAB(sessions int) (Fig7ABRow, error) {
 		},
 	}
 
-	tcpSrv, tcpUs, err := provision(sessions, nil, okws.Service{Name: "echo", Handler: echoHandler})
+	tcpSrv, tcpUs, err := provision(sessions, 1, nil, okws.Service{Name: "echo", Handler: echoHandler})
 	if err != nil {
 		return row, err
 	}
@@ -411,7 +372,7 @@ func Figure8(connections, okwsSessions int) ([]Fig8Row, error) {
 	}
 
 	for _, n := range []int{1, okwsSessions} {
-		srv, usrs, err := provision(n, nil, okws.Service{Name: "echo", Handler: echoHandler})
+		srv, usrs, err := provision(n, 1, nil, okws.Service{Name: "echo", Handler: echoHandler})
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +425,7 @@ func Figure9(sessionCounts []int) ([]Fig9Row, error) {
 		// before (the booted kernel below is equally fresh).
 		label.ResetOpCache()
 		prof := stats.NewProfiler()
-		srv, us, err := provision(n, prof, okws.Service{Name: "echo", Handler: echoHandler})
+		srv, us, err := provision(n, 1, prof, okws.Service{Name: "echo", Handler: echoHandler})
 		if err != nil {
 			return nil, err
 		}

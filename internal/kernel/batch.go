@@ -83,7 +83,7 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 		return err
 	}
 	var owner *Process
-	if st, ok := vn.state(); ok && st != nil {
+	if st, ok := vn.state(); ok {
 		owner = st.owner
 	}
 

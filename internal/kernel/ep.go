@@ -173,21 +173,12 @@ func (p *Process) EPReap(id uint32) bool {
 	return true
 }
 
-// reapLocked frees an event process's kernel state: the receive rights
-// for every port it created (messages to them are henceforth dropped),
-// then the entry itself. Caller holds p.mu.
+// reapLocked frees an event process's kernel state: every port it owns
+// dies (messages to them are henceforth dropped), then the entry itself
+// goes. Caller holds p.mu.
 func (p *Process) reapLocked(ep *EventProcess) {
 	for port := range ep.ports {
-		vn := p.sys.lookup(port)
-		if vn == nil || !vn.isPort {
-			continue
-		}
-		p.sys.updatePort(vn, func(st portState) portState {
-			if st.owner == p && st.ownerEP == ep.id {
-				return portState{label: st.label}
-			}
-			return st
-		})
+		p.sys.killPort(port)
 	}
 	delete(p.eps, ep.id)
 }

@@ -325,35 +325,38 @@ func matchFilter(port handle.Handle, filter []handle.Handle) bool {
 // base labels once the message has passed the check against them (§6.1);
 // the chosen event process becomes current.
 //
-// Messages to a dissociated or re-owned port, or to an event process that
-// exited while they were queued, are dropped as "dead"; messages failing
-// the check are dropped under the receiver's class.
+// Messages to a port that died while they were queued — dissociated, or
+// owned by an event process that exited — are dropped as "dead"; messages
+// failing the check are dropped under the receiver's class.
 func (p *Process) scan(filter []handle.Handle, checkpoint bool) (*Delivery, *EventProcess) {
 	for i := 0; i < len(p.pending); {
 		m := p.pending[i]
-		owner, ownerEP, pr, ok := p.sys.portState(m.Port)
-		ep := p.cur
-		if checkpoint {
-			ep = p.eps[ownerEP] // nil for a base-owned port
-		}
-		if !ok || owner != p || (checkpoint && ownerEP != 0 && ep == nil) {
-			// Port dissociated or re-owned, or its event process exited.
+		// The port's routing snapshot: an atomic load behind the shard
+		// lock's map lookup (ordering rule 2). A dead port has no vnode.
+		st, ok := p.sys.lookup(m.Port).state()
+		if !ok || st.owner != p {
 			p.removePending(i)
 			p.sys.countDrop(dropClassDead, 1)
 			freeMsg(m)
 			continue
 		}
-		if !checkpoint && (ownerEP != p.curID() || !matchFilter(m.Port, filter)) {
+		if !checkpoint && (st.ownerEP != p.curID() || !matchFilter(m.Port, filter)) {
 			// Another context's port, or filtered out: leave it queued.
 			i++
 			continue
 		}
 		p.removePending(i)
+		ep := p.cur
+		if checkpoint {
+			// nil for a base-owned port. An event process's ports die
+			// before it leaves p.eps, so a live port's owner is here.
+			ep = p.eps[st.ownerEP]
+		}
 		sendL, recvL := &p.sendL, &p.recvL
 		if ep != nil {
 			sendL, recvL = &ep.sendL, &ep.recvL
 		}
-		if !deliverable(m, *recvL, pr) {
+		if !deliverable(m, *recvL, st.label) {
 			p.sys.countDrop(portClass(p.name), 1)
 			freeMsg(m)
 			continue

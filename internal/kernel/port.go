@@ -53,9 +53,10 @@ func (pt *Port) Handle() handle.Handle { return pt.h }
 // Process returns the process this endpoint is bound to.
 func (pt *Port) Process() *Process { return pt.p }
 
-// resolve returns the port's vnode, caching it on first success. Vnodes
-// are never removed from the handle table, so a cached pointer stays valid
-// for the lifetime of the system; racing resolvers store the same value.
+// resolve returns the port's vnode, caching it on first success; racing
+// resolvers store the same value. A cached vnode stays safe to use after
+// the port dies: it keeps the final owner-nil snapshot, so sends through it
+// drop as "dead" exactly as a fresh lookup's nil does.
 func (pt *Port) resolve() *vnode {
 	vn := pt.vn.Load()
 	if vn == nil {

@@ -80,6 +80,7 @@ type Process struct {
 	space *mem.Space
 
 	inRealm bool
+	ports   map[handle.Handle]bool // live ports the base context owns
 	eps     map[uint32]*EventProcess
 	cur     *EventProcess
 	nextEP  uint32
@@ -217,6 +218,15 @@ func (p *Process) ctxLabels() (sendL, recvL **label.Label) {
 	return &p.sendL, &p.recvL
 }
 
+// ctxPorts returns the set of live ports the current context owns — the
+// ports Exit or EPExit must kill. Caller holds p.mu.
+func (p *Process) ctxPorts() map[handle.Handle]bool {
+	if p.cur != nil {
+		return p.cur.ports
+	}
+	return p.ports
+}
+
 // SendLabel returns the current context's send label P_S.
 func (p *Process) SendLabel() *label.Label {
 	p.mu.Lock()
@@ -257,10 +267,11 @@ type Memory interface {
 func (p *Process) NewHandle() handle.Handle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	vn := p.sys.vnodeFor(p.allocShard(), false)
+	h := p.sys.alloc.NewIn(p.allocShard())
+	p.sys.install(&vnode{h: h})
 	s, _ := p.ctxLabels()
-	*s = (*s).With(vn.h, label.Star)
-	return vn.h
+	*s = (*s).With(h, label.Star)
+	return h
 }
 
 // Open creates a port with the given initial port label and returns the
@@ -290,7 +301,7 @@ func (p *Process) openPort(initial *label.Label) *vnode {
 	// Build the vnode fully before publishing it, so no one can observe a
 	// half-initialized port.
 	vn := &vnode{h: p.sys.alloc.NewIn(p.allocShard()), isPort: true}
-	st := portState{owner: p}
+	st := portState{owner: p, ownerEP: p.curID()}
 	if initial.Len() == 0 {
 		// The common case ({def} with no explicit entries) builds the
 		// interned one-entry label instead of a fresh chunk per port.
@@ -298,40 +309,28 @@ func (p *Process) openPort(initial *label.Label) *vnode {
 	} else {
 		st.label = initial.With(vn.h, label.L0)
 	}
-	if p.cur != nil {
-		st.ownerEP = p.cur.id
-		p.cur.ports[vn.h] = true
-	}
+	p.ctxPorts()[vn.h] = true
 	vn.st.Store(&st)
-	sh := p.sys.shard(vn.h)
-	sh.mu.Lock()
-	sh.m[vn.h] = vn
-	sh.mu.Unlock()
+	p.sys.install(vn)
 	s, _ := p.ctxLabels()
 	*s = (*s).With(vn.h, label.Star)
 	return vn
 }
 
-// withOwnedPort replaces the routing state of a port the current context
-// owns with f's result, serialized under p.mu and the vnode's shard write
-// lock. It reports ErrNotOwner when the handle is not a port owned by this
-// context.
-func (p *Process) withOwnedPort(port handle.Handle, f func(st portState) portState) error {
+// withOwnedPort runs f on the vnode and routing state of a live port the
+// current context owns, under p.mu — the lock every write of a live port's
+// state holds, so st stays current until f returns. It reports ErrNotOwner
+// when the handle is not a live port owned by this context.
+func (p *Process) withOwnedPort(port handle.Handle, f func(vn *vnode, st *portState)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	vn := p.sys.lookup(port)
-	if vn == nil || !vn.isPort {
+	st, ok := vn.state()
+	if !ok || st.owner != p || st.ownerEP != p.curID() {
 		return ErrNotOwner
 	}
-	err := ErrNotOwner
-	p.sys.updatePort(vn, func(st portState) portState {
-		if st.owner != p || st.ownerEP != p.curID() {
-			return st
-		}
-		err = nil
-		return f(st)
-	})
-	return err
+	f(vn, st)
+	return nil
 }
 
 // SetPortLabel replaces a port's label. Only the context holding receive
@@ -342,33 +341,26 @@ func (p *Process) SetPortLabel(port handle.Handle, l *label.Label) error {
 	if l == nil {
 		return ErrBadLabel
 	}
-	return p.withOwnedPort(port, func(st portState) portState {
-		st.label = l
-		return st
+	return p.withOwnedPort(port, func(vn *vnode, st *portState) {
+		vn.st.Store(&portState{owner: p, ownerEP: st.ownerEP, label: l})
 	})
 }
 
 // PortLabel returns a port's current label; only the owner may inspect it.
 func (p *Process) PortLabel(port handle.Handle) (*label.Label, error) {
 	var out *label.Label
-	err := p.withOwnedPort(port, func(st portState) portState {
+	err := p.withOwnedPort(port, func(_ *vnode, st *portState) {
 		out = st.label
-		return st
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// Dissociate abandons receive rights for a port. Pending and future
-// messages to it are dropped.
+// Dissociate abandons receive rights for a port, which dies: pending and
+// future messages to it are dropped.
 func (p *Process) Dissociate(port handle.Handle) error {
-	return p.withOwnedPort(port, func(st portState) portState {
-		if p.cur != nil {
-			delete(p.cur.ports, port)
-		}
-		return portState{label: st.label}
+	return p.withOwnedPort(port, func(*vnode, *portState) {
+		delete(p.ctxPorts(), port)
+		p.sys.killPort(port)
 	})
 }
 
@@ -464,8 +456,8 @@ func (p *Process) Fork(name string) *Process {
 	return child
 }
 
-// Exit kills the process: its ports are dissociated, queued messages
-// dropped, and kernel state released.
+// Exit kills the process: the ports its contexts own die, queued messages
+// are dropped, and kernel state is released.
 func (p *Process) Exit() {
 	p.mu.Lock()
 	if p.dead {
@@ -487,14 +479,19 @@ func (p *Process) Exit() {
 		freeMsg(m)
 	}
 	p.pending = nil
-	p.eps = make(map[uint32]*EventProcess)
+	// Kill every port the base context and the event processes own; this
+	// takes their shard locks under p.mu (rule 2). Sends racing with exit
+	// either observe the live snapshot (and are dropped at enqueue, since
+	// p.dead holds) or the dead port.
+	for port := range p.ports {
+		p.sys.killPort(port)
+	}
+	for _, ep := range p.eps {
+		p.reapLocked(ep)
+	}
 	p.cur = nil
 	p.wakeAll()
 	p.mu.Unlock()
-
-	// Sends racing with exit either observe the stale ownership (and are
-	// dropped at enqueue, since p.dead holds) or miss the vnode entirely.
-	p.sys.disownAll(p)
 
 	p.sys.procMu.Lock()
 	delete(p.sys.procs, p.id)

@@ -234,9 +234,10 @@ func TestStressSendersReceivers(t *testing.T) {
 
 // TestStressPortChurn hammers the sharded handle table: goroutines create
 // ports, open them, send to them, dissociate them and exit whole processes
-// while senders race against the teardown. The kernel must stay consistent
-// (no deadlock, no panic, handle table drained of owners) with every drop
-// accounted.
+// while senders race against the teardown through endpoints that cached
+// the port's vnode. The kernel must stay consistent (no deadlock, no
+// panic, the handle table empty once every process has exited) with every
+// drop accounted.
 func TestStressPortChurn(t *testing.T) {
 	const (
 		nChurners = 6
@@ -262,9 +263,23 @@ func TestStressPortChurn(t *testing.T) {
 					sent.Add(1)
 				}
 				if r%3 == 0 {
-					// Tear down with messages still queued: they must be
-					// counted as drops by Exit or the dissociated-port scan.
+					// Tear down with messages still queued, while a cached
+					// endpoint keeps sending from another goroutine: every
+					// message must be counted as a drop by Exit, by the
+					// dead-port scan, or at send.
+					out := peer.Port(port)
+					racer := make(chan struct{})
+					go func() {
+						defer close(racer)
+						for k := 0; k < 4; k++ {
+							if err := out.Send([]byte{byte(k)}, nil); err != nil {
+								t.Errorf("racing send: %v", err)
+							}
+							sent.Add(1)
+						}
+					}()
 					owner.Dissociate(port)
+					<-racer
 				} else {
 					for k := 0; k < 4; k++ {
 						d, err := owner.TryRecv()
@@ -292,5 +307,8 @@ func TestStressPortChurn(t *testing.T) {
 	}
 	if s.Processes() != 0 {
 		t.Fatalf("%d processes leaked", s.Processes())
+	}
+	if s.Handles() != 0 {
+		t.Fatalf("%d handles outlived their ports", s.Handles())
 	}
 }

@@ -41,13 +41,13 @@
 //     on the empty→non-empty transition, so steady-state traffic to a busy
 //     receiver takes no locks at all on the enqueue side.
 //   - The vnode table is sharded vnodeShards ways by handle hash; each
-//     shard has an RWMutex guarding its map and serializing updates to the
-//     vnodes in it. A vnode's routing state (port label, owner, owning
-//     event process) is an immutable snapshot behind an atomic pointer:
-//     readers — every send, every receive-side scan — just Load it, and a
-//     Port endpoint that has cached the vnode touches neither the shard
-//     lock nor the map. The handle allocator is sharded the same 64 ways
-//     (internal/handle), one lock-free counter per shard, selected by
+//     shard has an RWMutex guarding its map. A vnode's routing state (port
+//     label, owner, owning event process) is an immutable snapshot behind
+//     an atomic pointer, written only by the owning process under its own
+//     mutex: readers — every send, every receive-side scan — just Load it,
+//     and a Port endpoint that has cached the vnode touches neither the
+//     shard lock nor the map. The handle allocator is sharded the same 64
+//     ways (internal/handle), one lock-free counter per shard, selected by
 //     creating process.
 //   - The process registry and environment table have their own mutexes, and
 //     hot-path counters (drops, queue occupancy, label-cache hits) use
@@ -60,7 +60,9 @@
 //  2. A per-process mutex is acquired before a vnode shard lock; a shard
 //     lock is NEVER held while acquiring a process mutex. (Unchanged —
 //     send snapshots the vnode under the shard lock, releases it, and only
-//     then touches the receiver.)
+//     then touches the receiver.) Exit relies on it: holding the dying
+//     process's mutex, it takes the shard lock of each port its contexts
+//     own, and no other.
 //  3. At most one per-process mutex is held at a time — no syscall locks
 //     two processes. With the lock-free mailbox this rule has become
 //     vacuous on the send path: the enqueue itself takes NO lock, and the
@@ -76,18 +78,30 @@
 //     allocator, formerly a leaf lock, is now lock-free and off this list;
 //     the retired rule that the allocator mutex be taken last is subsumed.
 //
+// # Vnode lifetime
+//
+// A compartment handle's vnode lives as long as the system. A port's
+// vnode lives as long as the port: Dissociate, EPExit, EPReap and Exit all
+// end it through System.killPort, which publishes the port's final,
+// owner-nil snapshot and deletes the vnode from its shard map in one
+// write-locked step. A Port endpoint that cached the vnode keeps that final
+// snapshot, and a fresh lookup finds nothing; both take the same "dead"
+// branch of the send path and of the receive scan, so no sender can tell a
+// reclaimed port from a dissociated one. Handles are unique since boot and
+// never reused, so a deleted entry can never alias a later port.
+//
 // Races the sharding does introduce are exactly the ones unreliable
-// messaging already absorbs: a port may be dissociated or its owner may
-// exit between the sender's vnode snapshot and the enqueue, in which case
-// the message is dropped at enqueue (dead receiver) or at the receiver's
-// next scan (stale ownership) — indistinguishable, for the sender, from any
-// other silent drop of §4. The lock-free mailbox adds one more of the same
-// flavor: a send racing process exit between the liveness check and the
-// push may strand its message unread and uncounted, which the sender again
-// cannot tell apart from a silent drop.
+// messaging already absorbs: a port may die between the sender's vnode
+// snapshot and the enqueue, in which case the message is dropped at
+// enqueue (dead receiver) or at the receiver's next scan (dead port) —
+// indistinguishable, for the sender, from any other silent drop of §4. The
+// lock-free mailbox adds one more of the same flavor: a send racing
+// process exit between the liveness check and the push may strand its
+// message unread and uncounted, which the sender again cannot tell apart
+// from a silent drop.
 //
 // Kernel data-structure sizes follow the paper for memory accounting:
-// 64-byte vnodes per active handle, 320-byte processes, 44-byte event
+// 64-byte vnodes per live handle, 320-byte processes, 44-byte event
 // processes, and chunked labels of ≈300 bytes minimum.
 //
 // # Statically enforced contracts
@@ -173,35 +187,32 @@ type System struct {
 }
 
 // vnodeShard is one slice of the handle table: a map plus the lock guarding
-// the map itself and serializing read-modify-write updates of the vnodes in
 // it. Reads of a vnode's routing state do not need the lock (see vnode).
 type vnodeShard struct {
 	mu sync.RWMutex
 	m  map[handle.Handle]*vnode
 }
 
-// vnode is the kernel structure behind every active handle (paper §5.6).
+// vnode is the kernel structure behind every live handle (paper §5.6).
 // For port handles, st points at an immutable snapshot of the routing
-// state; h and isPort are set before publication and never change. Writers
-// (port creation, SetPortLabel, Dissociate, process/event-process exit)
-// build a fresh portState and store it while holding the owning shard's
-// write lock, which serializes updates; readers — every send and every
-// receive-side scan — just Load, so once a sender holds a *vnode (a Port
-// endpoint caches one), the message fast path touches no lock and no map.
-//
-// Vnodes are never removed from the shard maps (handles are unique since
-// boot and never reused), which is what makes the cached pointer safe to
-// hold forever.
+// state; h and isPort are set before publication and never change. Only
+// the owning process writes a live port's state, holding its own mutex
+// (Open, SetPortLabel, and killPort when the port dies); readers — every
+// send and every receive-side scan — just Load, so once a sender holds a
+// *vnode (a Port endpoint caches one), the message fast path touches no
+// lock and no map. A port's vnode leaves the table when the port dies (see
+// "Vnode lifetime" in the package comment); a holder of the pointer keeps
+// the final owner-nil snapshot.
 type vnode struct {
 	h      handle.Handle
 	isPort bool
 	st     atomic.Pointer[portState]
 }
 
-// portState is one immutable snapshot of a port's routing fields. A
-// dissociated or exited port keeps a state with a nil owner.
+// portState is one immutable snapshot of a port's routing fields. A dead
+// port's final snapshot is the zero value: no owner, no label.
 type portState struct {
-	owner   *Process // receive rights; nil when dissociated
+	owner   *Process // receive rights; nil once the port is dead
 	ownerEP uint32   // owning event process id, 0 = the base process
 	label   *label.Label
 }
@@ -301,6 +312,7 @@ func (s *System) newProcess(name string, sendL, recvL *label.Label) *Process {
 		sendL: sendL,
 		recvL: recvL,
 		space: newSpace(),
+		ports: make(map[handle.Handle]bool),
 		eps:   make(map[uint32]*EventProcess),
 	}
 	s.procMu.Lock()
@@ -391,23 +403,19 @@ func portClass(name string) string {
 // Profiler returns the attached profiler (possibly nil).
 func (s *System) Profiler() *stats.Profiler { return s.prof }
 
-// vnodeFor allocates a fresh handle (from the caller's allocator shard)
-// plus its backing vnode and publishes it in the handle table. The shard
+// install publishes a fully built vnode in the handle table. The shard
 // lock is taken internally; since shard locks sit below process mutexes in
 // the lock order (rule 2), callers may hold a process mutex.
-func (s *System) vnodeFor(allocShard uint32, isPort bool) *vnode {
-	h := s.alloc.NewIn(allocShard)
-	vn := &vnode{h: h, isPort: isPort}
-	sh := s.shard(h)
+func (s *System) install(vn *vnode) {
+	sh := s.shard(vn.h)
 	sh.mu.Lock()
-	sh.m[h] = vn
+	sh.m[vn.h] = vn
 	sh.mu.Unlock()
-	return vn
 }
 
-// lookup finds the vnode behind h, or nil. The returned pointer is stable
-// for the lifetime of the system (vnodes are never deleted), so callers may
-// cache it.
+// lookup finds the live vnode behind h, or nil: an unknown handle and a
+// dead port look the same. A caller may cache the pointer; if the port
+// dies, the cached vnode keeps its final owner-nil snapshot.
 func (s *System) lookup(h handle.Handle) *vnode {
 	sh := s.shard(h)
 	sh.mu.RLock()
@@ -416,51 +424,24 @@ func (s *System) lookup(h handle.Handle) *vnode {
 	return vn
 }
 
-// portState snapshots the routing fields of a port's vnode: the current
-// owner, owning event process and port label. ok is false when the handle
-// is unknown or not a port. Safe to call with a process lock held (ordering
-// rule 2); the shard lock covers only the map lookup — the state itself is
-// an atomic load of an immutable snapshot.
-func (s *System) portState(h handle.Handle) (owner *Process, ownerEP uint32, pr *label.Label, ok bool) {
-	st, ok := s.lookup(h).state()
-	if !ok || st == nil {
-		return nil, 0, nil, false
-	}
-	return st.owner, st.ownerEP, st.label, true
-}
-
-// updatePort applies f to a port's routing snapshot and publishes the
-// result, serialized by the shard write lock. f receives the current state
-// (never nil for a port) and returns the replacement.
-func (s *System) updatePort(vn *vnode, f func(st portState) portState) {
-	sh := s.shard(vn.h)
+// killPort ends the life of port h: in one step under the shard write
+// lock, it publishes the port's final owner-nil snapshot and deletes its
+// vnode from the handle table. Dissociate, EPExit, EPReap and Exit all end
+// a port here. The caller holds the owning process's mutex (rule 2) and
+// names a live port one of its contexts owns.
+func (s *System) killPort(h handle.Handle) {
+	sh := s.shard(h)
 	sh.mu.Lock()
-	cur := vn.st.Load()
-	next := f(*cur)
-	vn.st.Store(&next)
+	sh.m[h].st.Store(&portState{})
+	delete(sh.m, h)
 	sh.mu.Unlock()
-}
-
-// disownAll clears receive rights for every port owned by p (process
-// exit). Caller must NOT hold any shard lock; p's own lock may be held.
-func (s *System) disownAll(p *Process) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, vn := range sh.m {
-			if st, ok := vn.state(); ok && st != nil && st.owner == p {
-				next := portState{label: st.label}
-				vn.st.Store(&next)
-			}
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // MemStats walks kernel structures and user memory, reproducing the
 // accounting of Figure 6 ("includes all memory allocated by both kernel and
-// user programs"). Labels shared between entities are counted once,
-// modelling the paper's refcounted copy-on-write label sharing.
+// user programs"): one vnode per live handle, so a dead port costs
+// nothing. Labels shared between entities are counted once, modelling the
+// paper's refcounted copy-on-write label sharing.
 //
 // The walk locks one structure at a time (registry, then each process, then
 // each shard), so against a running workload the report is a best-effort
@@ -487,7 +468,7 @@ func (s *System) MemStats() stats.MemReport {
 		sh.mu.RLock()
 		for _, vn := range sh.m {
 			r.KernelBytes += handle.VnodeBytes
-			if st, ok := vn.state(); ok && st != nil {
+			if st, ok := vn.state(); ok {
 				note(st.label)
 			}
 		}
@@ -537,7 +518,8 @@ func (s *System) Processes() int {
 	return len(s.procs)
 }
 
-// Handles returns the number of active handles (diagnostics).
+// Handles returns the number of live handles: every compartment handle
+// ever created, plus the ports that have not died (diagnostics).
 func (s *System) Handles() int {
 	n := 0
 	for i := range s.shards {

@@ -58,11 +58,13 @@ type Config struct {
 	// Services lists the workers to launch.
 	Services []Service
 	// Shards is the number of independent event loops each trusted
-	// single-process service (ok-demux, netd, ok-dbproxy) runs. 0 means
-	// runtime.GOMAXPROCS(0) — one loop per schedulable core. The demux
-	// shards own disjoint user slices (sessions never split across shards),
-	// netd shards own disjoint connections, and dbproxy replicas split the
-	// query stream by the same user hash.
+	// single-process service (ok-demux, netd, ok-dbproxy, idd) runs. 0
+	// means runtime.GOMAXPROCS(0) — one loop per schedulable core. The
+	// demux shards own disjoint user slices (sessions never split across
+	// shards), netd shards own disjoint connections, dbproxy replicas split
+	// the query stream by the same user hash, and idd shards own disjoint
+	// username slices (idd.ShardFor), so the demux routes each login
+	// straight to the owner.
 	Shards int
 	// SessionTableCap bounds the demux's session table across all shards
 	// (0 = DefaultSessionCap). Pinned entries (a fresh user's start in
@@ -73,12 +75,8 @@ type Config struct {
 	// IDCacheCap bounds the demux's hashed login cache across all shards
 	// (0 = DefaultIDCacheCap).
 	IDCacheCap int
-	// IddShards is the number of idd event loops (0 = same as Shards). idd
-	// shards own disjoint username slices (idd.ShardFor); the demux routes
-	// each login straight to the owner.
-	IddShards int
 	// IddOptions tunes idd beyond the shard count (cache bound, hashing
-	// cost, lockout ladder). Shards inside it is overridden by IddShards.
+	// cost, lockout ladder). Shards inside it is overridden by Shards.
 	IddOptions idd.Options
 	// RequestDeadline bounds each request's demux-side life — header read,
 	// login round trips, taint, handoff — and rides into the worker as the
@@ -110,17 +108,6 @@ func (cfg Config) shardCount() int {
 		return 1
 	}
 	return cfg.Shards
-}
-
-// iddShardCount resolves the IddShards knob: 0 follows Shards.
-func (cfg Config) iddShardCount() int {
-	if cfg.IddShards == 0 {
-		return cfg.shardCount()
-	}
-	if cfg.IddShards < 1 {
-		return 1
-	}
-	return cfg.IddShards
 }
 
 // Server is a running OKWS stack: kernel, netd, database, ok-dbproxy, idd,
@@ -161,7 +148,7 @@ func Launch(cfg Config) (*Server, error) {
 	database := db.Open()
 	proxy := dbproxy.NewSharded(sys, database, shards)
 	iddOpts := cfg.IddOptions
-	iddOpts.Shards = cfg.iddShardCount()
+	iddOpts.Shards = shards
 	iddSrv := idd.NewOpts(sys, proxy, iddOpts)
 	demux := newDemux(sys, nd.ServicePort(), iddSrv.LoginPorts(),
 		shards, cfg.SessionTableCap, cfg.IDCacheCap,

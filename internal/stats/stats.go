@@ -7,9 +7,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -131,74 +129,6 @@ func (p *Profiler) KcyclesPer(c Category, n int) float64 {
 		return 0
 	}
 	return Kcycles(p.Total(c)) / float64(n)
-}
-
-// Latencies collects duration samples and reports order statistics.
-// It is safe for concurrent use.
-type Latencies struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-}
-
-// NewLatencies returns an empty collector.
-func NewLatencies() *Latencies { return &Latencies{} }
-
-// Add records one sample.
-func (l *Latencies) Add(d time.Duration) {
-	l.mu.Lock()
-	l.samples = append(l.samples, d)
-	l.sorted = false
-	l.mu.Unlock()
-}
-
-// N returns the number of samples.
-func (l *Latencies) N() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100) using the
-// nearest-rank method. It returns 0 with no samples.
-func (l *Latencies) Percentile(p float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
-		l.sorted = true
-	}
-	rank := int(p/100.0*float64(len(l.samples))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(l.samples) {
-		rank = len(l.samples) - 1
-	}
-	return l.samples[rank]
-}
-
-// Median returns the 50th percentile.
-func (l *Latencies) Median() time.Duration { return l.Percentile(50) }
-
-// P90 returns the 90th percentile, the statistic Figure 8 reports.
-func (l *Latencies) P90() time.Duration { return l.Percentile(90) }
-
-// Mean returns the arithmetic mean.
-func (l *Latencies) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range l.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(l.samples))
 }
 
 // MemReport aggregates memory accounting for Figure 6.

@@ -91,44 +91,6 @@ func TestKcycles(t *testing.T) {
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	l := NewLatencies()
-	if l.Median() != 0 || l.P90() != 0 || l.Mean() != 0 {
-		t.Error("empty collector must report zeros")
-	}
-	for i := 1; i <= 100; i++ {
-		l.Add(time.Duration(i) * time.Millisecond)
-	}
-	if l.N() != 100 {
-		t.Fatalf("N = %d", l.N())
-	}
-	if m := l.Median(); m < 49*time.Millisecond || m > 51*time.Millisecond {
-		t.Errorf("Median = %v", m)
-	}
-	if p := l.P90(); p < 89*time.Millisecond || p > 91*time.Millisecond {
-		t.Errorf("P90 = %v", p)
-	}
-	if mean := l.Mean(); mean != 50500*time.Microsecond {
-		t.Errorf("Mean = %v", mean)
-	}
-	// Adding after a percentile query must re-sort.
-	l.Add(time.Nanosecond)
-	if p := l.Percentile(1); p != time.Nanosecond {
-		t.Errorf("Percentile(1) after late add = %v", p)
-	}
-}
-
-func TestLatenciesPercentileBounds(t *testing.T) {
-	l := NewLatencies()
-	l.Add(5 * time.Millisecond)
-	if l.Percentile(0.0001) != 5*time.Millisecond {
-		t.Error("tiny percentile must clamp to first sample")
-	}
-	if l.Percentile(100) != 5*time.Millisecond {
-		t.Error("P100 of singleton must be the sample")
-	}
-}
-
 func TestMemReport(t *testing.T) {
 	m := MemReport{KernelBytes: 4096, UserPages: 2}
 	if got := m.TotalPages(); got != 3.0 {

@@ -88,7 +88,7 @@ type Result struct {
 	Errors      int
 	BadStatus   int
 	Elapsed     time.Duration
-	Latency     *stats.Latencies
+	Latency     *stats.Histogram
 }
 
 // ConnsPerSec is the Figure 7 metric.
@@ -111,7 +111,7 @@ func Run(nw *netd.Network, lport uint16, reqs []*httpmsg.Request, concurrency in
 	if concurrency < 1 {
 		concurrency = 1
 	}
-	res := Result{Connections: len(reqs), Latency: stats.NewLatencies()}
+	res := Result{Connections: len(reqs), Latency: stats.NewHistogram()}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	next := 0

@@ -37,11 +37,11 @@ func TestSessionWorkloadShape(t *testing.T) {
 }
 
 func TestResultMetrics(t *testing.T) {
-	r := Result{Connections: 100, Errors: 10, Elapsed: time.Second, Latency: stats.NewLatencies()}
+	r := Result{Connections: 100, Errors: 10, Elapsed: time.Second, Latency: stats.NewHistogram()}
 	if got := r.ConnsPerSec(); got != 90 {
 		t.Fatalf("ConnsPerSec = %v", got)
 	}
-	if (Result{Latency: stats.NewLatencies()}).ConnsPerSec() != 0 {
+	if (Result{Latency: stats.NewHistogram()}).ConnsPerSec() != 0 {
 		t.Fatal("zero elapsed must not divide by zero")
 	}
 	if !strings.Contains(r.String(), "conn/s") {

@@ -19,10 +19,10 @@ type WebServer = okws.Server
 // WebService describes one OKWS worker.
 type WebService = okws.Service
 
-// WebConfig configures LaunchWeb. Besides the shard knobs for the trusted
-// services, it tunes the identity server: IddShards loops sharded
-// by username hash (0 follows Shards), and IddOptions for the login path's
-// semantics — passwords are stored as Argon2id hashes and verified in
+// WebConfig configures LaunchWeb. Besides the shard count shared by the
+// trusted services — idd's loops among them, sharded by username hash — it
+// tunes the identity server through IddOptions, the login path's
+// semantics: passwords are stored as Argon2id hashes and verified in
 // constant time, each idd shard holds a bounded LRU identity cache so
 // repeat logins verify locally without a database round trip, and failed
 // logins climb a bounded per-username lockout ladder (IddOptions.Ladder;
