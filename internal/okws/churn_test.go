@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,4 +197,50 @@ func settledHandles(t *testing.T, srv *Server) int {
 		same++
 	}
 	return n
+}
+
+// TestOverlongSessionRefused pins the session-record rule: a session whose
+// metadata would reach sessionDataAddr is refused with 500 on every
+// request, not served once and stranded on the next, and leaves no handle
+// or event process behind. The stack runs with an idle timeout so a
+// stranded request ends its connection instead of hanging the test.
+func TestOverlongSessionRefused(t *testing.T) {
+	srv, err := Launch(Config{Seed: 44, Shards: 2, IdleTimeout: 3 * time.Second,
+		Services: []Service{{Name: "store", Handler: storeCount(&sync.Map{})}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	long := strings.Repeat("u", 600)
+	for _, u := range []string{"short", long} {
+		if err := srv.AddUser(u, "p", "1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dial := func() (io.ReadWriteCloser, error) { return srv.Network().Dial(80) }
+	if got := churnGet(t, dial, "short", "p", "/store"); got != 200 {
+		t.Fatalf("short user: status %d, want 200", got)
+	}
+	// A login mints the user's taint and grant handles, which outlive any
+	// session; log the long user in once, to a service that does not
+	// exist, so the baseline holds them.
+	if got := churnGet(t, dial, long, "p", "/nosuch"); got != 404 {
+		t.Fatalf("600-byte user, unknown service: status %d, want 404", got)
+	}
+	base := settledHandles(t, srv)
+	baseEPs := srv.Workers()[0].SessionCount()
+	for i := 0; i < 2; i++ {
+		if got := churnGet(t, dial, long, "p", "/store"); got != 500 {
+			t.Fatalf("600-byte user, request %d: status %d, want 500", i, got)
+		}
+	}
+	if got := settledHandles(t, srv); got != base {
+		t.Errorf("Handles() = %d after the refusals, want the baseline %d", got, base)
+	}
+	if got := srv.Workers()[0].SessionCount(); got != baseEPs {
+		t.Errorf("worker holds %d event processes after the refusals, want %d", got, baseEPs)
+	}
+	if got := churnGet(t, dial, "short", "p", "/store"); got != 200 {
+		t.Fatalf("short user after the refusals: status %d, want 200", got)
+	}
 }

@@ -209,8 +209,7 @@ type sessionKey struct {
 type dconn struct {
 	uC    *kernel.Port
 	reply handle.Handle
-	buf   []byte
-	raw   []byte // the parsed request's wire bytes, forwarded on handoff
+	buf   []byte // every byte read so far, forwarded on handoff
 	req   *httpmsg.Request
 	id    idd.Identity
 
@@ -496,6 +495,7 @@ func (s *demuxShard) handleFwd(d *kernel.Delivery) {
 		s.ephemeral[name] = flags&shardWorkerEphemeral != 0
 	case opFwdConn:
 		conn := r.Handle()
+		deadlineMS := r.U32()
 		buf := r.Bytes()
 		if r.Err() {
 			return
@@ -503,11 +503,10 @@ func (s *demuxShard) handleFwd(d *kernel.Delivery) {
 		reply := s.proc.Open(nil).Handle()
 		cs := &dconn{uC: s.proc.Port(conn), reply: reply, buf: buf}
 		s.conns.put(reply, cs)
-		// The forwarder released its dconn (and deadline) on forward; the
-		// owner restarts the clock, so a forwarded request gets at most
-		// 2×reqDeadline — bounded either way.
-		s.armDeadline(cs)
-		req, n, complete, err := httpmsg.ParseRequest(buf)
+		// The forwarder's remaining time rides along, so one clock covers
+		// the request on every shard it passes through.
+		s.armDeadline(cs, time.Duration(deadlineMS)*time.Millisecond)
+		req, _, complete, err := httpmsg.ParseRequest(buf)
 		if err != nil || !complete {
 			// The forwarder only forwards parsed requests; anything else is
 			// a stale or corrupt handoff.
@@ -515,7 +514,6 @@ func (s *demuxShard) handleFwd(d *kernel.Delivery) {
 			return
 		}
 		cs.req = req
-		cs.raw = buf[:n]
 		s.authenticate(cs)
 	}
 }
@@ -529,7 +527,7 @@ func (s *demuxShard) handleNotify(d *kernel.Delivery) {
 	reply := s.proc.Open(nil).Handle()
 	cs := &dconn{uC: s.proc.Port(n.ConnPort), reply: reply}
 	s.conns.put(reply, cs)
-	s.armDeadline(cs)
+	s.armDeadline(cs, s.dm.reqDeadline)
 	netd.Read(cs.uC, reply, 4096)
 }
 
@@ -539,13 +537,12 @@ func (s *demuxShard) handleConnReply(cs *dconn, d *kernel.Delivery) {
 	if rr, ok := netd.ParseReadReply(d); ok {
 		if cs.req == nil {
 			cs.buf = append(cs.buf, rr.Data...)
-			req, n, complete, err := httpmsg.ParseRequest(cs.buf)
+			req, _, complete, err := httpmsg.ParseRequest(cs.buf)
 			switch {
 			case err != nil:
 				s.fail(cs, 400)
 			case complete:
 				cs.req = req
-				cs.raw = cs.buf[:n]
 				s.route(cs)
 			case rr.EOF:
 				s.fail(cs, 0)
@@ -581,11 +578,12 @@ func (s *demuxShard) route(cs *dconn) {
 		s.authenticate(cs)
 		return
 	}
-	// Forward the raw request bytes and the connection capability; the
-	// owner re-parses and authenticates. Buffered in the batcher so a burst
-	// of misrouted connections leaves as one SendBatch per sibling; uC ⋆ is
-	// shed only after the flush (the buffered grant needs it).
-	s.out.Add(s.lp.Peer(owner).Handle(), encodeFwdConn(cs.uC.Handle(), cs.raw),
+	// Forward every byte the demux has read, the remaining deadline and the
+	// connection capability; the owner re-parses and authenticates.
+	// Buffered in the batcher so a burst of misrouted connections leaves as
+	// one SendBatch per sibling; uC ⋆ is shed only after the flush (the
+	// buffered grant needs it).
+	s.out.Add(s.lp.Peer(owner).Handle(), encodeFwdConn(cs.uC.Handle(), cs.remainingMS(), cs.buf),
 		&kernel.SendOpts{DecontSend: kernel.Grant(cs.uC.Handle())})
 	s.release(cs)
 }
@@ -786,9 +784,10 @@ func (s *demuxShard) deal(service string, replicas []handle.Handle) handle.Handl
 }
 
 // start hands cs to the replica at base as a fresh session (opStart),
-// forwarding the request's original wire bytes: re-serializing the parsed
-// form costs an allocation chain per connection and the worker re-parses
-// either way.
+// forwarding every byte the demux has read — the parsed request and any
+// pipelined bytes behind it — so the worker serves from bytes in hand:
+// re-serializing the parsed form would cost an allocation chain per
+// connection, and the worker re-parses either way.
 func (s *demuxShard) start(cs *dconn, base handle.Handle, user, service string) {
 	opts := &kernel.SendOpts{
 		//asbestos:keepstar session handoff: the worker keeps the uG ⋆ for the session's lifetime to prove the user's identity downstream; the demux re-grants per request
@@ -809,14 +808,15 @@ func (s *demuxShard) start(cs *dconn, base handle.Handle, user, service string) 
 		UT:         cs.id.UT,
 		UG:         cs.id.UG,
 		DeadlineMS: cs.remainingMS(),
-		Buf:        cs.raw,
+		Buf:        cs.buf,
 	}), opts)
 	s.release(cs)
 }
 
-// cont hands cs to a bound session's event process (opCont).
+// cont hands cs, with every byte the demux has read, to a bound session's
+// event process (opCont).
 func (s *demuxShard) cont(port handle.Handle, cs *dconn) {
-	s.out.Add(port, encodeCont(cont{Conn: cs.uC.Handle(), DeadlineMS: cs.remainingMS(), Buf: cs.raw}),
+	s.out.Add(port, encodeCont(cont{Conn: cs.uC.Handle(), DeadlineMS: cs.remainingMS(), Buf: cs.buf}),
 		&kernel.SendOpts{DecontSend: kernel.Grant(cs.uC.Handle())})
 	s.release(cs)
 }
@@ -901,14 +901,14 @@ func (s *demuxShard) evictSession(port handle.Handle) {
 // connection, so every drain checks before touching one.
 func (s *demuxShard) live(cs *dconn) bool { return s.conns.get(cs.reply) == cs }
 
-// armDeadline starts cs's request-deadline clock (no-op when the demux has
-// none configured).
-func (s *demuxShard) armDeadline(cs *dconn) {
-	if s.dm.reqDeadline <= 0 {
+// armDeadline starts cs's request-deadline clock, d from now (no-op when d
+// is 0: no deadline).
+func (s *demuxShard) armDeadline(cs *dconn, d time.Duration) {
+	if d <= 0 {
 		return
 	}
 	cs.deadline = s.lp.Timer(func(time.Time) { s.deadlineExpired(cs) })
-	cs.deadline.Arm(time.Now().Add(s.dm.reqDeadline))
+	cs.deadline.Arm(time.Now().Add(d))
 }
 
 // remainingMS reports cs's remaining deadline in whole milliseconds

@@ -2,6 +2,7 @@ package okws_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -30,22 +31,7 @@ func kaRoundTrip(t *testing.T, rw io.ReadWriter, user, pass, path string) *httpm
 	if _, err := rw.Write(httpmsg.FormatRequest(req)); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	chunk := make([]byte, 4096)
-	for {
-		resp, _, complete, err := httpmsg.ParseResponse(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if complete {
-			return resp
-		}
-		n, err := rw.Read(chunk)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		buf = append(buf, chunk[:n]...)
-	}
+	return readResponses(t, rw, 1)[0]
 }
 
 // testKeepAlive drives two requests through ONE connection. The second
@@ -207,5 +193,143 @@ func TestKernelIPCSpansPerRequest(t *testing.T) {
 	})
 	if got != connect {
 		t.Errorf("connect-per-request /echo: %d Kernel-IPC spans per request, want %d (was %d with acknowledged writes and closes)", got, connect, connectBefore)
+	}
+}
+
+// readResponses reads n content-length-framed responses from r, failing
+// the test on a read error or a close before the n-th.
+func readResponses(t *testing.T, r io.Reader, n int) []*httpmsg.Response {
+	t.Helper()
+	var out []*httpmsg.Response
+	var buf []byte
+	chunk := make([]byte, 4096)
+	for len(out) < n {
+		resp, used, complete, err := httpmsg.ParseResponse(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if complete {
+			out = append(out, resp)
+			buf = buf[used:]
+			continue
+		}
+		k, err := r.Read(chunk)
+		if err != nil {
+			t.Fatalf("after %d of %d responses: read: %v", len(out), n, err)
+		}
+		buf = append(buf, chunk[:k]...)
+	}
+	return out
+}
+
+// TestPipelinedRequestsInOneSegment pins the worker's read path: it serves
+// every request in the bytes it holds and parks the connection on the
+// rest. Two keep-alive requests in one write get both answers, in order; a
+// request whose header arrives in three writes is assembled by the demux's
+// continuation reads on a fresh connection, and by the parked connection's
+// leftover on a later request. The stack runs with an idle timeout so a
+// request nobody answers ends the connection instead of hanging the test.
+func TestPipelinedRequestsInOneSegment(t *testing.T) {
+	store := func(user, query string) []byte {
+		return httpmsg.FormatRequest(&httpmsg.Request{Method: "GET", Path: "/store" + query,
+			Headers: map[string]string{
+				"authorization": user + " pw" + user[len(user)-1:],
+				"connection":    "keep-alive",
+			}})
+	}
+	// write sends parts in separate writes, 20 ms apart, so each arrives
+	// on its own.
+	write := func(t *testing.T, w io.Writer, parts ...[]byte) {
+		t.Helper()
+		for i, part := range parts {
+			if i > 0 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if _, err := w.Write(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	thirds := func(b []byte) [][]byte {
+		return [][]byte{b[:len(b)/3], b[len(b)/3 : 2*len(b)/3], b[2*len(b)/3:]}
+	}
+	expect := func(t *testing.T, resps []*httpmsg.Response, bodies ...string) {
+		t.Helper()
+		for i, r := range resps {
+			if r.Status != 200 || string(r.Body) != bodies[i] || r.Headers["connection"] != "keep-alive" {
+				t.Errorf("response %d: %d %q (connection %q), want 200 %q keep-alive",
+					i, r.Status, r.Body, r.Headers["connection"], bodies[i])
+			}
+		}
+	}
+	wires := []struct {
+		name   string
+		dialer func(t *testing.T, s *okws.Server) func() io.ReadWriteCloser
+	}{
+		{"simulated", func(t *testing.T, s *okws.Server) func() io.ReadWriteCloser {
+			return func() io.ReadWriteCloser {
+				c, err := s.Network().Dial(80)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+		}},
+		{"tcp", func(t *testing.T, s *okws.Server) func() io.ReadWriteCloser {
+			ln, err := s.ListenTCP("127.0.0.1:0")
+			if errors.Is(err, netd.ErrTCPUnsupported) {
+				t.Skip(err)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() io.ReadWriteCloser {
+				c, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetDeadline(time.Now().Add(30 * time.Second))
+				return c
+			}
+		}},
+	}
+	for _, wire := range wires {
+		t.Run(wire.name, func(t *testing.T) {
+			s, err := okws.Launch(okws.Config{Seed: 5, Shards: 1, IdleTimeout: 3 * time.Second,
+				Services: []okws.Service{{Name: "store", Handler: storeHandler}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Stop)
+			for i := 1; i <= 3; i++ {
+				if err := s.AddUser(fmt.Sprintf("user%d", i), fmt.Sprintf("pw%d", i), fmt.Sprint(1000+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dial := wire.dialer(t, s)
+
+			t.Run("two requests, one write", func(t *testing.T) {
+				c := dial()
+				defer c.Close()
+				write(t, c, append(store("user1", "?d=first"), store("user1", "")...))
+				expect(t, readResponses(t, c, 2), "", "first")
+			})
+			t.Run("first header in three writes", func(t *testing.T) {
+				c := dial()
+				defer c.Close()
+				write(t, c, thirds(store("user2", "?d=split"))...)
+				expect(t, readResponses(t, c, 1), "")
+				write(t, c, store("user2", ""))
+				expect(t, readResponses(t, c, 1), "split")
+			})
+			t.Run("second request in three writes", func(t *testing.T) {
+				c := dial()
+				defer c.Close()
+				write(t, c, store("user3", "?d=whole"))
+				expect(t, readResponses(t, c, 1), "")
+				write(t, c, thirds(store("user3", ""))...)
+				expect(t, readResponses(t, c, 1), "whole")
+			})
+		})
 	}
 }

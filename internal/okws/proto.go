@@ -83,14 +83,14 @@ const (
 
 // Worker-facing ops.
 const (
-	opStart = 42 // user, uid, uC, uT, uG, deadline ms, buffered request bytes
-	opCont  = 43 // uC, deadline ms, buffered request bytes
+	opStart = 42 // user, uid, uC, uT, uG, deadline ms, every byte the demux has read
+	opCont  = 43 // uC, deadline ms, every byte the demux has read
 	opEvict = 46 // no payload: the demux evicted this session; ep_exit it
 )
 
 // Shard-internal ops (demux shard → demux shard, on the forward ports).
 const (
-	opFwdConn     = 44 // uC (granted ⋆), raw request bytes: user owned elsewhere
+	opFwdConn     = 44 // uC (granted ⋆), deadline ms, every byte the demux has read: user owned elsewhere
 	opShardWorker = 45 // name, base port, flags byte: registration broadcast
 )
 
@@ -178,8 +178,8 @@ func encodeRegister(name string, base handle.Handle) []byte {
 	return wire.NewWriter(opRegister).String(name).Handle(base).Done()
 }
 
-func encodeFwdConn(conn handle.Handle, buf []byte) []byte {
-	return wire.NewWriter(opFwdConn).Handle(conn).Bytes(buf).Done()
+func encodeFwdConn(conn handle.Handle, deadlineMS uint32, buf []byte) []byte {
+	return wire.NewWriter(opFwdConn).Handle(conn).U32(deadlineMS).Bytes(buf).Done()
 }
 
 func encodeShardWorker(name string, base handle.Handle, declassifier, ephemeral bool) []byte {

@@ -17,6 +17,7 @@ import (
 	"asbestos/internal/kernel"
 	"asbestos/internal/label"
 	"asbestos/internal/netd"
+	"asbestos/internal/shard"
 	"asbestos/internal/wire"
 	"asbestos/internal/workload"
 )
@@ -400,7 +401,7 @@ func TestPinnedSessionProbesOnTimer(t *testing.T) {
 				Headers: map[string]string{"authorization": user + " pw"}},
 			id: id,
 		}
-		cs.raw = []byte("GET /svc HTTP/1.0\r\n\r\n")
+		cs.buf = []byte("GET /svc HTTP/1.0\r\n\r\n")
 		s.conns.put(reply, cs)
 		return cs
 	}
@@ -547,5 +548,57 @@ func TestSessionRegistrationRequiresProof(t *testing.T) {
 	}
 	if d, _ := attacker.TryRecv(); d != nil {
 		t.Fatalf("attacker received a routed connection: %v", d.Data)
+	}
+}
+
+// TestForwardedConnKeepsDeadline pins one clock per request across demux
+// shards: a connection whose user another shard owns is forwarded with the
+// forwarder's remaining time, and the owner arms its deadline from that.
+// A fresh RequestDeadline on the owner would let every forwarded request
+// live up to twice as long as Config.RequestDeadline promises.
+func TestForwardedConnKeepsDeadline(t *testing.T) {
+	const reqDeadline = 10 * time.Second
+	sys := kernel.NewSystem(kernel.WithSeed(39))
+	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, reqDeadline, 0) // dangling service handles
+	fwd, owner := dm.shards[0], dm.shards[1]
+	user := ""
+	for i := 0; user == ""; i++ {
+		if u := fmt.Sprintf("u%d", i); shard.Of(u, 2) == owner.idx {
+			user = u
+		}
+	}
+
+	// A connection with 2 s of its deadline left reads its request on the
+	// forwarder, which parses it and forwards it to the owner.
+	reply := fwd.proc.Open(nil).Handle()
+	cs := &dconn{uC: fwd.proc.Port(fwd.proc.Open(nil).Handle()), reply: reply}
+	fwd.conns.put(reply, cs)
+	cs.deadline = fwd.lp.Timer(func(time.Time) {})
+	cs.deadline.Arm(time.Now().Add(2 * time.Second))
+	want := cs.deadline.When()
+	req := "GET /svc HTTP/1.0\r\nauthorization: " + user + " pw\r\n\r\n"
+	fwd.dispatch(&kernel.Delivery{Port: reply,
+		Data: wire.NewWriter(netd.OpReadReply).Byte(0).String(req).Done()})
+	if err := fwd.out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, _ := owner.lp.ForwardPort().TryRecv()
+	if d == nil {
+		t.Fatal("the owner received no forwarded connection")
+	}
+	owner.dispatch(d)
+	if owner.conns.len() != 1 {
+		t.Fatalf("owner tracks %d connections, want the forwarded one", owner.conns.len())
+	}
+	for _, got := range owner.conns.m {
+		if got.deadline == nil || !got.deadline.Armed() {
+			t.Fatal("the owner armed no deadline")
+		}
+		// The wire carries whole milliseconds, and the hop itself takes a
+		// little time; a fresh clock would be 8 s off.
+		if diff := got.deadline.When().Sub(want); diff < -time.Millisecond || diff > 100*time.Millisecond {
+			t.Fatalf("owner's deadline is %v from the forwarder's, want the same clock", diff)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package okws
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,13 +16,21 @@ import (
 	"asbestos/internal/netd"
 	"asbestos/internal/shard"
 	"asbestos/internal/stats"
+	"asbestos/internal/wire"
 )
 
 // Memory layout of a worker event process. Session data lives in its own
 // region so that ep_clean of the scratch region (the "stack") leaves it
 // intact, reproducing the paper's one-private-page cached sessions (§9.1).
+//
+// Each persistent region holds one record (storeRecord/loadRecord): a u32
+// byte count, then an internal/wire message whose op byte tags what the
+// region holds. A record must end before the next region starts: the
+// session metadata at SessionAddr before sessionDataAddr, the app data
+// before ScratchAddr. A session whose metadata would reach sessionDataAddr
+// is refused.
 const (
-	// SessionAddr is where session state is stored (length-prefixed).
+	// SessionAddr is where session metadata is stored.
 	SessionAddr mem.Addr = 0x10000
 	// ScratchAddr is the per-request temporary region, cleaned before
 	// every yield.
@@ -35,6 +43,13 @@ const (
 	// region, whose ep_clean would revert it. The address space is sparse
 	// (4 KiB pages on first write), so the gap costs nothing.
 	kaAddr mem.Addr = 0x100000
+)
+
+// Record tags, the op byte of each region's record.
+const (
+	recSession = 1 + iota // user, uid, uT, uG, uW, reply port
+	recParked             // u16 count, then per entry: port, conn, leftover
+	recData               // Ctx.SessionStore's bytes
 )
 
 // maxParkedConns bounds how many keep-alive connections one session can
@@ -251,9 +266,9 @@ type sessState struct {
 	// sess is uW, the port registered with the demux: follow-up
 	// connections arrive here and are consumed only via Checkpoint.
 	sess handle.Handle
-	// reply receives netd read replies and ok-dbproxy replies during a
-	// request. It must be distinct from sess: a blocking receive on the
-	// reply port must never swallow a concurrent connection handoff.
+	// reply receives ok-dbproxy replies during a request. It must be
+	// distinct from sess: a blocking receive on the reply port must never
+	// swallow a concurrent connection handoff.
 	reply handle.Handle
 }
 
@@ -269,15 +284,21 @@ func (w *Worker) serve(d *kernel.Delivery, ep *kernel.EventProcess) {
 		w.proc.EPExit()
 		return
 	}
-	var st sessState
-	var buf []byte
 	if s, ok := parseStart(d); ok {
 		// New session (Figure 5 step 7): the delivery contaminated this
 		// fresh event process with uT 3 and granted uC ⋆ + uG ⋆.
 		uW := w.proc.Open(nil).Handle()
 		reply := w.proc.Open(nil).Handle()
-		st = sessState{user: s.User, uid: s.UID, uT: s.UT, uG: s.UG, sess: uW, reply: reply}
-		storeSession(ep, st)
+		st := sessState{user: s.User, uid: s.UID, uT: s.UT, uG: s.UG, sess: uW, reply: reply}
+		conn := w.proc.Port(s.Conn)
+		if !storeSession(ep.Memory(), st) {
+			// The metadata would run into the app data. Refuse the session
+			// before it registers: nothing will ever route to this event
+			// process, so it is reclaimed at once.
+			w.refuse(ep, conn)
+			w.proc.EPReap(ep.ID())
+			return
+		}
 		if w.keepSessions {
 			// Register the session port with the demux shard that owns this
 			// user, so future connections come straight to this event
@@ -292,94 +313,73 @@ func (w *Worker) serve(d *kernel.Delivery, ep *kernel.EventProcess) {
 			})
 			w.touchEP(uW, ep.ID())
 		}
-		buf = s.Buf
-		rctx, cancel := w.reqCtx(s.DeadlineMS)
-		w.serveConn(rctx, ep, &st, s.Conn, buf, handle.None)
+		rctx, cancel := w.reqCtx(time.Duration(s.DeadlineMS) * time.Millisecond)
+		w.serveConn(rctx, ep, &st, conn, s.Buf, handle.None)
 		cancel()
 		return
 	}
 	if c, ok := parseCont(d); ok {
 		// Resumed session: restore state from event-process memory.
-		st, ok = loadSession(ep)
+		conn := w.proc.Port(c.Conn)
+		st, ok := loadSession(ep.Memory())
 		if !ok {
-			w.proc.Yield()
+			w.refuse(ep, conn)
 			return
 		}
 		w.touchEP(st.sess, ep.ID())
-		rctx, cancel := w.reqCtx(c.DeadlineMS)
-		w.serveConn(rctx, ep, &st, c.Conn, c.Buf, handle.None)
+		rctx, cancel := w.reqCtx(time.Duration(c.DeadlineMS) * time.Millisecond)
+		w.serveConn(rctx, ep, &st, conn, c.Buf, handle.None)
 		cancel()
 		return
 	}
 	// Not a handoff: maybe a netd ReadReply waking one of this session's
 	// parked keep-alive connections.
-	if st, ok := loadSession(ep); ok && w.wakeParked(d, ep, &st) {
+	if st, ok := loadSession(ep.Memory()); ok && w.wakeParked(d, ep, &st) {
 		return
 	}
 	// Unknown message: ignore and yield.
 	w.proc.Yield()
 }
 
-// reqCtx derives the request-scoped context from the deadline the demux
-// stamped into the handoff (0 = none): one clock covers the header read,
-// the handler's database round trips, and the reply waits, so a request
-// the demux has already 504ed cannot pin this worker past it. The cancel
-// must run when the request ends to release the deadline timer.
-func (w *Worker) reqCtx(deadlineMS uint32) (context.Context, context.CancelFunc) {
-	if deadlineMS == 0 {
+// reqCtx derives the request-scoped context bounded by d (0 = none): on a
+// handoff, the deadline the demux stamped into it, so one clock covers the
+// handler's database round trips and the reply waits and a request the
+// demux has already 504ed cannot pin this worker past it; on a woken
+// keep-alive connection, the configured bound. The cancel must run when
+// the request ends to release the deadline timer.
+func (w *Worker) reqCtx(d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
 		return w.ctx, func() {}
 	}
-	return context.WithTimeout(w.ctx, time.Duration(deadlineMS)*time.Millisecond)
+	return context.WithTimeout(w.ctx, d)
 }
 
-// serveConn serves requests arriving on one connection (step 8 onwards)
-// until the connection closes or parks idle. The first request may need
-// continuation reads (blocking, bounded by rctx — the demux hands off
-// complete requests, so this is the request-body tail at most); between
-// requests a keep-alive connection PARKS instead: a netd read is left
-// pending on an event-process-owned port, the connection is recorded at
-// kaAddr, and the event process yields — the single worker goroutine is
-// never blocked waiting for a client to speak. kaPort is the already-open
-// parked port when resuming from a wake (handle.None on fresh handoffs).
-func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *sessState, connH handle.Handle, buf []byte, kaPort handle.Handle) {
-	// One endpoint per connection: writes, closes and continuation reads
-	// share the resolved route.
-	conn := w.proc.Port(connH)
-	first := kaPort == handle.None
+// serveConn serves every complete request in buf (step 8 onwards), then
+// parks the connection on whatever is left: the worker serves only bytes
+// it already holds, so its single goroutine never blocks waiting for a
+// client to speak. A parked connection leaves a netd read pending on an
+// event-process-owned port, is recorded at kaAddr, and the event process
+// yields. kaPort is the already-open parked port when resuming from a wake
+// (handle.None on fresh handoffs).
+func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *sessState, conn *kernel.Port, buf []byte, kaPort handle.Handle) {
 	for {
 		req, n, complete, err := httpmsg.ParseRequest(buf)
-		if err != nil {
-			w.closeConn(ep, st, conn, kaPort)
-			return
-		}
-		var reqRaw []byte
 		switch {
-		case complete:
-			reqRaw = buf[:n]
-			buf = buf[n:]
-		case first:
-			// Mid-first-request: the rest is already in flight behind the
-			// handoff, so the blocking read is short and deadline-bounded.
-			req, reqRaw, buf = w.readRequest(rctx, st, conn, buf)
-			if req == nil {
-				w.closeConn(ep, st, conn, kaPort)
-				return
+		case err != nil:
+			w.closeConn(ep, conn, kaPort)
+		case !complete:
+			if w.park(ep, conn, kaPort, buf) {
+				w.finish(ep)
+			} else {
+				w.closeConn(ep, conn, kaPort)
 			}
+		case !w.serveRequest(rctx, ep, st, conn, req, buf[:n]):
+			w.closeConn(ep, conn, kaPort)
 		default:
-			// Between requests (or a partial pipelined one): park.
-			if w.park(ep, st, conn, kaPort, buf) {
-				w.finish(ep, st)
-				return
-			}
-			w.closeConn(ep, st, conn, kaPort)
-			return
+			buf = buf[n:]
+			continue
 		}
-		first = false
-		keep := w.serveRequest(rctx, ep, st, conn, req, reqRaw)
-		if !keep {
-			w.closeConn(ep, st, conn, kaPort)
-			return
-		}
+		return
 	}
 }
 
@@ -435,46 +435,21 @@ func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st 
 // uC so a dead request can neither pin the socket nor grow the labels,
 // retire the parked port if one was held, and yield/exit the event
 // process.
-func (w *Worker) closeConn(ep *kernel.EventProcess, st *sessState, conn *kernel.Port, kaPort handle.Handle) {
+func (w *Worker) closeConn(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle) {
 	netd.Control(conn, handle.None, netd.CtlClose)
 	w.proc.DropPrivilege(conn.Handle(), label.L1)
 	if kaPort != handle.None {
 		w.proc.Dissociate(kaPort)
 		w.proc.DropPrivilege(kaPort, label.L1)
 	}
-	w.finish(ep, st)
+	w.finish(ep)
 }
 
-// readRequest assembles the HTTP request, reading more from netd if the
-// demux's buffered bytes are incomplete. It returns the parsed request,
-// its wire bytes and any leftover (pipelined) bytes beyond it; rctx
-// bounds the netd round trips.
-func (w *Worker) readRequest(rctx context.Context, st *sessState, conn *kernel.Port, buf []byte) (*httpmsg.Request, []byte, []byte) {
-	for {
-		req, n, complete, err := httpmsg.ParseRequest(buf)
-		if err != nil {
-			return nil, nil, nil
-		}
-		if complete {
-			return req, buf[:n], buf[n:]
-		}
-		if err := netd.Read(conn, st.reply, 4096); err != nil {
-			return nil, nil, nil
-		}
-		d, err := w.proc.RecvCtx(rctx, st.reply)
-		if err != nil {
-			return nil, nil, nil
-		}
-		// ParseReadReply copies the bytes out, so the pooled payload can be
-		// recycled before the verdict — inline receivers that skip Release
-		// quietly reopen the per-send allocation the pool closed.
-		rr, ok := netd.ParseReadReply(d)
-		d.Release()
-		if !ok || rr.EOF {
-			return nil, nil, nil
-		}
-		buf = append(buf, rr.Data...)
-	}
+// refuse answers a handoff this event process cannot serve with 500, then
+// closes the connection as closeConn does.
+func (w *Worker) refuse(ep *kernel.EventProcess, conn *kernel.Port) {
+	netd.Write(conn, handle.None, httpmsg.FormatResponse(500, nil, nil))
+	w.closeConn(ep, conn, handle.None)
 }
 
 // park records an idle keep-alive connection in the session's kaAddr
@@ -485,8 +460,8 @@ func (w *Worker) readRequest(rctx context.Context, st *sessState, conn *kernel.P
 // bytes already received. Returns false (caller closes instead) when the
 // park table or the leftover bound is exceeded. kaPort, when valid, is
 // reused from the previous park of this connection.
-func (w *Worker) park(ep *kernel.EventProcess, st *sessState, conn *kernel.Port, kaPort handle.Handle, leftover []byte) bool {
-	entries := kaLoad(ep)
+func (w *Worker) park(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle, leftover []byte) bool {
+	entries := kaLoad(ep.Memory())
 	if len(entries) >= maxParkedConns || len(leftover) > maxKALeftover {
 		return false
 	}
@@ -496,8 +471,7 @@ func (w *Worker) park(ep *kernel.EventProcess, st *sessState, conn *kernel.Port,
 	if err := netd.Read(conn, kaPort, 4096); err != nil {
 		return false
 	}
-	entries = append(entries, kaEntry{port: kaPort, conn: conn.Handle(), leftover: leftover})
-	kaStore(ep, entries)
+	kaStore(ep.Memory(), append(entries, kaEntry{port: kaPort, conn: conn.Handle(), leftover: leftover}))
 	return true
 }
 
@@ -505,7 +479,7 @@ func (w *Worker) park(ep *kernel.EventProcess, st *sessState, conn *kernel.Port,
 // ReadReply arrives (or tears it down on EOF — the client closed, or netd
 // evicted the connection). Reports whether d belonged to a parked entry.
 func (w *Worker) wakeParked(d *kernel.Delivery, ep *kernel.EventProcess, st *sessState) bool {
-	entries := kaLoad(ep)
+	entries := kaLoad(ep.Memory())
 	idx := -1
 	for i, e := range entries {
 		if e.port == d.Port {
@@ -517,27 +491,19 @@ func (w *Worker) wakeParked(d *kernel.Delivery, ep *kernel.EventProcess, st *ses
 		return false
 	}
 	e := entries[idx]
-	kaStore(ep, append(entries[:idx], entries[idx+1:]...))
+	kaStore(ep.Memory(), append(entries[:idx], entries[idx+1:]...))
 	rr, ok := netd.ParseReadReply(d)
 	conn := w.proc.Port(e.conn)
 	if !ok || rr.EOF || len(rr.Data) == 0 {
 		// Client closed (or the reply is garbage): retire the connection.
-		w.closeConn(ep, st, conn, e.port)
+		w.closeConn(ep, conn, e.port)
 		return true
 	}
 	w.touchEP(st.sess, ep.ID())
-	rctx, cancel := w.reqCtxDur(w.reqDeadline)
-	w.serveConn(rctx, ep, st, conn.Handle(), append(e.leftover, rr.Data...), e.port)
+	rctx, cancel := w.reqCtx(w.reqDeadline)
+	w.serveConn(rctx, ep, st, conn, append(e.leftover, rr.Data...), e.port)
 	cancel()
 	return true
-}
-
-// reqCtxDur is reqCtx for a duration-typed deadline (keep-alive wakes).
-func (w *Worker) reqCtxDur(d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return w.ctx, func() {}
-	}
-	return context.WithTimeout(w.ctx, d)
 }
 
 // kaEntry is one parked keep-alive connection: the event-process-owned
@@ -549,78 +515,9 @@ type kaEntry struct {
 	leftover []byte
 }
 
-// kaStore persists the parked set at kaAddr (u16 count, u32 body length,
-// then per entry u64 port, u64 conn, u16 leftover length, leftover
-// bytes). Like the session region, the bytes live in the event process's
-// private memory — outside the scratch region ep_clean reverts.
-func kaStore(ep *kernel.EventProcess, entries []kaEntry) {
-	size := 6
-	for _, e := range entries {
-		size += 8 + 8 + 2 + len(e.leftover)
-	}
-	b := make([]byte, 6, size)
-	b[0], b[1] = byte(len(entries)>>8), byte(len(entries))
-	body := size - 6
-	b[2], b[3], b[4], b[5] = byte(body>>24), byte(body>>16), byte(body>>8), byte(body)
-	for _, e := range entries {
-		b = append(b,
-			byte(e.port>>56), byte(e.port>>48), byte(e.port>>40), byte(e.port>>32),
-			byte(e.port>>24), byte(e.port>>16), byte(e.port>>8), byte(e.port),
-			byte(e.conn>>56), byte(e.conn>>48), byte(e.conn>>40), byte(e.conn>>32),
-			byte(e.conn>>24), byte(e.conn>>16), byte(e.conn>>8), byte(e.conn),
-			byte(len(e.leftover)>>8), byte(len(e.leftover)))
-		b = append(b, e.leftover...)
-	}
-	ep.Memory().WriteAt(kaAddr, b)
-}
-
-// kaLoad reads the parked set back (nil when none or corrupt).
-func kaLoad(ep *kernel.EventProcess) []kaEntry {
-	hdr := make([]byte, 6)
-	ep.Memory().ReadAt(kaAddr, hdr)
-	n := int(hdr[0])<<8 | int(hdr[1])
-	if n == 0 || n > maxParkedConns {
-		return nil
-	}
-	body := int(hdr[2])<<24 | int(hdr[3])<<16 | int(hdr[4])<<8 | int(hdr[5])
-	if body < 18*n || body > n*(18+maxKALeftover) {
-		return nil
-	}
-	raw := make([]byte, body)
-	ep.Memory().ReadAt(kaAddr+6, raw)
-	entries := make([]kaEntry, 0, n)
-	off := 0
-	rdU64 := func() uint64 {
-		v := uint64(raw[off])<<56 | uint64(raw[off+1])<<48 | uint64(raw[off+2])<<40 |
-			uint64(raw[off+3])<<32 | uint64(raw[off+4])<<24 | uint64(raw[off+5])<<16 |
-			uint64(raw[off+6])<<8 | uint64(raw[off+7])
-		off += 8
-		return v
-	}
-	for i := 0; i < n; i++ {
-		if off+18 > len(raw) {
-			return nil
-		}
-		port := handle.Handle(rdU64())
-		conn := handle.Handle(rdU64())
-		l := int(raw[off])<<8 | int(raw[off+1])
-		off += 2
-		if l > maxKALeftover || off+l > len(raw) {
-			return nil
-		}
-		var leftover []byte
-		if l > 0 {
-			leftover = append([]byte(nil), raw[off:off+l]...)
-			off += l
-		}
-		entries = append(entries, kaEntry{port: port, conn: conn, leftover: leftover})
-	}
-	return entries
-}
-
 // finish ends request processing: clean the scratch region and yield
 // (cached session) or exit the event process entirely.
-func (w *Worker) finish(ep *kernel.EventProcess, st *sessState) {
+func (w *Worker) finish(ep *kernel.EventProcess) {
 	if w.debugNoClean {
 		w.proc.Yield()
 		return
@@ -633,66 +530,97 @@ func (w *Worker) finish(ep *kernel.EventProcess, st *sessState) {
 	w.proc.Yield()
 }
 
-// --- session state persistence in event-process memory ---
+// --- records in event-process memory ---
 
-// storeSession serializes session metadata into the event process's
-// private memory at SessionAddr.
-func storeSession(ep *kernel.EventProcess, st sessState) {
-	b := []byte(fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%d\x00%d",
-		st.user, st.uid, st.uT, st.uG, st.sess, st.reply))
-	hdr := []byte{byte(len(b) >> 8), byte(len(b))}
-	ep.Memory().WriteAt(SessionAddr, append(hdr, b...))
+// Region limits: each record, length included, ends before the next
+// region. kaLimit fits a full park table of maximal leftovers.
+const (
+	sessionLimit = int(sessionDataAddr - SessionAddr)
+	dataLimit    = int(ScratchAddr - sessionDataAddr)
+	kaLimit      = 4 + 1 + 2 + maxParkedConns*(8+8+4+maxKALeftover)
+)
+
+// storeRecord writes msg, a wire message whose op byte tags the record, at
+// addr behind its u32 length. A record longer than limit bytes, length
+// included, is refused and nothing is written.
+func storeRecord(m *mem.View, addr mem.Addr, limit int, msg []byte) bool {
+	if 4+len(msg) > limit {
+		return false
+	}
+	var n [4]byte
+	binary.BigEndian.PutUint32(n[:], uint32(len(msg)))
+	m.WriteAt(addr, n[:])
+	m.WriteAt(addr+4, msg)
+	return true
 }
 
-func loadSession(ep *kernel.EventProcess) (sessState, bool) {
-	hdr := make([]byte, 2)
-	ep.Memory().ReadAt(SessionAddr, hdr)
-	n := int(hdr[0])<<8 | int(hdr[1])
-	if n == 0 || n > 4096 {
-		return sessState{}, false
-	}
-	b := make([]byte, n)
-	ep.Memory().ReadAt(SessionAddr+2, b)
-	var st sessState
-	var uT, uG, sess, reply uint64
-	parts := splitNull(string(b), 6)
-	if parts == nil {
-		return sessState{}, false
-	}
-	st.user, st.uid = parts[0], parts[1]
-	for i, dst := range []*uint64{&uT, &uG, &sess, &reply} {
-		v, err := strconv.ParseUint(parts[2+i], 10, 64)
-		if err != nil {
-			return sessState{}, false
-		}
-		*dst = v
-	}
-	st.uT, st.uG = handle.Handle(uT), handle.Handle(uG)
-	st.sess, st.reply = handle.Handle(sess), handle.Handle(reply)
-	return st, true
-}
-
-func splitNull(s string, n int) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s) && len(out) < n-1; i++ {
-		if s[i] == 0 {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	out = append(out, s[start:])
-	if len(out) != n {
+// loadRecord reads back the record at addr, nil when the region holds
+// none: a zero length, one past limit, or a message not tagged tag. The
+// caller decodes the fields and checks Err once at the end, so a truncated
+// record reads as absent too.
+func loadRecord(m *mem.View, addr mem.Addr, limit int, tag byte) *wire.Reader {
+	var n [4]byte
+	m.ReadAt(addr, n[:])
+	size := int(binary.BigEndian.Uint32(n[:]))
+	if size == 0 || 4+size > limit {
 		return nil
 	}
-	return out
+	msg := make([]byte, size)
+	m.ReadAt(addr+4, msg)
+	if op, r := wire.NewReader(msg); op == tag {
+		return r
+	}
+	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// storeSession records the session metadata at SessionAddr, reporting
+// false when it would reach sessionDataAddr.
+func storeSession(m *mem.View, st sessState) bool {
+	return storeRecord(m, SessionAddr, sessionLimit, wire.NewWriter(recSession).
+		String(st.user).String(st.uid).
+		Handle(st.uT).Handle(st.uG).Handle(st.sess).Handle(st.reply).Done())
+}
+
+func loadSession(m *mem.View) (sessState, bool) {
+	r := loadRecord(m, SessionAddr, sessionLimit, recSession)
+	if r == nil {
+		return sessState{}, false
 	}
-	return b
+	st := sessState{user: r.String(), uid: r.String(),
+		uT: r.Handle(), uG: r.Handle(), sess: r.Handle(), reply: r.Handle()}
+	return st, !r.Err()
+}
+
+// kaStore persists the parked set at kaAddr. Like the session region, the
+// bytes live in the event process's private memory — outside the scratch
+// region ep_clean reverts.
+func kaStore(m *mem.View, entries []kaEntry) {
+	wr := wire.NewWriter(recParked).U16(uint16(len(entries)))
+	for _, e := range entries {
+		wr.Handle(e.port).Handle(e.conn).Bytes(e.leftover)
+	}
+	storeRecord(m, kaAddr, kaLimit, wr.Done())
+}
+
+// kaLoad reads the parked set back; a missing or corrupt record reads as
+// empty.
+func kaLoad(m *mem.View) []kaEntry {
+	r := loadRecord(m, kaAddr, kaLimit, recParked)
+	if r == nil {
+		return nil
+	}
+	n := int(r.U16())
+	if n > maxParkedConns {
+		return nil
+	}
+	entries := make([]kaEntry, 0, n)
+	for i := 0; i < n; i++ {
+		entries = append(entries, kaEntry{port: r.Handle(), conn: r.Handle(), leftover: r.Bytes()})
+	}
+	if r.Err() {
+		return nil
+	}
+	return entries
 }
 
 // Ctx is the per-request context handed to worker Handlers: the
@@ -722,23 +650,18 @@ type Ctx struct {
 const sessionDataAddr = SessionAddr + 512
 
 // SessionStore persists app data in the event process's private memory; it
-// survives across connections until the session exits.
+// survives across connections until the session exits. Data that would
+// reach the scratch region (ScratchAddr) is not stored.
 func (c *Ctx) SessionStore(b []byte) {
-	hdr := []byte{byte(len(b) >> 24), byte(len(b) >> 16), byte(len(b) >> 8), byte(len(b))}
-	c.ep.Memory().WriteAt(sessionDataAddr, append(hdr, b...))
+	storeRecord(c.ep.Memory(), sessionDataAddr, dataLimit, wire.NewWriter(recData).Bytes(b).Done())
 }
 
 // SessionLoad retrieves data stored by SessionStore (nil if none).
 func (c *Ctx) SessionLoad() []byte {
-	hdr := make([]byte, 4)
-	c.ep.Memory().ReadAt(sessionDataAddr, hdr)
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n == 0 || n > 1<<20 {
-		return nil
+	if r := loadRecord(c.ep.Memory(), sessionDataAddr, dataLimit, recData); r != nil {
+		return r.Bytes() // nil when truncated
 	}
-	b := make([]byte, n)
-	c.ep.Memory().ReadAt(sessionDataAddr+4, b)
-	return b
+	return nil
 }
 
 // Scratch writes into the per-request temporary region (cleaned on yield);
@@ -782,13 +705,9 @@ func (c *Ctx) dbExec(sql string, args []string, declassify bool) ([][]string, er
 	if err := send(proxy, c.User, sql, args, c.st.reply, v); err != nil {
 		return nil, err
 	}
-	rctx := c.ctx
-	if rctx == nil {
-		rctx = c.w.ctx
-	}
 	var rows [][]string
 	for {
-		d, err := c.w.proc.RecvCtx(rctx, c.st.reply)
+		d, err := c.w.proc.RecvCtx(c.ctx, c.st.reply)
 		if err != nil {
 			return nil, err
 		}
