@@ -20,6 +20,10 @@ type table struct {
 	// colIdx maps column name to row offset.
 	colIdx map[string]int
 	rows   [][]string
+	// keys maps each value of column 0 to the ascending positions of the
+	// rows holding it. INSERT appends to it; an UPDATE that writes column 0
+	// or a DELETE that removes rows rebuilds it.
+	keys map[string][]int
 }
 
 // Result is the outcome of a statement.
@@ -93,7 +97,8 @@ func (db *DB) create(s *CreateStmt) (Result, error) {
 	if len(s.Cols) == 0 {
 		return Result{}, fmt.Errorf("db: table %q needs at least one column", s.Table)
 	}
-	t := &table{name: s.Table, cols: append([]string(nil), s.Cols...), colIdx: make(map[string]int)}
+	t := &table{name: s.Table, cols: append([]string(nil), s.Cols...),
+		colIdx: make(map[string]int), keys: make(map[string][]int)}
 	for i, c := range t.cols {
 		if _, dup := t.colIdx[c]; dup {
 			return Result{}, fmt.Errorf("db: duplicate column %q", c)
@@ -129,8 +134,17 @@ func (db *DB) insert(s *InsertStmt, args []string) (Result, error) {
 		}
 		row[idx] = v
 	}
+	t.keys[row[0]] = append(t.keys[row[0]], len(t.rows))
 	t.rows = append(t.rows, row)
 	return Result{Affected: 1}, nil
+}
+
+// reindex rebuilds the key index from the rows.
+func (t *table) reindex() {
+	t.keys = make(map[string][]int, len(t.rows))
+	for i, row := range t.rows {
+		t.keys[row[0]] = append(t.keys[row[0]], i)
+	}
 }
 
 // validateWhere checks condition columns exist (even when the table is
@@ -162,6 +176,51 @@ func (t *table) match(row []string, where []Cond, args []string) (bool, error) {
 	return true, nil
 }
 
+// each calls fn, in row order, with every row the WHERE conjunction
+// matches and its position. A conjunction with an equality on column 0,
+// all of whose parameters resolve, visits only that key's rows. Any other
+// scans; an unresolvable parameter then errors once a row reaches its
+// condition, which is before any row has matched.
+func (t *table) each(where []Cond, args []string, fn func(i int, row []string)) error {
+	if pos, ok := t.lookup(where, args); ok {
+		for _, i := range pos {
+			if ok, _ := t.match(t.rows[i], where, args); ok {
+				fn(i, t.rows[i])
+			}
+		}
+		return nil
+	}
+	for i, row := range t.rows {
+		ok, err := t.match(row, where, args)
+		if err != nil {
+			return err
+		}
+		if ok {
+			fn(i, row)
+		}
+	}
+	return nil
+}
+
+// lookup returns the index entry for the conjunction's first equality on
+// column 0, if it has one and every parameter in it resolves.
+func (t *table) lookup(where []Cond, args []string) ([]int, bool) {
+	key, keyed := "", false
+	for _, c := range where {
+		v, err := c.Val.resolve(args)
+		if err != nil {
+			return nil, false
+		}
+		if !keyed && c.Col == t.cols[0] {
+			key, keyed = v, true
+		}
+	}
+	if !keyed {
+		return nil, false
+	}
+	return t.keys[key], true
+}
+
 func (db *DB) selectRows(s *SelectStmt, args []string) (Result, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
@@ -183,19 +242,15 @@ func (db *DB) selectRows(s *SelectStmt, args []string) (Result, error) {
 		idxs[i] = idx
 	}
 	res := Result{Cols: append([]string(nil), outCols...)}
-	for _, row := range t.rows {
-		ok, err := t.match(row, s.Where, args)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			continue
-		}
+	err = t.each(s.Where, args, func(_ int, row []string) {
 		out := make([]string, len(idxs))
 		for i, idx := range idxs {
 			out[i] = row[idx]
 		}
 		res.Rows = append(res.Rows, out)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	res.Affected = len(res.Rows)
 	return res, nil
@@ -214,6 +269,7 @@ func (db *DB) update(s *UpdateStmt, args []string) (Result, error) {
 		val string
 	}
 	ops := make([]setOp, len(s.Set))
+	setsKey := false
 	for i, a := range s.Set {
 		idx, ok := t.colIdx[a.Col]
 		if !ok {
@@ -224,20 +280,20 @@ func (db *DB) update(s *UpdateStmt, args []string) (Result, error) {
 			return Result{}, err
 		}
 		ops[i] = setOp{idx, v}
+		setsKey = setsKey || idx == 0
 	}
 	n := 0
-	for _, row := range t.rows {
-		ok, err := t.match(row, s.Where, args)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			continue
-		}
+	err = t.each(s.Where, args, func(_ int, row []string) {
 		for _, op := range ops {
 			row[op.idx] = op.val
 		}
 		n++
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	if setsKey && n > 0 {
+		t.reindex()
 	}
 	return Result{Affected: n}, nil
 }
@@ -250,19 +306,20 @@ func (db *DB) deleteRows(s *DeleteStmt, args []string) (Result, error) {
 	if err := t.validateWhere(s.Where); err != nil {
 		return Result{}, err
 	}
-	kept := t.rows[:0]
-	n := 0
-	for _, row := range t.rows {
-		ok, err := t.match(row, s.Where, args)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			n++
+	var drop []int // ascending
+	err = t.each(s.Where, args, func(i int, _ []string) { drop = append(drop, i) })
+	if err != nil || len(drop) == 0 {
+		return Result{}, err
+	}
+	kept, next := t.rows[:0], drop
+	for i, row := range t.rows {
+		if len(next) > 0 && next[0] == i {
+			next = next[1:]
 			continue
 		}
 		kept = append(kept, row)
 	}
 	t.rows = kept
-	return Result{Affected: n}, nil
+	t.reindex()
+	return Result{Affected: len(drop)}, nil
 }

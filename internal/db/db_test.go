@@ -221,8 +221,8 @@ func TestTables(t *testing.T) {
 }
 
 func TestLargeScanCost(t *testing.T) {
-	// Sanity: the engine is a linear scanner; make sure a few thousand
-	// rows still work and WHERE narrows correctly.
+	// Sanity: a few thousand rows still work, and WHERE narrows correctly
+	// both through the key index (k) and by scanning (v).
 	d := Open()
 	mustExec(t, d, "CREATE TABLE big (k, v)")
 	for i := 0; i < 5000; i++ {
@@ -231,6 +231,10 @@ func TestLargeScanCost(t *testing.T) {
 	}
 	res := mustExec(t, d, "SELECT v FROM big WHERE k = ?", "key4999")
 	if len(res.Rows) != 1 || res.Rows[0][0] != "val4999" {
+		t.Fatalf("indexed = %v", res.Rows)
+	}
+	res = mustExec(t, d, "SELECT k FROM big WHERE v = ?", "val4998")
+	if len(res.Rows) != 1 || res.Rows[0][0] != "key4998" {
 		t.Fatalf("scan = %v", res.Rows)
 	}
 }

@@ -5,9 +5,16 @@
 // statement AST so the proxy can rewrite queries (adding the private
 // "user ID" column) exactly as the paper's ok-dbproxy does.
 //
-// The engine scans tables linearly, which matches the unoptimized cost
-// profile the paper observes ("database overhead incurred by user
-// authentication quickly becomes significant", §9.3).
+// Every table keeps a hash index from the value of its first column to its
+// rows. A SELECT, UPDATE or DELETE whose WHERE conjunction fixes that
+// column, with every parameter bound, visits only the key's rows; any other
+// statement scans the table. The index is what keeps a login's cost flat in
+// the number of users: a login still pays one database round trip, which is
+// the per-login overhead the paper observes ("database overhead incurred by
+// user authentication quickly becomes significant", §9.3), but it no longer
+// pays one row per user. For okws_users the first column is the user name;
+// ok-dbproxy appends its private user-ID column last, so a worker table
+// keys on the worker's own first column.
 package db
 
 import (

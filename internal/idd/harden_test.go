@@ -79,6 +79,41 @@ func holdsStar(id *idd.Idd, h handle.Handle) bool {
 // noLockout disables the backoff ladder (distinct from nil = DefaultLadder).
 var noLockout = []idd.BackoffRung{}
 
+// TestDuplicateAddUserRefused: provisioning a name that already exists is
+// refused, and the existing account is untouched. Accepting it used to
+// leave two rows for the name, after which every login for it failed, with
+// the old password or the new.
+func TestDuplicateAddUserRefused(t *testing.T) {
+	h, dbh := bootOpts(t, idd.Options{Ladder: noLockout})
+	admin := h.sys.NewProcess("setup-again")
+	defer admin.Exit()
+	reply := admin.Open(nil).Handle()
+	adminPort, _ := h.sys.Env(idd.EnvAdminPort)
+	if err := idd.AddUser(admin.Port(adminPort), "alice", "pw-new", "2001", reply); err != nil {
+		t.Fatal(err)
+	}
+	d, err := admin.RecvCtx(context.Background(), reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := idd.ParseAddUserReply(d)
+	d.Release()
+	if accepted {
+		t.Fatal("second AddUser for alice accepted")
+	}
+	demux := h.sys.NewProcess("demux")
+	if id, ok := h.login(t, demux, "alice", "pw-a"); !ok || id.UID != "1001" {
+		t.Fatalf("alice's first password: login ok=%v identity %+v", ok, id)
+	}
+	if _, ok := h.login(t, demux, "alice", "pw-new"); ok {
+		t.Fatal("the refused password logs in")
+	}
+	res, err := dbh.Exec("SELECT uid FROM "+idd.UsersTable+" WHERE name = ?", "alice")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("alice rows = %v, %v; want exactly one", res.Rows, err)
+	}
+}
+
 func TestLadderDelayArithmetic(t *testing.T) {
 	cases := []struct {
 		fails int

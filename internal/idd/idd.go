@@ -375,9 +375,20 @@ func (i *Idd) Stop() { i.g.Stop() }
 // The blocking is safe: the proxy never calls back into idd, and the wait
 // respects the service context so shutdown cannot hang on a lost reply.
 func (s *iddShard) adminExec(sql string, args ...string) (dbproxy.AdminResult, bool) {
-	if err := dbproxy.AdminExec(s.dbAdmin, sql, args, s.dbReply.Handle()); err != nil {
+	if !s.adminSend(sql, args...) {
 		return dbproxy.AdminResult{}, false
 	}
+	return s.adminWait()
+}
+
+// adminSend sends a statement to ok-dbproxy without waiting; adminWait
+// reads its reply. Between the two the shard may do other work, but must
+// send no other statement.
+func (s *iddShard) adminSend(sql string, args ...string) bool {
+	return dbproxy.AdminExec(s.dbAdmin, sql, args, s.dbReply.Handle()) == nil
+}
+
+func (s *iddShard) adminWait() (dbproxy.AdminResult, bool) {
 	d, err := s.dbReply.Recv(s.i.g.Context())
 	if err != nil || d == nil {
 		return dbproxy.AdminResult{}, false
@@ -599,11 +610,22 @@ func (s *iddShard) handleAdmin(d *kernel.Delivery) {
 	if r.Err() {
 		return
 	}
-	// Credentials are hashed before they touch the database; the table
-	// itself was created once at boot (NewOpts), not per insert.
-	_, ok := s.adminExec(
-		"INSERT INTO "+UsersTable+" (name, password, uid, ut, ug) VALUES (?, ?, ?, ?, ?)",
-		user, passhash.Hash(pass, s.i.hash), uid, "", "")
+	// A name that already exists is refused: a second row would make every
+	// login for it fail (authenticate wants exactly one). The existence
+	// check goes out before the password is hashed and is read after, so
+	// its round trip rides under the Argon2id work. Credentials are hashed
+	// before they touch the database; the table itself was created once at
+	// boot (NewOpts), not per insert.
+	sent := s.adminSend("SELECT uid FROM "+UsersTable+" WHERE name = ?", user)
+	hashed := passhash.Hash(pass, s.i.hash)
+	ok := false
+	if sent {
+		if res, got := s.adminWait(); got && len(res.Rows) == 0 {
+			_, ok = s.adminExec(
+				"INSERT INTO "+UsersTable+" (name, password, uid, ut, ug) VALUES (?, ?, ?, ?, ?)",
+				user, hashed, uid, "", "")
+		}
+	}
 	b := byte(0)
 	if ok {
 		b = 1
@@ -661,7 +683,8 @@ func ParseLoginReply(d *kernel.Delivery) (Identity, uint64, bool) {
 
 // AddUser provisions an account (launcher/test helper); the caller needs an
 // open reply port. The password travels plaintext to idd (the trusted
-// tier), which stores only its Argon2id hash.
+// tier), which stores only its Argon2id hash. idd refuses a name that
+// already has an account.
 func AddUser(iddAdmin *kernel.Port, user, pass, uid string, reply handle.Handle) error {
 	msg := wire.NewWriter(OpAddUser).String(user).String(pass).String(uid).Handle(reply).Done()
 	return iddAdmin.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})

@@ -96,8 +96,10 @@ type View struct {
 }
 
 // viewFreeMax bounds the per-view free list: enough for one request's
-// scratch working set, small enough that dormant sessions retain only a
-// few kilobytes beyond their accounted pages.
+// scratch working set. A dormant session keeps its list, and that is not
+// small: at 2000 echo sessions the lists held about 2 to 2.4 pages (8 to
+// 10 KB) per session beside its 1.4 accounted pages, and ensure's page
+// arrays were 27 to 31 MB of a 40 to 46 MB live heap.
 const viewFreeMax = 16
 
 // NewView returns a fresh view of base with no private pages.

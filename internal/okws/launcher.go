@@ -261,7 +261,8 @@ func Launch(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// AddUser provisions an account in the password database.
+// AddUser provisions an account in the password database. A name that
+// already has an account is rejected.
 func (s *Server) AddUser(user, pass, uid string) error {
 	reply := s.launcher.Open(nil)
 	defer reply.Dissociate()

@@ -137,7 +137,8 @@ func initHash(password, salt, secret, ad []byte, p Params) [blake2bSize + 8]byte
 }
 
 // hashPrime is H' (RFC 9106 §3.3): variable-length output built from
-// chained BLAKE2b digests.
+// chained BLAKE2b digests, over bytes. It derives extractKey's tag; the
+// 1 KiB first blocks come from hashPrimeBlock.
 func hashPrime(out []byte, in []byte) {
 	var le [4]byte
 	binary.LittleEndian.PutUint32(le[:], uint32(len(out)))
@@ -163,20 +164,38 @@ func hashPrime(out []byte, in []byte) {
 	blake2bSum(out, v[:])
 }
 
+// hashPrimeBlock is H' at the 1 KiB that fills one block, chained in
+// words: each 64-byte digest V_i is the next hash's whole message (eight
+// words and zero padding, one final block), and its first half is the next
+// four words of out; the last digest fills the final eight.
+func hashPrimeBlock(out *argonBlock, in []byte) {
+	var le [4]byte
+	binary.LittleEndian.PutUint32(le[:], blockWords*8)
+	d := newBlake2b(blake2bSize)
+	d.Write(le[:])
+	d.Write(in)
+	d.finish()
+	v, init := d.h, blake2bInit(blake2bSize)
+	var m [16]uint64
+	for i := 0; i < blockWords-8; i += 4 {
+		copy(out[i:i+4], v[:4])
+		copy(m[:8], v[:])
+		v = init
+		blake2bCompress(&v, &m, blake2bSize, true)
+	}
+	copy(out[blockWords-8:], v[:])
+}
+
 // initBlocks fills each lane's first two blocks of the zeroed matrix B
 // from H0 (§3.4).
 func initBlocks(h0 *[blake2bSize + 8]byte, B []argonBlock, threads uint32) {
-	var raw [1024]byte
 	laneLen := uint32(len(B)) / threads
 	for lane := uint32(0); lane < threads; lane++ {
 		j := lane * laneLen
 		binary.LittleEndian.PutUint32(h0[blake2bSize+4:], lane)
 		for idx := uint32(0); idx < 2; idx++ {
 			binary.LittleEndian.PutUint32(h0[blake2bSize:], idx)
-			hashPrime(raw[:], h0[:])
-			for i := range B[j+idx] {
-				B[j+idx][i] = binary.LittleEndian.Uint64(raw[i*8:])
-			}
+			hashPrimeBlock(&B[j+idx], h0[:])
 		}
 	}
 }

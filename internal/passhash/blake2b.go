@@ -58,16 +58,21 @@ type blake2bState struct {
 	size int
 }
 
+// blake2bInit is the chaining value a size-byte digest starts from: the IV
+// with parameter block word 0 (digest length, key length 0, fanout 1,
+// depth 1) folded in.
+func blake2bInit(size int) [8]uint64 {
+	h := blake2bIV
+	h[0] ^= uint64(size) | 1<<16 | 1<<24
+	return h
+}
+
 // newBlake2b starts a digest of the given size (1..64 bytes).
 func newBlake2b(size int) *blake2bState {
 	if size < 1 || size > blake2bSize {
 		panic("passhash: bad blake2b digest size")
 	}
-	d := &blake2bState{size: size}
-	d.h = blake2bIV
-	// Parameter block word 0: digest length, key length 0, fanout 1, depth 1.
-	d.h[0] ^= uint64(size) | 1<<16 | 1<<24
-	return d
+	return &blake2bState{h: blake2bInit(size), size: size}
 }
 
 func (d *blake2bState) Write(p []byte) {
@@ -77,7 +82,7 @@ func (d *blake2bState) Write(p []byte) {
 	for len(p) > 0 {
 		if d.n == blake2bBlock {
 			d.t += blake2bBlock
-			d.compress(d.buf[:], false)
+			d.compress(false)
 			d.n = 0
 		}
 		c := copy(d.buf[d.n:], p)
@@ -88,11 +93,7 @@ func (d *blake2bState) Write(p []byte) {
 
 // Sum finalizes into out (length d.size). The state is spent afterwards.
 func (d *blake2bState) Sum(out []byte) {
-	d.t += uint64(d.n)
-	for i := d.n; i < blake2bBlock; i++ {
-		d.buf[i] = 0
-	}
-	d.compress(d.buf[:], true)
+	d.finish()
 	var tmp [blake2bSize]byte
 	for i, v := range d.h {
 		binary.LittleEndian.PutUint64(tmp[i*8:], v)
@@ -100,44 +101,118 @@ func (d *blake2bState) Sum(out []byte) {
 	copy(out, tmp[:d.size])
 }
 
-func (d *blake2bState) compress(block []byte, final bool) {
-	var m [16]uint64
-	for i := range m {
-		m[i] = binary.LittleEndian.Uint64(block[i*8:])
-	}
-	var v [16]uint64
-	copy(v[:8], d.h[:])
-	copy(v[8:], blake2bIV[:])
-	v[12] ^= d.t
-	// v[13] would carry the high counter word; inputs here are < 2^64 bytes.
-	if final {
-		v[14] = ^v[14]
-	}
-	for r := 0; r < 12; r++ {
-		s := &blake2bSigma[r]
-		blake2bG(&v, 0, 4, 8, 12, m[s[0]], m[s[1]])
-		blake2bG(&v, 1, 5, 9, 13, m[s[2]], m[s[3]])
-		blake2bG(&v, 2, 6, 10, 14, m[s[4]], m[s[5]])
-		blake2bG(&v, 3, 7, 11, 15, m[s[6]], m[s[7]])
-		blake2bG(&v, 0, 5, 10, 15, m[s[8]], m[s[9]])
-		blake2bG(&v, 1, 6, 11, 12, m[s[10]], m[s[11]])
-		blake2bG(&v, 2, 7, 8, 13, m[s[12]], m[s[13]])
-		blake2bG(&v, 3, 4, 9, 14, m[s[14]], m[s[15]])
-	}
-	for i := 0; i < 8; i++ {
-		d.h[i] ^= v[i] ^ v[i+8]
-	}
+// finish compresses the last block, leaving the digest in d.h as
+// little-endian words. The state is spent afterwards.
+func (d *blake2bState) finish() {
+	d.t += uint64(d.n)
+	clear(d.buf[d.n:])
+	d.compress(true)
 }
 
-func blake2bG(v *[16]uint64, a, b, c, d int, x, y uint64) {
-	v[a] = v[a] + v[b] + x
-	v[d] = bits.RotateLeft64(v[d]^v[a], -32)
-	v[c] = v[c] + v[d]
-	v[b] = bits.RotateLeft64(v[b]^v[c], -24)
-	v[a] = v[a] + v[b] + y
-	v[d] = bits.RotateLeft64(v[d]^v[a], -16)
-	v[c] = v[c] + v[d]
-	v[b] = bits.RotateLeft64(v[b]^v[c], -63)
+// compress runs F over the buffered block.
+func (d *blake2bState) compress(final bool) {
+	var m [16]uint64
+	for i := range m {
+		m[i] = binary.LittleEndian.Uint64(d.buf[i*8:])
+	}
+	blake2bCompress(&d.h, &m, d.t, final)
+}
+
+// blake2bCompress is BLAKE2b's F (RFC 7693 §3.2) over message words m,
+// byte counter t and the last-block flag. The 16-word working vector lives
+// in locals, so each G is straight-line arithmetic on them; the counter's
+// high word is left zero, as inputs here are far below 2^64 bytes.
+func blake2bCompress(h *[8]uint64, m *[16]uint64, t uint64, final bool) {
+	v0, v1, v2, v3, v4, v5, v6, v7 := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
+	v8, v9, v10, v11 := blake2bIV[0], blake2bIV[1], blake2bIV[2], blake2bIV[3]
+	v12, v13, v14, v15 := blake2bIV[4]^t, blake2bIV[5], blake2bIV[6], blake2bIV[7]
+	if final {
+		v14 = ^v14
+	}
+	for r := range blake2bSigma {
+		s := &blake2bSigma[r]
+		// Columns.
+		v0 += v4 + m[s[0]]
+		v12 = bits.RotateLeft64(v12^v0, -32)
+		v8 += v12
+		v4 = bits.RotateLeft64(v4^v8, -24)
+		v0 += v4 + m[s[1]]
+		v12 = bits.RotateLeft64(v12^v0, -16)
+		v8 += v12
+		v4 = bits.RotateLeft64(v4^v8, -63)
+
+		v1 += v5 + m[s[2]]
+		v13 = bits.RotateLeft64(v13^v1, -32)
+		v9 += v13
+		v5 = bits.RotateLeft64(v5^v9, -24)
+		v1 += v5 + m[s[3]]
+		v13 = bits.RotateLeft64(v13^v1, -16)
+		v9 += v13
+		v5 = bits.RotateLeft64(v5^v9, -63)
+
+		v2 += v6 + m[s[4]]
+		v14 = bits.RotateLeft64(v14^v2, -32)
+		v10 += v14
+		v6 = bits.RotateLeft64(v6^v10, -24)
+		v2 += v6 + m[s[5]]
+		v14 = bits.RotateLeft64(v14^v2, -16)
+		v10 += v14
+		v6 = bits.RotateLeft64(v6^v10, -63)
+
+		v3 += v7 + m[s[6]]
+		v15 = bits.RotateLeft64(v15^v3, -32)
+		v11 += v15
+		v7 = bits.RotateLeft64(v7^v11, -24)
+		v3 += v7 + m[s[7]]
+		v15 = bits.RotateLeft64(v15^v3, -16)
+		v11 += v15
+		v7 = bits.RotateLeft64(v7^v11, -63)
+
+		// Diagonals.
+		v0 += v5 + m[s[8]]
+		v15 = bits.RotateLeft64(v15^v0, -32)
+		v10 += v15
+		v5 = bits.RotateLeft64(v5^v10, -24)
+		v0 += v5 + m[s[9]]
+		v15 = bits.RotateLeft64(v15^v0, -16)
+		v10 += v15
+		v5 = bits.RotateLeft64(v5^v10, -63)
+
+		v1 += v6 + m[s[10]]
+		v12 = bits.RotateLeft64(v12^v1, -32)
+		v11 += v12
+		v6 = bits.RotateLeft64(v6^v11, -24)
+		v1 += v6 + m[s[11]]
+		v12 = bits.RotateLeft64(v12^v1, -16)
+		v11 += v12
+		v6 = bits.RotateLeft64(v6^v11, -63)
+
+		v2 += v7 + m[s[12]]
+		v13 = bits.RotateLeft64(v13^v2, -32)
+		v8 += v13
+		v7 = bits.RotateLeft64(v7^v8, -24)
+		v2 += v7 + m[s[13]]
+		v13 = bits.RotateLeft64(v13^v2, -16)
+		v8 += v13
+		v7 = bits.RotateLeft64(v7^v8, -63)
+
+		v3 += v4 + m[s[14]]
+		v14 = bits.RotateLeft64(v14^v3, -32)
+		v9 += v14
+		v4 = bits.RotateLeft64(v4^v9, -24)
+		v3 += v4 + m[s[15]]
+		v14 = bits.RotateLeft64(v14^v3, -16)
+		v9 += v14
+		v4 = bits.RotateLeft64(v4^v9, -63)
+	}
+	h[0] ^= v0 ^ v8
+	h[1] ^= v1 ^ v9
+	h[2] ^= v2 ^ v10
+	h[3] ^= v3 ^ v11
+	h[4] ^= v4 ^ v12
+	h[5] ^= v5 ^ v13
+	h[6] ^= v6 ^ v14
+	h[7] ^= v7 ^ v15
 }
 
 // blake2bSum writes the size-byte digest of the concatenated inputs.

@@ -2,6 +2,7 @@ package passhash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"runtime"
 	"strings"
@@ -161,6 +162,81 @@ func TestParseRejectsHostileCosts(t *testing.T) {
 	} {
 		if Verify("pw", enc) {
 			t.Errorf("hostile encoding verified: %q", enc)
+		}
+	}
+}
+
+// hashPrimeSpec is H' exactly as RFC 9106 §3.3 writes it, byte by byte:
+// for T > 64, r = ceil(T/32) - 2 digests V_1..V_r each contribute their
+// first 32 bytes, and V_{r+1} = H^(T-32r)(V_r) the rest.
+func hashPrimeSpec(T int, A []byte) []byte {
+	in := binary.LittleEndian.AppendUint32(nil, uint32(T))
+	in = append(in, A...)
+	if T <= 64 {
+		out := make([]byte, T)
+		blake2bSum(out, in)
+		return out
+	}
+	r := (T+31)/32 - 2
+	v := make([]byte, 64)
+	blake2bSum(v, in)
+	out := append([]byte(nil), v[:32]...)
+	for i := 2; i <= r; i++ {
+		next := make([]byte, 64)
+		blake2bSum(next, v)
+		v = next
+		out = append(out, v[:32]...)
+	}
+	last := make([]byte, T-32*r)
+	blake2bSum(last, v)
+	return append(out, last...)
+}
+
+// TestHashPrimeMatchesSpec holds both H' paths to the spec: the byte path
+// at every length class (one digest, the 64-byte edge, chained), and the
+// word-chained 1 KiB path initBlocks uses.
+func TestHashPrimeMatchesSpec(t *testing.T) {
+	var h0 [blake2bSize + 8]byte
+	for i := range h0 {
+		h0[i] = byte(i * 7)
+	}
+	for _, in := range [][]byte{nil, h0[:], bytes.Repeat([]byte("argon"), 60)} {
+		for _, n := range []int{4, 32, 63, 64, 65, 100, 1024} {
+			want := hashPrimeSpec(n, in)
+			got := make([]byte, n)
+			hashPrime(got, in)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("hashPrime(%d bytes, %d-byte input) = %x, want %x", n, len(in), got, want)
+			}
+		}
+		var blk argonBlock
+		hashPrimeBlock(&blk, in)
+		got := make([]byte, 0, 1024)
+		for _, w := range blk {
+			got = binary.LittleEndian.AppendUint64(got, w)
+		}
+		if want := hashPrimeSpec(1024, in); !bytes.Equal(got, want) {
+			t.Fatalf("hashPrimeBlock(%d-byte input) = %x, want %x", len(in), got, want)
+		}
+	}
+}
+
+// BenchmarkHashPrimeBlock is one lane-start block: H' at 1 KiB over H0.
+func BenchmarkHashPrimeBlock(b *testing.B) {
+	var h0 [blake2bSize + 8]byte
+	var blk argonBlock
+	for i := 0; i < b.N; i++ {
+		hashPrimeBlock(&blk, h0[:])
+	}
+}
+
+// BenchmarkVerify is one login's password check at idd's operating point.
+func BenchmarkVerify(b *testing.B) {
+	h := Hash("correct horse", ServerParams)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !Verify("correct horse", h) {
+			b.Fatal("correct password rejected")
 		}
 	}
 }
