@@ -63,13 +63,19 @@ type netdShard struct {
 	byPort    map[handle.Handle]*sconn
 	listeners map[uint16][]handle.Handle // lport → notify ports, dealt round-robin
 	rr        map[uint16]uint64          // per-lport notify rotation
+	notifies  map[handle.Handle]bool     // every listener's notify port
+
+	// taints counts, per taint handle uT, the live connections tainted
+	// with it. The shard holds uT ⋆ and receives at uT 3 exactly while the
+	// count is positive (untaint).
+	taints map[handle.Handle]int
 
 	// out is lp's Batcher, coalescing the shard's reply bursts: one
 	// dispatch round can fulfill many reads, acks and connection
 	// notifications; each destination port then receives its replies as one
-	// SendBatch. Reply-port capabilities are shed via out.DropAfter — only
-	// after the flush, since a buffered reply still needs its ⋆ at enqueue
-	// time.
+	// SendBatch. Reply-port capabilities — all but listeners' notify ports —
+	// are shed via out.DropAfter — only after the flush, since a buffered
+	// reply still needs its ⋆ at enqueue time.
 	out *kernel.Batcher
 }
 
@@ -155,6 +161,8 @@ func NewOpts(sys *kernel.System, o Options) *Netd {
 			byPort:    make(map[handle.Handle]*sconn),
 			listeners: make(map[uint16][]handle.Handle),
 			rr:        make(map[uint16]uint64),
+			notifies:  make(map[handle.Handle]bool),
+			taints:    make(map[handle.Handle]int),
 			out:       lp.Out(),
 		}
 		if i == 0 {
@@ -209,9 +217,8 @@ func (nd *Netd) ServicePort() handle.Handle { return nd.shards[0].servicePort.Ha
 func (nd *Netd) ShardCount() int { return len(nd.shards) }
 
 // Process returns shard 0's kernel process (for label inspection in tests
-// and experiments — e.g. Figure 9 tracks its receive-label growth). With
-// multiple shards, each shard's labels grow only with the connections it
-// owns; Processes exposes all of them.
+// and experiments). With multiple shards, each shard's labels hold only the
+// users of the live connections it owns; Processes exposes all of them.
 func (nd *Netd) Process() *kernel.Process { return nd.shards[0].proc }
 
 // Processes returns every shard's kernel process.
@@ -296,6 +303,7 @@ func (s *netdShard) addListener(lport uint16, notify handle.Handle) {
 		}
 	}
 	s.listeners[lport] = append(s.listeners[lport], notify)
+	s.notifies[notify] = true
 }
 
 // newSconn wraps a connection in a fresh Asbestos port whose label starts
@@ -338,14 +346,15 @@ func (s *netdShard) idleExpire(sc *sconn) {
 
 // teardown releases a closed connection: its port and capability go away,
 // the label churn the paper charges per connection ("... and then to
-// release that capability when the connection is ... closed", §9.3). The
-// per-user taint ⋆ is retained for future connections.
+// release that capability when the connection is ... closed", §9.3), and
+// its taint is uncounted.
 func (s *netdShard) teardown(sc *sconn) {
 	if sc.idle != nil {
 		sc.idle.Stop()
 	}
 	sc.port.Dissociate()
 	s.proc.DropPrivilege(sc.port.Handle(), label.L1)
+	s.untaint(sc)
 	delete(s.conns, sc.c.ID())
 	delete(s.byPort, sc.port.Handle())
 	// The registry tracks live connections only: without this, every
@@ -463,20 +472,44 @@ func (s *netdShard) handleConn(sc *sconn, d *kernel.Delivery) {
 		if r.Err() || !taint.Valid() {
 			return
 		}
-		sc.taint = taint
-		sc.replyOpts = &kernel.SendOpts{Contaminate: kernel.Taint(label.L3, taint)}
-		// The sender granted us taint ⋆ (AddTaint's DS), so this shard may
-		// raise its own receive label and the port label: {uC 0, uT 3, 2}
-		// (Figure 5 step 5).
-		if err := s.proc.RaiseRecv(taint, label.L3); err != nil {
-			return
+		if taint != sc.taint {
+			// The sender granted us taint ⋆ (AddTaint's DS), so this shard
+			// may raise its own receive label and the port label:
+			// {uC 0, uT 3, 2} (Figure 5 step 5). A repeated AddTaint with
+			// the same handle changes nothing and counts nothing.
+			if err := s.proc.RaiseRecv(taint, label.L3); err != nil {
+				return
+			}
+			s.untaint(sc)
+			sc.taint = taint
+			s.taints[taint]++
+			sc.replyOpts = &kernel.SendOpts{Contaminate: kernel.Taint(label.L3, taint)}
+			pl := label.New(label.L2,
+				label.Entry{H: sc.port.Handle(), L: label.L0},
+				label.Entry{H: taint, L: label.L3})
+			sc.port.SetLabel(pl)
 		}
-		pl := label.New(label.L2,
-			label.Entry{H: sc.port.Handle(), L: label.L0},
-			label.Entry{H: taint, L: label.L3})
-		sc.port.SetLabel(pl)
-		s.reply(sc, reply, wire.NewWriter(OpAddTaintReply).Byte(1).Done())
+		s.reply(sc, reply, wire.NewWriter(OpAddTaintReply).Byte(1).Handle(sc.port.Handle()).Done())
 	}
+}
+
+// untaint uncounts sc's taint handle uT. The last live connection tainted
+// with uT takes the shard's privilege over uT with it: the receive label
+// goes back to uT 2 and uT ⋆ is dropped, so netd's labels hold the users
+// it serves now, not every user it has ever served. The next connection
+// tainted with uT comes with a fresh grant from the demux.
+func (s *netdShard) untaint(sc *sconn) {
+	uT := sc.taint
+	if !uT.Valid() {
+		return
+	}
+	sc.taint = handle.None
+	if s.taints[uT]--; s.taints[uT] > 0 {
+		return
+	}
+	delete(s.taints, uT)
+	s.proc.LowerRecv(label.New(label.L3, label.Entry{H: uT, L: label.DefaultRecv}))
+	s.proc.DropPrivilege(uT, label.DefaultSend)
 }
 
 // fulfillReads answers queued reads that can now complete.
@@ -491,13 +524,11 @@ func (s *netdShard) fulfillReads(sc *sconn) {
 			return // still waiting
 		}
 		sc.pending = sc.pending[1:]
-		var msg []byte
+		eofb := byte(0)
 		if data == nil {
-			msg = wire.NewWriter(OpReadReply).Byte(1).Bytes(nil).Done()
-		} else {
-			msg = wire.NewWriter(OpReadReply).Byte(0).Bytes(data).Done()
+			eofb = 1
 		}
-		s.reply(sc, pr.reply, msg)
+		s.reply(sc, pr.reply, wire.NewWriter(OpReadReply).Byte(eofb).Bytes(data).Handle(sc.port.Handle()).Done())
 	}
 }
 
@@ -511,9 +542,12 @@ func (s *netdShard) reply(sc *sconn, to handle.Handle, msg []byte) {
 		opts = sc.replyOpts
 	}
 	s.out.Add(to, msg, opts)
-	// The reply-port capability was granted for this exchange only; shed it
+	// A reply-port capability was granted for this exchange only; shed it
 	// — after the flush, since the buffered reply may depend on it — so
 	// the shard's send label stays proportional to users + open connections,
-	// not to total messages handled.
-	s.out.DropAfter(to)
+	// not to total messages handled. A listener's notify port is the
+	// exception: its ⋆ came with the listen registration and lives as long.
+	if !s.notifies[to] {
+		s.out.DropAfter(to)
+	}
 }

@@ -12,6 +12,14 @@
 // processes can write to it. Remote peers only dial in: netd opens no
 // outbound connections.
 //
+// Privilege lifetimes. A shard holds ⋆ for a listener's notify port for
+// as long as the listen registration lives, so a listener may take its
+// read and taint replies on the notify port: each such reply names the
+// connection it answers. Any other reply port's ⋆ is shed once the reply
+// is sent. A shard holds uT ⋆ and receives at uT 3 exactly while a live
+// connection it owns is tainted with uT; the last one closed or expired
+// lowers both again.
+//
 // The paper's netd contains an LWIP TCP/IP stack and an E1000 driver; here
 // the wire is pluggable. Everything below the shard loops goes through the
 // Transport seam (transport.go): the in-memory Network on which simulated
@@ -123,20 +131,25 @@ const (
 	CtlClose = 1
 )
 
-// Reply ops (netd → application reply ports).
+// Reply ops (netd → application reply ports). A read or taint reply names
+// the connection it answers, so one port — a listener's notify port — can
+// carry the exchanges of many connections.
 const (
 	OpNewConnNotify = 30 // conn port handle (granted ⋆), lport u16
-	OpReadReply     = 31 // eof byte, data
+	OpReadReply     = 31 // eof byte, data, conn port handle
 	OpWriteReply    = 32 // n u32
 	OpControlReply  = 33 // ok byte
-	OpAddTaintReply = 35 // ok byte
+	OpAddTaintReply = 35 // ok byte, conn port handle
 )
 
 // The client helpers below take the destination as a *kernel.Port — an
 // endpoint of the calling process, usually cached so repeated requests on
 // one connection reuse the resolved route. Reply ports travel as raw
 // handles: they are wire payload for netd, not a destination the caller
-// sends to here.
+// sends to here. netd sheds a reply port's ⋆ once it has answered on it,
+// except for a port registered with Listen, whose ⋆ it keeps for as long
+// as the listener lives: a listener may name its notify port as the reply
+// port of every exchange on the connections it was dealt.
 
 // Listen asks netd to deliver new-connection notifications for lport to
 // notify. The message grants netd ⋆ for the notify port so it can send
@@ -149,8 +162,8 @@ func Listen(netdPort *kernel.Port, lport uint16, notify handle.Handle) error {
 // Read requests up to maxLen bytes from a connection; netd replies on reply
 // with OpReadReply (blocking server-side until data or EOF).
 func Read(conn *kernel.Port, reply handle.Handle, maxLen int) error {
-	msg := wire.NewWriter(opRead).Handle(reply).U32(uint32(maxLen)).Done()
-	return conn.Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
+	e := ReadOp(reply, maxLen)
+	return conn.Send(e.Data, e.Opts)
 }
 
 // Write sends data out on a connection; netd replies with OpWriteReply.
@@ -160,16 +173,37 @@ func Read(conn *kernel.Port, reply handle.Handle, maxLen int) error {
 // are processed in send order either way, so a Write is applied before any
 // Read, Control or capability drop the caller issues after it.
 func Write(conn *kernel.Port, reply handle.Handle, data []byte) error {
-	msg := wire.NewWriter(opWrite).Handle(reply).Bytes(data).Done()
-	return conn.Send(msg, replyGrant(reply))
+	e := WriteOp(reply, data)
+	return conn.Send(e.Data, e.Opts)
 }
 
 // Control issues a control command (CtlClose) on a connection; netd
 // replies with OpControlReply unless reply is handle.None (unacknowledged,
 // as for Write).
 func Control(conn *kernel.Port, reply handle.Handle, cmd byte) error {
-	msg := wire.NewWriter(opControl).Handle(reply).Byte(cmd).Done()
-	return conn.Send(msg, replyGrant(reply))
+	e := ControlOp(reply, cmd)
+	return conn.Send(e.Data, e.Opts)
+}
+
+// ReadOp is Read as a batch entry. ReadOp, WriteOp and ControlOp serve a
+// caller that sends several ops on one connection as one conn.SendBatch:
+// netd applies them in entry order, exactly as the same calls made one by
+// one.
+func ReadOp(reply handle.Handle, maxLen int) kernel.BatchEntry {
+	return kernel.BatchEntry{
+		Data: wire.NewWriter(opRead).Handle(reply).U32(uint32(maxLen)).Done(),
+		Opts: &kernel.SendOpts{DecontSend: kernel.Grant(reply)},
+	}
+}
+
+// WriteOp is Write as a batch entry.
+func WriteOp(reply handle.Handle, data []byte) kernel.BatchEntry {
+	return kernel.BatchEntry{Data: wire.NewWriter(opWrite).Handle(reply).Bytes(data).Done(), Opts: replyGrant(reply)}
+}
+
+// ControlOp is Control as a batch entry.
+func ControlOp(reply handle.Handle, cmd byte) kernel.BatchEntry {
+	return kernel.BatchEntry{Data: wire.NewWriter(opControl).Handle(reply).Byte(cmd).Done(), Opts: replyGrant(reply)}
 }
 
 // replyGrant is the DS of a request that may be unacknowledged: reply ⋆,
@@ -211,10 +245,12 @@ func ParseNotify(d *kernel.Delivery) (NewConnNotification, bool) {
 	return n, true
 }
 
-// ReadReply is a parsed OpReadReply.
+// ReadReply is a parsed OpReadReply; Conn is the connection port it
+// answers for.
 type ReadReply struct {
 	EOF  bool
 	Data []byte
+	Conn handle.Handle
 }
 
 // ParseReadReply decodes an OpReadReply delivery.
@@ -223,11 +259,23 @@ func ParseReadReply(d *kernel.Delivery) (ReadReply, bool) {
 	if op != OpReadReply {
 		return ReadReply{}, false
 	}
-	rr := ReadReply{EOF: r.Byte() == 1, Data: r.Bytes()}
+	rr := ReadReply{EOF: r.Byte() == 1, Data: r.Bytes(), Conn: r.Handle()}
 	if r.Err() {
 		return ReadReply{}, false
 	}
 	return rr, true
+}
+
+// ParseAddTaintReply decodes an OpAddTaintReply delivery, returning the
+// connection port it answers for.
+func ParseAddTaintReply(d *kernel.Delivery) (conn handle.Handle, ok bool) {
+	op, r := wire.NewReader(d.Data)
+	if op != OpAddTaintReply {
+		return handle.None, false
+	}
+	r.Byte() // ok: netd answers only a taint it applied
+	conn = r.Handle()
+	return conn, !r.Err()
 }
 
 // ParseWriteReply decodes an OpWriteReply delivery, returning bytes written.

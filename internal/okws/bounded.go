@@ -6,7 +6,7 @@ import (
 	"asbestos/internal/handle"
 )
 
-// connTable is a shard's reply-port → connection map with an atomically
+// connTable is a shard's connection-port → connection map with an atomically
 // readable size: all writes belong to the owning loop, but diagnostics
 // (Demux.ConnCount, the leak regression tests) read the count from other
 // goroutines. Encapsulating the counter here keeps the two in sync at

@@ -70,7 +70,7 @@ type demuxShard struct {
 
 	proc *kernel.Process // lp's process
 
-	notifyPort  *kernel.Port // new connections from netd (this shard's deal)
+	notifyPort  *kernel.Port // netd's new connections and read/taint replies
 	sessionPort *kernel.Port // session-port registration from worker EPs
 	loginReply  *kernel.Port // replies from idd
 
@@ -105,7 +105,7 @@ type demuxShard struct {
 	sessions *lru.Cache[sessionKey, *session]
 	rr       map[string]uint64
 
-	conns *connTable // per-connection reply port → state
+	conns *connTable // connection port uC → state, until handoff or teardown
 
 	// idCache memoizes login results per credential pair, keyed by the
 	// SHA-256 of user\x00pass — the demux never retains plaintext passwords
@@ -203,15 +203,16 @@ type sessionKey struct {
 	service string
 }
 
-// dconn is per-connection demux state while the request headers are read.
-// uC is the connection port as a cached endpoint: the demux's repeated
-// reads and the taint exchange reuse the resolved route.
+// dconn is per-connection demux state from netd's notify until handoff or
+// teardown. uC is the connection port as a cached endpoint: the demux's
+// repeated reads and the taint exchange reuse the resolved route. netd
+// answers them on the shard's notify port, naming uC, so the connection
+// needs no port of its own.
 type dconn struct {
-	uC    *kernel.Port
-	reply handle.Handle
-	buf   []byte // every byte read so far, forwarded on handoff
-	req   *httpmsg.Request
-	id    idd.Identity
+	uC  *kernel.Port
+	buf []byte // every byte read so far, forwarded on handoff
+	req *httpmsg.Request
+	id  idd.Identity
 
 	// deadline is the request's demux-side deadline timer (nil when the
 	// demux has no reqDeadline); expiry 504s and tears the connection down
@@ -256,8 +257,10 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 	for i := 0; i < shards; i++ {
 		lp := g.Shard(i)
 		proc := lp.Proc()
+		// The notify port is closed by capability: Listen grants ⋆ to netd
+		// alone, so nobody else can forge a reply that advances a
+		// connection.
 		notify := proc.Open(nil)
-		notify.SetLabel(open)
 		sess := proc.Open(nil)
 		sess.SetLabel(open)
 		s := &demuxShard{
@@ -292,7 +295,6 @@ func newDemux(sys *kernel.System, netdSvc handle.Handle, iddLogins []handle.Hand
 		lp.Handle(sess, s.handleSession)
 		lp.Handle(s.loginReply, s.handleLoginReply)
 		lp.HandleForward(s.handleFwd)
-		lp.HandleDefault(s.handleConnPort)
 		d.shards = append(d.shards, s)
 	}
 	sys.SetEnv(EnvDemuxReg, d.regPort.Handle())
@@ -362,15 +364,6 @@ func (dm *Demux) Stop() { dm.g.Stop() }
 // launch-time registration draining and tests use it; at runtime the loop
 // goroutine dispatches directly.
 func (s *demuxShard) dispatch(d *kernel.Delivery) { s.lp.Dispatch(d) }
-
-// handleConnPort is the shard's fallback handler: deliveries to
-// per-connection reply ports, which come and go too fast for the dispatch
-// table.
-func (s *demuxShard) handleConnPort(d *kernel.Delivery) {
-	if cs := s.conns.get(d.Port); cs != nil {
-		s.handleConnReply(cs, d)
-	}
-}
 
 // handleRegister records a worker's base port after checking the
 // launcher-issued verification handle: "ok-demux must be certain that it is
@@ -500,9 +493,8 @@ func (s *demuxShard) handleFwd(d *kernel.Delivery) {
 		if r.Err() {
 			return
 		}
-		reply := s.proc.Open(nil).Handle()
-		cs := &dconn{uC: s.proc.Port(conn), reply: reply, buf: buf}
-		s.conns.put(reply, cs)
+		cs := &dconn{uC: s.proc.Port(conn), buf: buf}
+		s.conns.put(conn, cs)
 		// The forwarder's remaining time rides along, so one clock covers
 		// the request on every shard it passes through.
 		s.armDeadline(cs, time.Duration(deadlineMS)*time.Millisecond)
@@ -518,50 +510,42 @@ func (s *demuxShard) handleFwd(d *kernel.Delivery) {
 	}
 }
 
-// handleNotify starts reading a new connection's request.
+// handleNotify advances a connection's state machine: netd deals it here,
+// then answers the header reads and the taint on the same port, each reply
+// naming the connection. A reply for a connection the shard no longer
+// tracks (torn down by its deadline, say) is ignored.
 func (s *demuxShard) handleNotify(d *kernel.Delivery) {
-	n, ok := netd.ParseNotify(d)
-	if !ok {
+	if n, ok := netd.ParseNotify(d); ok {
+		cs := &dconn{uC: s.proc.Port(n.ConnPort)}
+		s.conns.put(n.ConnPort, cs)
+		s.armDeadline(cs, s.dm.reqDeadline)
+		netd.Read(cs.uC, s.notifyPort.Handle(), 4096)
 		return
 	}
-	reply := s.proc.Open(nil).Handle()
-	cs := &dconn{uC: s.proc.Port(n.ConnPort), reply: reply}
-	s.conns.put(reply, cs)
-	s.armDeadline(cs, s.dm.reqDeadline)
-	netd.Read(cs.uC, reply, 4096)
-}
-
-// handleConnReply advances a connection's state machine: reading headers,
-// then tainting, then handoff.
-func (s *demuxShard) handleConnReply(cs *dconn, d *kernel.Delivery) {
 	if rr, ok := netd.ParseReadReply(d); ok {
-		if cs.req == nil {
-			cs.buf = append(cs.buf, rr.Data...)
-			req, _, complete, err := httpmsg.ParseRequest(cs.buf)
-			switch {
-			case err != nil:
-				s.fail(cs, 400)
-			case complete:
-				cs.req = req
-				s.route(cs)
-			case rr.EOF:
-				s.fail(cs, 0)
-			default:
-				netd.Read(cs.uC, cs.reply, 4096)
-			}
+		cs := s.conns.get(rr.Conn)
+		if cs == nil || cs.req != nil {
+			return
+		}
+		cs.buf = append(cs.buf, rr.Data...)
+		req, _, complete, err := httpmsg.ParseRequest(cs.buf)
+		switch {
+		case err != nil:
+			s.fail(cs, 400)
+		case complete:
+			cs.req = req
+			s.route(cs)
+		case rr.EOF:
+			s.fail(cs, 0)
+		default:
+			netd.Read(cs.uC, s.notifyPort.Handle(), 4096)
 		}
 		return
 	}
-	if len(d.Data) == 0 {
-		// A zero-length delivery carries no op byte; reading d.Data[0]
-		// blind was a remotely-triggerable panic in the trusted demux
-		// (anyone holding the reply capability can send an empty message).
-		// The other servers' dispatchers are immune: they parse via
-		// wire.NewReader, which rejects empty payloads.
-		return
-	}
-	if d.Data[0] == netd.OpAddTaintReply {
-		s.handoff(cs)
+	if conn, ok := netd.ParseAddTaintReply(d); ok {
+		if cs := s.conns.get(conn); cs != nil {
+			s.handoff(cs)
+		}
 	}
 }
 
@@ -723,7 +707,7 @@ func (s *demuxShard) handleLoginReply(d *kernel.Delivery) {
 }
 
 func (s *demuxShard) taint(cs *dconn) {
-	netd.AddTaint(cs.uC, cs.reply, cs.id.UT)
+	netd.AddTaint(cs.uC, s.notifyPort.Handle(), cs.id.UT)
 	// Handoff continues when the AddTaint acknowledgment arrives.
 }
 
@@ -896,10 +880,10 @@ func (s *demuxShard) evictSession(port handle.Handle) {
 	s.out.DropAfter(port)
 }
 
-// live reports whether cs is still the tracked state for its reply port.
+// live reports whether cs is still the tracked state for its connection.
 // Parked references — login and pin waiters — outlive a torn-down
 // connection, so every drain checks before touching one.
-func (s *demuxShard) live(cs *dconn) bool { return s.conns.get(cs.reply) == cs }
+func (s *demuxShard) live(cs *dconn) bool { return s.conns.get(cs.uC.Handle()) == cs }
 
 // armDeadline starts cs's request-deadline clock, d from now (no-op when d
 // is 0: no deadline).
@@ -937,18 +921,16 @@ func (s *demuxShard) deadlineExpired(cs *dconn) {
 	}
 }
 
-// release forgets the per-connection state and schedules the capability
-// drops — the label churn Figure 9 charges per connection — for after the
+// release forgets the per-connection state and schedules the drop of uC ⋆
+// — the label churn Figure 9 charges per connection — for after the
 // flush: the buffered handoff's Grant(uC) is only legal while the shard
 // still holds uC ⋆.
 func (s *demuxShard) release(cs *dconn) {
 	if cs.deadline != nil {
 		cs.deadline.Stop()
 	}
-	s.proc.Dissociate(cs.reply)
 	s.out.DropAfter(cs.uC.Handle())
-	s.out.DropAfter(cs.reply)
-	s.conns.del(cs.reply)
+	s.conns.del(cs.uC.Handle())
 }
 
 // fail tears a connection down without a handoff: the HTTP error (none

@@ -58,13 +58,12 @@ func TestPendingLoginDeadlineReissues(t *testing.T) {
 	s := dm.shards[0]
 
 	mk := func(user string) *dconn {
-		reply := s.proc.Open(nil).Handle()
+		uC := s.proc.Open(nil).Handle()
 		cs := &dconn{
-			uC:    s.proc.Port(s.proc.Open(nil).Handle()),
-			reply: reply,
-			req:   &httpmsg.Request{Headers: map[string]string{"authorization": user + " pw"}},
+			uC:  s.proc.Port(uC),
+			req: &httpmsg.Request{Headers: map[string]string{"authorization": user + " pw"}},
 		}
-		s.conns.put(reply, cs)
+		s.conns.put(uC, cs)
 		return cs
 	}
 	cs := mk("quiet")

@@ -27,22 +27,23 @@ func echoBody(c *Ctx, req *httpmsg.Request) *httpmsg.Response {
 }
 
 // TestEmptyDeliveryDoesNotPanicDemux is the regression for the
-// zero-length-delivery crash: handleConnReply used to read d.Data[0]
-// unconditionally, so an empty message to a connection reply port panicked
-// the trusted demux. Every demux dispatch path must ignore empty payloads.
+// zero-length-delivery crash: the connection reply handler used to read
+// d.Data[0] unconditionally, so an empty message where netd's replies land
+// panicked the trusted demux. Those replies now land on the notify port.
+// Every demux dispatch path must ignore empty payloads.
 func TestEmptyDeliveryDoesNotPanicDemux(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(31))
 	dm := newDemux(sys, 1<<40, []handle.Handle{1 << 41}, 2, 0, 0, 0, 0) // dangling service handles
 	s := dm.shards[0]
 
 	// A connection mid-header-read, exactly the state the panic needed.
-	reply := s.proc.Open(nil).Handle()
-	cs := &dconn{uC: s.proc.Port(handle.Handle(1 << 42)), reply: reply}
-	s.conns.put(reply, cs)
+	uC := handle.Handle(1 << 42)
+	cs := &dconn{uC: s.proc.Port(uC)}
+	s.conns.put(uC, cs)
 	for _, data := range [][]byte{nil, {}} {
-		s.dispatch(&kernel.Delivery{Port: reply, Data: data})
+		s.dispatch(&kernel.Delivery{Port: s.notifyPort.Handle(), Data: data})
 	}
-	if s.conns.get(reply) == nil {
+	if s.conns.get(uC) != cs {
 		t.Fatal("empty delivery must be ignored, not tear the connection down")
 	}
 
@@ -317,13 +318,12 @@ func TestLoginReplyTokenMatching(t *testing.T) {
 	s := dm.shards[0]
 
 	mk := func(user string) *dconn {
-		reply := s.proc.Open(nil).Handle()
+		uC := s.proc.Open(nil).Handle()
 		cs := &dconn{
-			uC:    s.proc.Port(handle.Handle(1 << 43)),
-			reply: reply,
-			req:   &httpmsg.Request{Headers: map[string]string{"authorization": user + " pw"}},
+			uC:  s.proc.Port(uC),
+			req: &httpmsg.Request{Headers: map[string]string{"authorization": user + " pw"}},
 		}
-		s.conns.put(reply, cs)
+		s.conns.put(uC, cs)
 		return cs
 	}
 	csA, csB := mk("alice"), mk("bob")
@@ -393,16 +393,15 @@ func TestPinnedSessionProbesOnTimer(t *testing.T) {
 
 	id := idd.Identity{UID: "9", UT: s.proc.NewHandle(), UG: s.proc.NewHandle()}
 	mk := func(user string) *dconn {
-		reply := s.proc.Open(nil).Handle()
+		uC := s.proc.Open(nil).Handle()
 		cs := &dconn{
-			uC:    s.proc.Port(s.proc.Open(nil).Handle()),
-			reply: reply,
+			uC: s.proc.Port(uC),
 			req: &httpmsg.Request{Path: "/svc",
 				Headers: map[string]string{"authorization": user + " pw"}},
 			id: id,
 		}
 		cs.buf = []byte("GET /svc HTTP/1.0\r\n\r\n")
-		s.conns.put(reply, cs)
+		s.conns.put(uC, cs)
 		return cs
 	}
 	// recvStart returns the connection carried by the one start queued at
@@ -445,7 +444,7 @@ func TestPinnedSessionProbesOnTimer(t *testing.T) {
 	for i := 0; i < flood; i++ {
 		cs := mk("u")
 		s.handoff(cs)
-		if s.conns.get(cs.reply) == nil {
+		if s.conns.get(cs.uC.Handle()) == nil {
 			fails++
 		} else {
 			parked = append(parked, cs)
@@ -570,15 +569,15 @@ func TestForwardedConnKeepsDeadline(t *testing.T) {
 
 	// A connection with 2 s of its deadline left reads its request on the
 	// forwarder, which parses it and forwards it to the owner.
-	reply := fwd.proc.Open(nil).Handle()
-	cs := &dconn{uC: fwd.proc.Port(fwd.proc.Open(nil).Handle()), reply: reply}
-	fwd.conns.put(reply, cs)
+	uC := fwd.proc.Open(nil).Handle()
+	cs := &dconn{uC: fwd.proc.Port(uC)}
+	fwd.conns.put(uC, cs)
 	cs.deadline = fwd.lp.Timer(func(time.Time) {})
 	cs.deadline.Arm(time.Now().Add(2 * time.Second))
 	want := cs.deadline.When()
 	req := "GET /svc HTTP/1.0\r\nauthorization: " + user + " pw\r\n\r\n"
-	fwd.dispatch(&kernel.Delivery{Port: reply,
-		Data: wire.NewWriter(netd.OpReadReply).Byte(0).String(req).Done()})
+	fwd.dispatch(&kernel.Delivery{Port: fwd.notifyPort.Handle(),
+		Data: wire.NewWriter(netd.OpReadReply).Byte(0).String(req).Handle(uC).Done()})
 	if err := fwd.out.Flush(); err != nil {
 		t.Fatal(err)
 	}

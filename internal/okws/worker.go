@@ -361,42 +361,52 @@ func (w *Worker) reqCtx(d time.Duration) (context.Context, context.CancelFunc) {
 // event-process-owned port, is recorded at kaAddr, and the event process
 // yields. kaPort is the already-open parked port when resuming from a wake
 // (handle.None on fresh handoffs).
+//
+// The responses are unacknowledged writes, and they leave with the op that
+// ends the wake — the park's read or the close — as one batch on uC, in
+// order: the connection port's per-sender FIFO applies them exactly as
+// separate sends would, and netd handles them in the same wake.
 func (w *Worker) serveConn(rctx context.Context, ep *kernel.EventProcess, st *sessState, conn *kernel.Port, buf []byte, kaPort handle.Handle) {
+	// out holds the responses served so far, with room beside one for the
+	// op that ends the wake.
+	out := make([]kernel.BatchEntry, 0, 2)
 	for {
 		req, n, complete, err := httpmsg.ParseRequest(buf)
 		switch {
 		case err != nil:
-			w.closeConn(ep, conn, kaPort)
 		case !complete:
-			if w.park(ep, conn, kaPort, buf) {
+			if w.park(ep, conn, kaPort, buf, out) {
 				w.finish(ep)
-			} else {
-				w.closeConn(ep, conn, kaPort)
+				return
 			}
-		case !w.serveRequest(rctx, ep, st, conn, req, buf[:n]):
-			w.closeConn(ep, conn, kaPort)
 		default:
-			buf = buf[n:]
-			continue
+			raw, keep := w.serveRequest(rctx, ep, st, req, buf[:n])
+			out = append(out, netd.WriteOp(handle.None, raw))
+			if keep {
+				buf = buf[n:]
+				continue
+			}
 		}
+		w.closeConn(ep, conn, kaPort, out...)
 		return
 	}
 }
 
-// serveRequest runs the handler and writes the response for one parsed
-// request, reporting whether the connection stays open (the client asked
-// for keep-alive and this worker caches sessions).
-func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st *sessState, conn *kernel.Port, req *httpmsg.Request, reqRaw []byte) (keep bool) {
+// serveRequest runs the handler for one parsed request and returns the
+// response to write, and whether the connection stays open (the client
+// asked for keep-alive, this worker caches sessions, and the handler
+// returned).
+func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st *sessState, req *httpmsg.Request, reqRaw []byte) (raw []byte, keep bool) {
 	c := &Ctx{
 		w: w, ep: ep, st: st, ctx: rctx,
 		User: st.user, UID: st.uid,
 		UT: st.uT, UG: st.uG,
 	}
-	resp := w.handler(c, req)
+	resp, ok := w.runHandler(c, req)
 	if resp == nil {
 		resp = &httpmsg.Response{Status: 500}
 	}
-	keep = w.keepSessions && req.KeepAlive()
+	keep = ok && w.keepSessions && req.KeepAlive()
 	headers := resp.Headers
 	if keep {
 		// Echo the keep-alive (HTTP/1.0 defaults to close); responses are
@@ -407,7 +417,7 @@ func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st 
 		}
 		headers["connection"] = "keep-alive"
 	}
-	raw := httpmsg.FormatResponse(resp.Status, headers, resp.Body)
+	raw = httpmsg.FormatResponse(resp.Status, headers, resp.Body)
 	// Scratch traffic, mirroring how "programs scatter users' data across
 	// the stack in addition to various places on the heap" (§6.2): the
 	// response buffer, a copy of the request ("stack" temporaries), and a
@@ -422,21 +432,30 @@ func (w *Worker) serveRequest(rctx context.Context, ep *kernel.EventProcess, st 
 	ep.Memory().ReadAt(ScratchAddr+8*mem.PageSize, ctr[:])
 	ctr[7]++
 	ep.Memory().WriteAt(ScratchAddr+8*mem.PageSize, ctr[:])
-	// Unacknowledged: the worker has nothing to do with the byte count, and
-	// the connection port's per-sender FIFO already orders this write before
-	// the park's Read or the close that follows — which netd then handles in
-	// the same wake.
-	netd.Write(conn, handle.None, raw)
-	return keep
+	return raw, keep
 }
 
-// closeConn ends a connection: close at netd (unacknowledged — the send
-// precedes the privilege drop, and sends are checked at send time), shed
-// uC so a dead request can neither pin the socket nor grow the labels,
-// retire the parked port if one was held, and yield/exit the event
-// process.
-func (w *Worker) closeConn(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle) {
-	netd.Control(conn, handle.None, netd.CtlClose)
+// runHandler calls the service's handler, reporting ok false when it
+// panicked. The handler is the untrusted code of the threat model, so its
+// panic ends one request, not the worker: the user gets a 500, the
+// connection closes, and the event process — the user's cached session —
+// yields as after any request.
+func (w *Worker) runHandler(c *Ctx, req *httpmsg.Request) (resp *httpmsg.Response, ok bool) {
+	defer func() {
+		if recover() != nil {
+			resp, ok = nil, false
+		}
+	}()
+	return w.handler(c, req), true
+}
+
+// closeConn ends a connection: the pending response writes and the close go
+// to netd as one unacknowledged batch (sent before the privilege drop, as
+// sends are checked at send time), uC is shed so a dead request can neither
+// pin the socket nor grow the labels, the parked port is retired if one was
+// held, and the event process yields or exits.
+func (w *Worker) closeConn(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle, writes ...kernel.BatchEntry) {
+	conn.SendBatch(append(writes, netd.ControlOp(handle.None, netd.CtlClose)))
 	w.proc.DropPrivilege(conn.Handle(), label.L1)
 	if kaPort != handle.None {
 		w.proc.Dissociate(kaPort)
@@ -448,19 +467,20 @@ func (w *Worker) closeConn(ep *kernel.EventProcess, conn *kernel.Port, kaPort ha
 // refuse answers a handoff this event process cannot serve with 500, then
 // closes the connection as closeConn does.
 func (w *Worker) refuse(ep *kernel.EventProcess, conn *kernel.Port) {
-	netd.Write(conn, handle.None, httpmsg.FormatResponse(500, nil, nil))
-	w.closeConn(ep, conn, handle.None)
+	w.closeConn(ep, conn, handle.None, netd.WriteOp(handle.None, httpmsg.FormatResponse(500, nil, nil)))
 }
 
 // park records an idle keep-alive connection in the session's kaAddr
 // region and leaves a netd read pending on an event-process-owned port:
 // when the client's next request arrives, the ReadReply is delivered to
 // that port, routed to this event process by the checkpoint scan, and
-// wakeParked resumes the connection. leftover carries any partial request
-// bytes already received. Returns false (caller closes instead) when the
-// park table or the leftover bound is exceeded. kaPort, when valid, is
-// reused from the previous park of this connection.
-func (w *Worker) park(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle, leftover []byte) bool {
+// wakeParked resumes the connection. The read leaves in one batch behind
+// writes, the responses served in this wake. leftover carries any partial
+// request bytes already received. Returns false, having sent nothing, when
+// the park table or the leftover bound is exceeded: the caller closes
+// instead. kaPort, when valid, is reused from the previous park of this
+// connection.
+func (w *Worker) park(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.Handle, leftover []byte, writes []kernel.BatchEntry) bool {
 	entries := kaLoad(ep.Memory())
 	if len(entries) >= maxParkedConns || len(leftover) > maxKALeftover {
 		return false
@@ -468,7 +488,7 @@ func (w *Worker) park(ep *kernel.EventProcess, conn *kernel.Port, kaPort handle.
 	if kaPort == handle.None {
 		kaPort = w.proc.Open(nil).Handle()
 	}
-	if err := netd.Read(conn, kaPort, 4096); err != nil {
+	if err := conn.SendBatch(append(writes, netd.ReadOp(kaPort, 4096))); err != nil {
 		return false
 	}
 	kaStore(ep.Memory(), append(entries, kaEntry{port: kaPort, conn: conn.Handle(), leftover: leftover}))

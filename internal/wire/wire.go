@@ -125,18 +125,22 @@ func (r *Reader) U64() uint64 {
 // Handle reads a handle value.
 func (r *Reader) Handle() handle.Handle { return handle.Handle(r.U64()) }
 
-// Bytes reads a length-prefixed byte string (copied).
-func (r *Reader) Bytes() []byte {
+// field reads a length-prefixed byte string in place: the result aliases
+// the payload, so callers copy it out.
+func (r *Reader) field() []byte {
 	n := r.U32()
 	if uint32(len(r.buf)) < n {
 		r.bad = true
 		return nil
 	}
-	return append([]byte(nil), r.take(int(n))...)
+	return r.take(int(n))
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
+// Bytes reads a length-prefixed byte string (copied).
+func (r *Reader) Bytes() []byte { return append([]byte(nil), r.field()...) }
+
+// String reads a length-prefixed string, copying the payload bytes once.
+func (r *Reader) String() string { return string(r.field()) }
 
 // Err reports whether any read underflowed.
 func (r *Reader) Err() bool { return r.bad }

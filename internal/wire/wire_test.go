@@ -112,3 +112,20 @@ func TestPropTruncationNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// sink keeps TestStringAllocatesOnce's result on the heap, where a
+// decoded field lives in real use.
+var sink string
+
+// TestStringAllocatesOnce pins String to one allocation: the string itself,
+// built from the payload bytes in place rather than from a copy of them.
+func TestStringAllocatesOnce(t *testing.T) {
+	msg := NewWriter(1).String("a field long enough to need a heap allocation").Done()
+	got := testing.AllocsPerRun(100, func() {
+		_, r := NewReader(msg)
+		sink = r.String()
+	})
+	if got != 1 {
+		t.Fatalf("String allocates %v times per call, want 1", got)
+	}
+}
