@@ -130,7 +130,7 @@ func BenchmarkFig7ThroughputParallel(b *testing.B) {
 			// Warm the stack before the clock starts: one request per
 			// user establishes every session (Figure 7 measures CACHED
 			// sessions) and pulls first-connection costs — logins,
-			// handle allocation, label-cache fills, lazy runtime growth
+			// handle allocation, lazy runtime growth
 			// — out of the timed region, so the shards=1/N sub-benchmarks
 			// compare loop layout rather than process warmup order.
 			for _, u := range users {

@@ -37,13 +37,12 @@ func main() {
 	fmt.Println("Figure 9: average Kcycles/connection by component vs cached sessions")
 	fmt.Println("paper shape: OKDB and Kernel IPC grow linearly; Kernel IPC passes Network ≈3k sessions")
 	fmt.Println("(here a label operation costs the chunks it changes, not the entries it spans,")
-	fmt.Println(" which flattens the label curves; cachehit is the hit ratio of the ⊑ memo and")
-	fmt.Println(" the interned single-entry labels)")
+	fmt.Println(" which flattens the label curves)")
 	header := []string{"sessions"}
 	for _, c := range asbestos.Categories() {
 		header = append(header, c.String())
 	}
-	header = append(header, "total", "cachehit", "drops")
+	header = append(header, "total", "drops")
 	var table [][]string
 	for _, r := range rows {
 		row := []string{strconv.Itoa(r.Sessions)}
@@ -56,7 +55,6 @@ func main() {
 		}
 		row = append(row,
 			fmt.Sprintf("%.0f", r.Total),
-			fmt.Sprintf("%.2f", r.CacheHitRate),
 			strconv.FormatUint(drops, 10))
 		table = append(table, row)
 	}

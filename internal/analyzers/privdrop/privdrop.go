@@ -2,13 +2,15 @@
 // package docs: a capability grant (kernel.Grant hands out ⋆ for a handle)
 // must be paired with DropPrivilege/DropAfter on every path in the same
 // function, stored for a later recorded drop, or explicitly waived with a
-// //asbestos:keepstar comment stating why the ⋆ is long-lived — the PR 6
+// //asbestos:keepstar comment naming how long the ⋆ lives and why — the
 // reply-capability leak class.
 package privdrop
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"asbestos/internal/analyzers/analysis"
 	"asbestos/internal/analyzers/flow"
@@ -28,8 +30,9 @@ Discharges: DropPrivilege/DropAfter on the handle, passing it to a
 same-package function that always drops it, storing it in a
 field/global/channel (a recorded deferred drop), or returning it.
 Deliberately long-lived grants (bootstrap meshes, per-user taint handles)
-are waived with //asbestos:keepstar <reason> on the grant line, the line
-above, or the function's doc comment; the reason is mandatory.
+are waived with //asbestos:keepstar <lifetime> <reason> on the grant line,
+the line above, or the function's doc comment. Both are mandatory; the
+lifetime is one of conn, session, listener, volume or authority.
 Grants of a port's own handle (x.Handle() where x is a *kernel.Port or
 *kernel.Mailbox) are registration handoffs and exempt, as are grants built
 in a return statement (the caller owns the pairing) and ellipsis spreads.`,
@@ -205,21 +208,37 @@ func checkUnit(pass *analysis.Pass, unit analysis.FuncUnit, sums map[*types.Func
 			},
 		}
 		for _, leak := range t.Check(unit.Body) {
-			if d, ok := analysis.WaiverFor(pass.Fset, dirs, site.call.Pos(), unit.Decl, "keepstar"); ok {
-				if d.Reason == "" {
-					pass.Reportf(leak.Pos, "asbestos:keepstar waiver needs a reason")
-				}
-				continue
+			d, ok := analysis.WaiverFor(pass.Fset, dirs, site.call.Pos(), unit.Decl, "keepstar")
+			if !ok {
+				d, ok = analysis.WaiverFor(pass.Fset, dirs, leak.Pos, nil, "keepstar")
 			}
-			if d, ok := analysis.WaiverFor(pass.Fset, dirs, leak.Pos, nil, "keepstar"); ok {
-				if d.Reason == "" {
-					pass.Reportf(leak.Pos, "asbestos:keepstar waiver needs a reason")
-				}
-				continue
+			if !ok {
+				pass.Reportf(leak.Pos, "star-level grant of %s is not dropped on this path (%s): pair with DropPrivilege/DropAfter or waive with //asbestos:keepstar <lifetime> <reason>", site.name, leak.Reason)
+			} else if msg := waiverProblem(d.Reason); msg != "" {
+				pass.Reportf(leak.Pos, "%s", msg)
 			}
-			pass.Reportf(leak.Pos, "star-level grant of %s is not dropped on this path (%s): pair with DropPrivilege/DropAfter or waive with //asbestos:keepstar <reason>", site.name, leak.Reason)
 		}
 	}
+}
+
+// lifetimes are the words a keepstar waiver may give for how long its ⋆
+// lives: one connection, one user session, a listen registration, a
+// mounted volume, or for good (an authority over every user).
+var lifetimes = map[string]bool{"conn": true, "session": true, "listener": true, "volume": true, "authority": true}
+
+// waiverProblem returns what is wrong with a keepstar waiver's text, or ""
+// if it names a lifetime and then a reason.
+func waiverProblem(text string) string {
+	words := strings.Fields(text)
+	switch {
+	case len(words) == 0:
+		return "asbestos:keepstar waiver needs a reason"
+	case !lifetimes[words[0]]:
+		return fmt.Sprintf("asbestos:keepstar waiver needs a lifetime (conn, session, listener, volume or authority) before its reason, not %q", words[0])
+	case len(words) == 1:
+		return "asbestos:keepstar waiver needs a reason after its lifetime"
+	}
+	return ""
 }
 
 // ownPortHandle exempts handles that name the process's own endpoint:

@@ -1,6 +1,6 @@
 // Fixtures for privdrop: a star-level kernel.Grant must be paired with
 // DropPrivilege/DropAfter on every path, or waived with
-// //asbestos:keepstar <reason>.
+// //asbestos:keepstar <lifetime> <reason>.
 package a
 
 import (
@@ -127,7 +127,7 @@ func (s *shard) broadcastLeaks(ports []*kernel.Port, h handle.Handle) {
 // --- waivers
 
 func waivedLongLived(pt *kernel.Port, h handle.Handle) {
-	//asbestos:keepstar the service holds this taint handle's star for the account's lifetime
+	//asbestos:keepstar authority the service holds this taint handle's star for the account's lifetime
 	pt.Send(nil, &kernel.SendOpts{DecontSend: kernel.Grant(h)})
 }
 
@@ -135,3 +135,18 @@ func waiverNeedsReason(pt *kernel.Port, h handle.Handle) {
 	//asbestos:keepstar
 	pt.Send(nil, &kernel.SendOpts{DecontSend: kernel.Grant(h)})
 } // want `asbestos:keepstar waiver needs a reason`
+
+func waiverNeedsLifetime(pt *kernel.Port, h handle.Handle) {
+	//asbestos:keepstar the service holds this taint handle's star for the account's lifetime
+	pt.Send(nil, &kernel.SendOpts{DecontSend: kernel.Grant(h)})
+} // want `asbestos:keepstar waiver needs a lifetime \(conn, session, listener, volume or authority\) before its reason, not "the"`
+
+func waiverUnknownLifetime(pt *kernel.Port, h handle.Handle) {
+	//asbestos:keepstar forever the service holds this taint handle's star
+	pt.Send(nil, &kernel.SendOpts{DecontSend: kernel.Grant(h)})
+} // want `asbestos:keepstar waiver needs a lifetime .* not "forever"`
+
+func waiverLifetimeNeedsReason(pt *kernel.Port, h handle.Handle) {
+	//asbestos:keepstar session
+	pt.Send(nil, &kernel.SendOpts{DecontSend: kernel.Grant(h)})
+} // want `asbestos:keepstar waiver needs a reason after its lifetime`

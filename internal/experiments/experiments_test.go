@@ -226,22 +226,11 @@ func TestFigure9Shape(t *testing.T) {
 		t.Errorf("Kernel IPC Kcycles/conn should stay within %d× from 20 to 200 sessions: %.0f → %.0f",
 			flat, rows[0].Kcycles[stats.CatKernelIPC], rows[1].Kcycles[stats.CatKernelIPC])
 	}
-	// The sweep must exercise the label op-cache (⊑ results and interned
-	// single-entry labels) and the cache must absorb repeats; the rate
-	// itself is reported, not thresholded (fresh handles per connection
-	// make first-seen pairs legitimately common).
-	if rows[1].CacheHits+rows[1].CacheMisses == 0 {
-		t.Error("Figure 9 sweep exercised no cacheable label ops")
-	}
-	if rows[1].CacheHits == 0 {
-		t.Errorf("label op-cache absorbed nothing over the sweep (misses %d)", rows[1].CacheMisses)
-	}
 	// OKDB cost still grows, but not in the engine: each login's lookup and
 	// first-login update are key-index hits. What grows is the proxy
 	// loop's time outside the engine (its share of each login's messages
 	// and their labels, and of a larger heap to collect), which this sweep
-	// does not break down; it read 1.05–1.56× over eight samples. Label
-	// caching does not touch it.
+	// does not break down; it read 1.05–1.56× over eight samples.
 	d1 := rows[0].Kcycles[stats.CatOKDB]
 	d2 := rows[1].Kcycles[stats.CatOKDB]
 	if d2 <= d1 {

@@ -145,7 +145,7 @@ func (s *Server) dispatch(d *kernel.Delivery) {
 		}
 		msg := wire.NewWriter(OpUserR).Byte(1).Handle(u.uT).Handle(u.uG).Done()
 		s.proc.Port(reply).Send(msg, &kernel.SendOpts{
-			//asbestos:keepstar the fs owns every user's uT/uG ⋆ for the volume's lifetime — it re-grants them on each OpAddUser and taints replies with uT (§5.3 FSR)
+			//asbestos:keepstar volume the fs owns every user's uT/uG ⋆ for the volume's lifetime — it re-grants them on each OpAddUser and taints replies with uT (§5.3 FSR)
 			DecontSend: kernel.Grant(u.uT, u.uG),
 			DecontRecv: kernel.AllowRecv(label.L3, u.uT),
 		})

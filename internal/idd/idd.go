@@ -581,7 +581,7 @@ func (s *iddShard) replyOK(token uint64, id Identity, reply handle.Handle) {
 	msg := wire.NewWriter(OpLoginR).U64(token).Byte(1).String(id.UID).
 		Handle(id.UT).Handle(id.UG).Done()
 	s.proc.Port(reply).Send(msg, &kernel.SendOpts{
-		//asbestos:keepstar identity authority: uT/uG ⋆ outlives any one login — only the transient reply capability is dropped below
+		//asbestos:keepstar authority idd is the identity authority: uT/uG ⋆ outlives any one login — only the transient reply capability is dropped below
 		DecontSend: kernel.Grant(id.UT, id.UG),
 		DecontRecv: kernel.AllowRecv(label.L3, id.UT),
 	})

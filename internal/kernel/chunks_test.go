@@ -99,7 +99,7 @@ func TestConnectionChurnKeepsLabelsCompact(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		peer.LowerRecv(label.Single(label.L3, c, label.DefaultRecv))
+		peer.LowerRecv(label.New(label.L3, label.Entry{H: c, L: label.DefaultRecv}))
 		compact("after teardown", round)
 		for i, l := range labels() {
 			if !slices.Equal(l.Entries(), idle[i]) {

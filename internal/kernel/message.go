@@ -134,15 +134,7 @@ func (d *Delivery) Detach() []byte {
 // Grant builds a decontaminate-send label granting ⋆ for the given handles:
 // {h₁ ⋆, …, 3}. Sending with DecontSend: Grant(h) hands the receiver
 // declassification privilege for h — the capability-grant idiom of §5.5.
-//
-// The single-handle form — by far the hottest, one per request for every
-// reply-port grant — returns an interned label, so repeated grants of the
-// same capability share one label and one fingerprint, and the ⊑ checks
-// they feed can be memoized.
 func Grant(hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.L3, hs[0], label.Star)
-	}
 	entries := make([]label.Entry, len(hs))
 	for i, h := range hs {
 		entries[i] = label.Entry{H: h, L: label.Star}
@@ -151,12 +143,8 @@ func Grant(hs ...handle.Handle) *label.Label {
 }
 
 // Taint builds a contamination label {h₁ lvl, …, ⋆}: ⊔-ing it into a send
-// label raises exactly the named handles. Single-handle taints (a user's
-// compartment, once per reply) are interned like single-handle grants.
+// label raises exactly the named handles.
 func Taint(lvl label.Level, hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.Star, hs[0], lvl)
-	}
 	entries := make([]label.Entry, len(hs))
 	for i, h := range hs {
 		entries[i] = label.Entry{H: h, L: lvl}
@@ -167,9 +155,6 @@ func Taint(lvl label.Level, hs ...handle.Handle) *label.Label {
 // AllowRecv builds a decontaminate-receive label {h₁ lvl, …, ⋆} used to
 // raise a receiver's receive label for the named handles.
 func AllowRecv(lvl label.Level, hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.Star, hs[0], lvl)
-	}
 	entries := make([]label.Entry, len(hs))
 	for i, h := range hs {
 		entries[i] = label.Entry{H: h, L: lvl}
@@ -180,9 +165,6 @@ func AllowRecv(lvl label.Level, hs ...handle.Handle) *label.Label {
 // VerifyLabel builds a verification label {h₁ lvl, …, 3} proving the sender
 // holds the named handles at or below lvl.
 func VerifyLabel(lvl label.Level, hs ...handle.Handle) *label.Label {
-	if len(hs) == 1 {
-		return label.Single(label.L3, hs[0], lvl)
-	}
 	entries := make([]label.Entry, len(hs))
 	for i, h := range hs {
 		entries[i] = label.Entry{H: h, L: lvl}

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"weak"
 
 	"asbestos/internal/handle"
 	"asbestos/internal/label"
@@ -612,5 +614,32 @@ func TestNewHandleGrantsStar(t *testing.T) {
 	q := s.NewProcess("q")
 	if q.SendLabel().Get(h) != label.L1 {
 		t.Fatal("other processes must be at the default level")
+	}
+}
+
+// TestOneEntryLabelsNotRetained: the one-handle labels the send helpers
+// build are plain values. Nothing in the kernel or the label package keeps
+// them once the caller drops them, so a handle the system has stopped using
+// leaves no label behind.
+func TestOneEntryLabelsNotRetained(t *testing.T) {
+	h := newSys().NewProcess("p").NewHandle()
+	var ptrs []weak.Pointer[label.Label]
+	for _, l := range []*label.Label{
+		Grant(h),
+		Taint(label.L3, h),
+		AllowRecv(label.L3, h),
+		VerifyLabel(label.L0, h),
+	} {
+		if l.Len() != 1 {
+			t.Fatalf("%v: want one entry", l)
+		}
+		ptrs = append(ptrs, weak.Make(l))
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, name := range []string{"Grant", "Taint", "AllowRecv", "VerifyLabel"} {
+		if ptrs[i].Value() != nil {
+			t.Errorf("%s's label is still reachable after its caller dropped it", name)
+		}
 	}
 }

@@ -303,9 +303,7 @@ func (p *Process) openPort(initial *label.Label) *vnode {
 	vn := &vnode{h: p.sys.alloc.NewIn(p.allocShard()), isPort: true}
 	st := portState{owner: p, ownerEP: p.curID()}
 	if initial.Len() == 0 {
-		// The common case ({def} with no explicit entries) builds the
-		// interned one-entry label instead of a fresh chunk per port.
-		st.label = label.Single(initial.Default(), vn.h, label.L0)
+		st.label = label.New(initial.Default(), label.Entry{H: vn.h, L: label.L0})
 	} else {
 		st.label = initial.With(vn.h, label.L0)
 	}
@@ -388,8 +386,8 @@ func (p *Process) ContaminateSelf(l *label.Label) {
 //
 // Pairing is normative: every transient Grant must reach DropPrivilege (or
 // Batcher.DropAfter) on every path after the send, and deliberately
-// long-lived ⋆ must carry an //asbestos:keepstar <reason> waiver — both
-// enforced by asbestosvet's privdrop analyzer.
+// long-lived ⋆ must carry an //asbestos:keepstar <lifetime> <reason> waiver
+// — both enforced by asbestosvet's privdrop analyzer.
 func (p *Process) DropPrivilege(h handle.Handle, lvl label.Level) error {
 	if lvl == label.Star || !lvl.Valid() {
 		return ErrBadLabel

@@ -50,7 +50,7 @@
 //     ways (internal/handle), one lock-free counter per shard, selected by
 //     creating process.
 //   - The process registry and environment table have their own mutexes, and
-//     hot-path counters (drops, queue occupancy, label-cache hits) use
+//     hot-path counters (drops, queue occupancy) use
 //     lock-free striped or atomic counters from internal/stats.
 //
 // Lock ordering, which every code path must respect:
@@ -72,11 +72,11 @@
 //     atomicity Figure 4 requires: sender-side checks against the sender's
 //     labels at send (batch) time, receiver-side checks against the
 //     receiver's labels at delivery time.
-//  4. Leaf locks (profiler stripes, label op-cache shards, a process's
-//     waiter set) take no other locks and may be acquired under any of the
-//     above, or under none. The handle
-//     allocator, formerly a leaf lock, is now lock-free and off this list;
-//     the retired rule that the allocator mutex be taken last is subsumed.
+//  4. Leaf locks (profiler stripes, a process's waiter set) take no other
+//     locks and may be acquired under any of the above, or under none. The
+//     handle allocator, formerly a leaf lock, is now lock-free and off this
+//     list; the retired rule that the allocator mutex be taken last is
+//     subsumed.
 //
 // # Vnode lifetime
 //
@@ -116,7 +116,7 @@
 //     (analyzer: releasecheck).
 //  2. Every ⋆-level capability grant (Grant) is paired with
 //     DropPrivilege/DropAfter on every path, or carries an
-//     //asbestos:keepstar <reason> waiver (analyzer: privdrop).
+//     //asbestos:keepstar <lifetime> <reason> waiver (analyzer: privdrop).
 //  3. Handlers running under internal/evloop do not retain the delivery
 //     or its payload past their return (analyzer: retaincheck).
 //  4. Blocking receives are given a cancellable context, never a bare

@@ -67,14 +67,13 @@ type Label struct {
 	def    Level
 	lv     levels // levels taken over all handles, including the default
 	nent   int
-	fp     uint64 // fingerprint: process-unique id of this label value
 }
 
 var empties [numLevels]*Label
 
 func init() {
 	for l := Star; l < numLevels; l++ {
-		empties[l] = &Label{def: l, lv: bit(l), fp: newFP()}
+		empties[l] = &Label{def: l, lv: bit(l)}
 	}
 }
 
@@ -149,8 +148,7 @@ func (l *Label) Get(h handle.Handle) Level {
 
 // With returns a label identical to l except that handle h maps to lvl.
 // Only the chunk h falls in is rebuilt (update); the rest are shared with the
-// receiver. The result gets a fresh fingerprint, which is what retires any
-// memoized comparisons involving the receiver (see opcache.go).
+// receiver. A change returns a new label; no change returns the receiver.
 func (l *Label) With(h handle.Handle, lvl Level) *Label {
 	if !lvl.Valid() {
 		panic("label: invalid level " + lvl.String())
@@ -164,19 +162,11 @@ func (l *Label) With(h handle.Handle, lvl Level) *Label {
 	return l.update([]uint64{pack(h, lvl)})
 }
 
-// Leq reports a ⊑ b: a(h) ≤ b(h) for all h. Comparisons the cached levels do
-// not settle are memoized by fingerprint pair, so a walk runs once per
-// distinct label pair (paper §5.6, extended across calls).
+// Leq reports a ⊑ b: a(h) ≤ b(h) for all h. The labels' cached levels
+// settle most comparisons without a walk (paper §5.6); the rest walk the two
+// labels chunk by chunk.
 func (l *Label) Leq(m *Label) bool {
-	if l == m || relLeq.holds(l.lv, m.lv) {
-		return true
-	}
-	if r, ok := leqLookup(l.fp, m.fp); ok {
-		return r
-	}
-	r := all(l, m, &relLeq)
-	leqStore(l.fp, m.fp, r)
-	return r
+	return l == m || relLeq.holds(l.lv, m.lv) || all(l, m, &relLeq)
 }
 
 // Lub returns the least upper bound a ⊔ b: pointwise max. Used to combine
@@ -346,3 +336,18 @@ func Parse(s string) (*Label, error) {
 	}
 	return l, nil
 }
+
+// OpCacheStats is the hit and miss count of a label memo. Labels are no
+// longer memoized, so both are always zero.
+type OpCacheStats struct{}
+
+// Hits returns 0.
+func (OpCacheStats) Hits() uint64 { return 0 }
+
+// Misses returns 0.
+func (OpCacheStats) Misses() uint64 { return 0 }
+
+// CacheStats reports zero hits and misses. It is kept only because the
+// benchmark still reads it; a benchmark-only change deletes it together with
+// the label.opcache_hit_ratio metric.
+func CacheStats() OpCacheStats { return OpCacheStats{} }

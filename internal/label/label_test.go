@@ -95,6 +95,27 @@ func TestGetWith(t *testing.T) {
 	}
 }
 
+// A label changed by With answers ⊑ for its new value, never an answer
+// computed for the label it came from; the original keeps its answer, and a
+// no-op With hands back the receiver itself.
+func TestLeqCacheInvalidation(t *testing.T) {
+	// Chosen so the cached min/max levels settle neither direction.
+	a, b := New(L1, Entry{h(101), L3}), New(L2, Entry{h(101), L3})
+	if !a.Leq(b) || !a.Leq(b) {
+		t.Fatal("a ⊑ b must hold, and keep holding")
+	}
+	// h(102) rises to 3, which b (default 2) does not cover.
+	if a2 := a.With(h(102), L3); a2.Leq(b) {
+		t.Error("a raised at a handle b holds at 2 must not be ⊑ b")
+	}
+	if !a.Leq(b) {
+		t.Error("original comparison changed")
+	}
+	if a.With(h(101), L3) != a {
+		t.Error("no-op With must return the receiver")
+	}
+}
+
 // Get takes whatever handle a process passes to a system call, including
 // ones no label can hold an entry for: those read as the default.
 func TestGetOutOfRangeHandle(t *testing.T) {
@@ -501,7 +522,7 @@ func TestInterleavedUpdatesAllocate(t *testing.T) {
 	if qs.Len() != 3008 || es.Len() != 1151 || len(qs.chunks) <= 64 {
 		t.Fatalf("shape: %d and %d entries, %d chunks", qs.Len(), es.Len(), len(qs.chunks))
 	}
-	grant := Single(L3, fresh, Star)
+	grant := New(L3, Entry{H: fresh, L: Star})
 	granted := func(l *Label) bool { return l.Len() == 3009 && l.Get(fresh) == Star }
 	var out *Label
 	for _, c := range []struct {
@@ -544,7 +565,7 @@ func BenchmarkAsymmetric(b *testing.B) {
 	// only a walk can see.
 	qs := New(L1, stars...).With(h(1000), L0)
 	es := New(L1, stars...).With(h(7000), L3)
-	grant := Single(L3, h(4002), Star) // DS granting one fresh handle
+	grant := New(L3, Entry{H: h(4002), L: Star}) // DS granting one fresh handle
 	granted := qs.With(h(4002), Star)
 	// A receive label cleared for every user, raised for one more by two
 	// different messages.
@@ -559,7 +580,7 @@ func BenchmarkAsymmetric(b *testing.B) {
 		small[i] = New(L1, ents...)
 	}
 	dqs, des, fresh := demuxShape()
-	dgrant := Single(L3, fresh, Star)
+	dgrant := New(L3, Entry{H: fresh, L: Star})
 	for _, c := range []struct {
 		name string
 		f    func() bool

@@ -38,13 +38,10 @@
 // invariants keep this sound and cheap: no two adjacent chunks of a label
 // would fit in one (so single-handle updates cannot fragment a label into
 // many small chunks), and a result equal to an operand is that operand
-// itself, pointer and fingerprint (so equal labels stay one label for memory
-// accounting and memoization).
+// itself (so equal labels stay one label for memory accounting).
 //
-// Beyond the paper's cached bounds, ⊑ results are memoized across calls:
-// each immutable label value carries a fingerprint, and comparisons are
-// cached by fingerprint pair (see opcache.go). Mutation via With yields a
-// fresh fingerprint, so stale results are unreachable by construction.
+// Labels are plain values: nothing is memoized across calls, and the
+// package holds no lock and no mutable state.
 package label
 
 import "strconv"

@@ -514,7 +514,7 @@ func (b builder) flush() builder {
 
 // finish returns the assembled label. If it equals one of ins — the
 // operation's inputs — that input itself is returned, so equal results keep
-// one fingerprint and one copy.
+// one pointer and one copy.
 func (b builder) finish(ins ...*Label) *Label {
 	b = b.flush()
 	if len(b.chunks) == 0 {
@@ -530,7 +530,7 @@ func (b builder) finish(ins ...*Label) *Label {
 			return in
 		}
 	}
-	l := &Label{chunks: make([]*chunk, len(b.chunks)), def: b.def, lv: lv, nent: nent, fp: newFP()}
+	l := &Label{chunks: make([]*chunk, len(b.chunks)), def: b.def, lv: lv, nent: nent}
 	copy(l.chunks, b.chunks)
 	return l
 }

@@ -294,14 +294,14 @@ func TestConnectionChurnChunkCount(t *testing.T) {
 			continue
 		}
 		srvS = srvS.With(c, Star)
-		peerS = peerS.Glb(Single(L3, c, Star)).Contaminate(srvS)
-		peerR = peerR.Lub(Single(Star, c, L3))
+		peerS = peerS.Glb(New(L3, Entry{H: c, L: Star})).Contaminate(srvS)
+		peerR = peerR.Lub(New(Star, Entry{H: c, L: L3}))
 		compact(round, srvS, peerS, peerR)
 		if peerS.Get(c) != Star || peerR.Get(c) != L3 {
 			t.Fatalf("round %d: grant of %v did not arrive", round, c)
 		}
 		srvS, peerS = srvS.With(c, DefaultSend), peerS.With(c, DefaultSend)
-		peerR = peerR.Glb(Single(L3, c, DefaultRecv))
+		peerR = peerR.Glb(New(L3, Entry{H: c, L: DefaultRecv}))
 		compact(round, srvS, peerS, peerR)
 		for i, l := range []*Label{srvS, peerS, peerR} {
 			if !l.Eq(idle[i]) {

@@ -288,7 +288,7 @@ func (s *netdShard) handleService(d *kernel.Delivery) {
 		}
 		msg := wire.NewWriter(evListen).U16(lport).Handle(notify).Done()
 		s.lp.Peer(sib.idx).Send(msg, &kernel.SendOpts{
-			//asbestos:keepstar listener replication: every shard holds the notify-port ⋆ for as long as the listen registration lives, or sibling accept notifications would be capability-dropped
+			//asbestos:keepstar listener every shard holds the notify-port ⋆ for as long as the listen registration lives, or sibling accept notifications would be capability-dropped
 			DecontSend: kernel.Grant(notify),
 		})
 	}

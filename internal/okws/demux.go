@@ -774,13 +774,13 @@ func (s *demuxShard) deal(service string, replicas []handle.Handle) handle.Handl
 // connection, and the worker re-parses either way.
 func (s *demuxShard) start(cs *dconn, base handle.Handle, user, service string) {
 	opts := &kernel.SendOpts{
-		//asbestos:keepstar session handoff: the worker keeps the uG ⋆ for the session's lifetime to prove the user's identity downstream; the demux re-grants per request
+		//asbestos:keepstar session the worker keeps the uG ⋆ for the session's lifetime to prove the user's identity downstream; the demux re-grants per request
 		DecontSend: kernel.Grant(cs.uC.Handle(), cs.id.UG),
 		DecontRecv: kernel.AllowRecv(label.L3, cs.id.UT),
 	}
 	if s.declassifier[service] {
 		// §7.6: declassifiers get uT ⋆ instead of contamination.
-		//asbestos:keepstar declassifiers hold uT ⋆ (not taint) for as long as they serve the user — that is what makes them declassifiers
+		//asbestos:keepstar session declassifiers hold uT ⋆ (not taint) for as long as they serve the user — that is what makes them declassifiers
 		opts.DecontSend = kernel.Grant(cs.uC.Handle(), cs.id.UG, cs.id.UT)
 	} else {
 		opts.Contaminate = kernel.Taint(label.L3, cs.id.UT)
