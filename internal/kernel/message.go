@@ -135,41 +135,36 @@ func (d *Delivery) Detach() []byte {
 // {h₁ ⋆, …, 3}. Sending with DecontSend: Grant(h) hands the receiver
 // declassification privilege for h — the capability-grant idiom of §5.5.
 func Grant(hs ...handle.Handle) *label.Label {
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: label.Star}
-	}
-	return label.New(label.L3, entries...)
+	return uniform(label.L3, label.Star, hs)
 }
 
 // Taint builds a contamination label {h₁ lvl, …, ⋆}: ⊔-ing it into a send
 // label raises exactly the named handles.
 func Taint(lvl label.Level, hs ...handle.Handle) *label.Label {
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: lvl}
-	}
-	return label.New(label.Star, entries...)
+	return uniform(label.Star, lvl, hs)
 }
 
 // AllowRecv builds a decontaminate-receive label {h₁ lvl, …, ⋆} used to
 // raise a receiver's receive label for the named handles.
 func AllowRecv(lvl label.Level, hs ...handle.Handle) *label.Label {
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: lvl}
-	}
-	return label.New(label.Star, entries...)
+	return uniform(label.Star, lvl, hs)
 }
 
 // VerifyLabel builds a verification label {h₁ lvl, …, 3} proving the sender
 // holds the named handles at or below lvl.
 func VerifyLabel(lvl label.Level, hs ...handle.Handle) *label.Label {
-	entries := make([]label.Entry, len(hs))
-	for i, h := range hs {
-		entries[i] = label.Entry{H: h, L: lvl}
+	return uniform(label.L3, lvl, hs)
+}
+
+// uniform builds {h₁ lvl, …, def}. The entries of a few handles are
+// collected on the stack, so that the label is the only allocation.
+func uniform(def, lvl label.Level, hs []handle.Handle) *label.Label {
+	var buf [4]label.Entry
+	entries := buf[:0]
+	for _, h := range hs {
+		entries = append(entries, label.Entry{H: h, L: lvl})
 	}
-	return label.New(label.L3, entries...)
+	return label.New(def, entries...)
 }
 
 // sendSnapshot returns the calling context's current send label. Labels are

@@ -643,3 +643,24 @@ func TestOneEntryLabelsNotRetained(t *testing.T) {
 		}
 	}
 }
+
+// TestOneEntryLabelsAllocateOnce: a one-handle grant or taint is built with
+// one allocation, the label itself.
+func TestOneEntryLabelsAllocateOnce(t *testing.T) {
+	h := newSys().NewProcess("p").NewHandle()
+	for _, c := range []struct {
+		name string
+		f    func() *label.Label
+	}{
+		{"Grant(h)", func() *label.Label { return Grant(h) }},
+		{"Taint(L3, h)", func() *label.Label { return Taint(label.L3, h) }},
+	} {
+		var l *label.Label
+		if allocs := testing.AllocsPerRun(100, func() { l = c.f() }); allocs != 1 {
+			t.Errorf("%s: %.0f allocations, want 1", c.name, allocs)
+		}
+		if l.Len() != 1 {
+			t.Errorf("%s = %v: want one entry", c.name, l)
+		}
+	}
+}

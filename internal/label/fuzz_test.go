@@ -98,6 +98,7 @@ func FuzzLabelOps(f *testing.F) {
 			h := handle.Handle(rest[0]%fuzzHandleRange) + 1
 			lvl := Level(rest[1] % numLevels)
 			a2 := a.With(h, lvl)
+			checkInvariants(t, a2, a)
 			sa2 := NewSimple(sa.Def)
 			for k, v := range sa.M {
 				sa2.M[k] = v

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"asbestos/internal/handle"
@@ -45,12 +44,60 @@ type chunk struct {
 	lv   levels
 }
 
+// chunkIn is a chunk allocated together with room for its entries, an
+// array A of up to chunkMax of them. With the 32-byte chunk header, each
+// array newChunk uses below chunkMax makes an object that fills one size
+// class of the Go allocator exactly.
+type chunkIn[A any] struct {
+	c   chunk
+	buf A
+}
+
+// newChunk returns a chunk holding a copy of ents (1 to chunkMax of them),
+// allocated in one piece with its entries.
 func newChunk(ents []uint64) *chunk {
-	c := &chunk{ents: ents}
-	for _, e := range ents {
-		c.lv |= 1 << (e & 7)
+	var c *chunk
+	switch n := len(ents); {
+	case n <= 4:
+		f := new(chunkIn[[4]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 8:
+		f := new(chunkIn[[8]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 16:
+		f := new(chunkIn[[16]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 24:
+		f := new(chunkIn[[24]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 32:
+		f := new(chunkIn[[32]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 40:
+		f := new(chunkIn[[40]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 48:
+		f := new(chunkIn[[48]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	case n <= 56:
+		f := new(chunkIn[[56]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
+	default:
+		f := new(chunkIn[[chunkMax]uint64])
+		f.c.ents, c = f.buf[:n:n], &f.c
 	}
+	c.fill(ents)
 	return c
+}
+
+// fill copies ents into c.ents and caches their levels.
+func (c *chunk) fill(ents []uint64) {
+	var lv levels
+	for _, e := range ents {
+		lv |= 1 << (e & 7)
+	}
+	copy(c.ents, ents)
+	c.lv = lv
 }
 
 // last returns the chunk's largest handle, in the shifted form entries
@@ -64,9 +111,60 @@ func (c *chunk) last() uint64 { return c.ents[len(c.ents)-1] >> 3 }
 // sharing.
 type Label struct {
 	chunks []*chunk
+	nent   int32 // so that the header is 32 bytes
 	def    Level
 	lv     levels // levels taken over all handles, including the default
-	nent   int
+}
+
+// smallMax is the most entries a label built in one allocation holds: with
+// them it is 96 bytes, what a one-entry label took in four allocations.
+const smallMax = 3
+
+// oneChunk is a one-chunk label allocated together with its chunk list.
+type oneChunk struct {
+	l    Label
+	list [1]*chunk
+}
+
+// small is a label of at most smallMax entries — the kernel's one-handle
+// grants and taints — allocated in one piece: header, chunk list, chunk and
+// entries.
+type small struct {
+	oneChunk
+	c   chunk
+	buf [smallMax]uint64
+}
+
+// newLabel returns a label over a copy of chunks, with cached levels lv and
+// entry count nent.
+func newLabel(def Level, lv levels, nent int, chunks []*chunk) *Label {
+	if len(chunks) == 1 {
+		o := &oneChunk{l: Label{nent: int32(nent), def: def, lv: lv}, list: [1]*chunk{chunks[0]}}
+		o.l.chunks = o.list[:]
+		return &o.l
+	}
+	return &Label{chunks: slices.Clone(chunks), nent: int32(nent), def: def, lv: lv}
+}
+
+// newSmall returns the label with default def and entries ents (sorted,
+// none at def, at most smallMax of them), or the one of ins equal to it.
+func newSmall(def Level, ents []uint64, ins []*Label) *Label {
+	if len(ents) == 0 {
+		return Empty(def)
+	}
+	for _, in := range ins {
+		// A label of at most smallMax entries has one chunk: two adjacent
+		// chunks hold more than chunkMax entries.
+		if in.def == def && int(in.nent) == len(ents) && slices.Equal(in.chunks[0].ents, ents) {
+			return in
+		}
+	}
+	s := &small{}
+	s.c.ents = s.buf[:len(ents):len(ents)]
+	s.c.fill(ents)
+	s.list[0] = &s.c
+	s.l = Label{chunks: s.list[:], nent: int32(len(ents)), def: def, lv: bit(def) | s.c.lv}
+	return &s.l
 }
 
 var empties [numLevels]*Label
@@ -93,7 +191,11 @@ func New(def Level, entries ...Entry) *Label {
 	if !def.Valid() {
 		panic("label: invalid default level")
 	}
-	ents := make([]uint64, 0, len(entries))
+	var buf [smallMax]uint64
+	ents := buf[:0]
+	if len(entries) > smallMax {
+		ents = make([]uint64, 0, len(entries))
+	}
 	for _, e := range entries {
 		if !e.L.Valid() {
 			panic("label: invalid level " + e.L.String())
@@ -120,7 +222,7 @@ func New(def Level, entries ...Entry) *Label {
 func (l *Label) Default() Level { return l.def }
 
 // Len returns the number of explicit entries.
-func (l *Label) Len() int { return l.nent }
+func (l *Label) Len() int { return int(l.nent) }
 
 // Min and Max return the label's level bounds over all handles (including
 // the default). The paper caches these to enable fast-path lattice ops.
@@ -129,7 +231,15 @@ func (l *Label) Max() Level { return Level(bits.Len8(l.lv) - 1) }
 
 // reach returns the index of the first chunk reaching handle h, or len(cs).
 func reach(cs []*chunk, h uint64) int {
-	return sort.Search(len(cs), func(i int) bool { return cs[i].last() >= h })
+	lo, n := 0, len(cs)
+	for lo < n {
+		if mid := int(uint(lo+n) >> 1); cs[mid].last() < h {
+			lo = mid + 1
+		} else {
+			n = mid
+		}
+	}
+	return lo
 }
 
 // Get returns the level of handle h. A handle no label can hold an entry for

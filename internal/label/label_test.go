@@ -514,15 +514,18 @@ func demuxShape() (qs, es *Label, fresh handle.Handle) {
 
 // TestInterleavedUpdatesAllocate pins in allocation counts what the demux's
 // per-delivery label updates cost on demuxShape's 3008 entries: a no-op
-// Contaminate is the receiver itself and allocates nothing, and a one-handle
-// grant or a With allocates the chunk it changes, that chunk's entries, the
-// label and its chunk list — none of it in proportion to the entries.
+// Contaminate is the receiver itself and allocates nothing, Req2 of a
+// one-handle grant looks the handle up and allocates nothing, and a
+// one-handle grant or a With that replaces one chunk allocates that chunk
+// with its entries, the label and its chunk list — none of it in proportion
+// to the entries.
 func TestInterleavedUpdatesAllocate(t *testing.T) {
 	qs, es, fresh := demuxShape()
 	if qs.Len() != 3008 || es.Len() != 1151 || len(qs.chunks) <= 64 {
 		t.Fatalf("shape: %d and %d entries, %d chunks", qs.Len(), es.Len(), len(qs.chunks))
 	}
-	grant := New(L3, Entry{H: fresh, L: Star})
+	held := qs.Entries()[1500].H
+	grant, hold := New(L3, Entry{H: fresh, L: Star}), New(L3, Entry{H: held, L: Star})
 	granted := func(l *Label) bool { return l.Len() == 3009 && l.Get(fresh) == Star }
 	var out *Label
 	for _, c := range []struct {
@@ -532,12 +535,19 @@ func TestInterleavedUpdatesAllocate(t *testing.T) {
 		ok   func(*Label) bool
 	}{
 		{"no-op Contaminate", 0, func() *Label { return qs.Contaminate(es) }, func(l *Label) bool { return l == qs }},
-		{"QS ⊓ Grant(h)", 4, func() *Label { return qs.Glb(grant) }, granted},
-		{"With", 4, func() *Label { return qs.With(fresh, Star) }, granted},
+		{"Req2 of a one-handle grant", 0, func() *Label {
+			if Req2(hold, qs) && !Req2(grant, qs) {
+				return qs
+			}
+			return nil
+		}, func(l *Label) bool { return l == qs }},
+		{"QS ⊓ Grant(h)", 3, func() *Label { return qs.Glb(grant) }, granted},
+		{"With", 3, func() *Label { return qs.With(fresh, Star) }, granted},
+		{"With dropping ⋆", 3, func() *Label { return qs.With(held, L1) }, func(l *Label) bool { return l.Len() == 3007 && l.Get(held) == L1 }},
 	} {
 		allocs := testing.AllocsPerRun(100, func() { out = c.f() })
-		if !c.ok(out) {
-			t.Fatalf("%s: wrong result, %d entries", c.name, out.Len())
+		if out == nil || !c.ok(out) {
+			t.Fatalf("%s: wrong result", c.name)
 		}
 		if allocs > c.max {
 			t.Errorf("%s on 3008 entries: %.0f allocations, want ≤ %.0f", c.name, allocs, c.max)
@@ -545,13 +555,40 @@ func TestInterleavedUpdatesAllocate(t *testing.T) {
 	}
 }
 
+// TestSmallLabelsAllocateOnce pins the one-allocation layout of labels of
+// at most smallMax entries, however they are built, and the two allocations
+// of a one-chunk label with more entries than that: the chunk with its
+// entries, and the label with its chunk list.
+func TestSmallLabelsAllocateOnce(t *testing.T) {
+	one, two := New(L3, Entry{h(7), Star}), New(L1, Entry{h(1), Star}, Entry{h(2), L0})
+	three := two.With(h(4), L3)
+	var out *Label
+	for _, c := range []struct {
+		name   string
+		allocs float64
+		f      func() *Label
+	}{
+		{"New, one entry", 1, func() *Label { return New(L3, Entry{h(9), Star}) }},
+		{"New, three entries", 1, func() *Label { return New(L1, Entry{h(3), L2}, Entry{h(1), Star}, Entry{h(2), L0}) }},
+		{"With", 1, func() *Label { return two.With(h(4), L3) }},
+		{"Lub", 1, func() *Label { return one.Lub(two) }},
+		{"With, a fourth entry", 2, func() *Label { return three.With(h(5), L3) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { out = c.f() }); allocs != c.allocs {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, allocs, c.allocs)
+		}
+		checkInvariants(t, out)
+	}
+}
+
 // BenchmarkAsymmetric times the pairs the kernel's message path is made of
 // when one process holds thousands of handles: the two operands differ
 // wildly in size, or are the same label but for one chunk. Each row should
 // cost the chunks it touches, not the entries; leq_16x16 guards the other
-// end — small labels must not pay for the chunk machinery. The first rows'
-// operands share their handle sets, so their chunk boundaries align; the
-// demux_ rows are demuxShape, where they interleave.
+// end — small labels must not pay for the chunk machinery. The operands
+// share their handle sets, so their chunk boundaries align; the
+// BenchmarkDemuxLabel family below runs on demuxShape, where they
+// interleave.
 func BenchmarkAsymmetric(b *testing.B) {
 	stars := make([]Entry, 2000)
 	clear := make([]Entry, 2000)
@@ -579,8 +616,6 @@ func BenchmarkAsymmetric(b *testing.B) {
 		}
 		small[i] = New(L1, ents...)
 	}
-	dqs, des, fresh := demuxShape()
-	dgrant := New(L3, Entry{H: fresh, L: Star})
 	for _, c := range []struct {
 		name string
 		f    func() bool
@@ -590,9 +625,6 @@ func BenchmarkAsymmetric(b *testing.B) {
 		{"contaminate_noop_2000x2000_allstar", func() bool { return qs.Contaminate(es) == qs }},
 		{"lub_2000x2000_shared_but_one", func() bool { return qr1.Lub(qr2).Len() == 2002 }},
 		{"leq_16x16", func() bool { return all(small[0], small[1], &relLeq) }},
-		{"demux_contaminate_noop_3008x1151", func() bool { return dqs.Contaminate(des) == dqs }},
-		{"demux_glb_3008x1", func() bool { return dqs.Glb(dgrant).Len() == 3009 }},
-		{"demux_with_3008", func() bool { return dqs.With(fresh, Star).Len() == 3009 }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -602,5 +634,56 @@ func BenchmarkAsymmetric(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// The BenchmarkDemuxLabel family times the label operations the OKWS demux
+// runs per connection on its send label at two thousand sessions
+// (demuxShape): the grant of a connection's handle (QS ⊓ Grant(h)), its drop
+// after the handoff (With back to the default), Figure 4's requirement 2 on
+// a one-handle grant of a handle the demux holds, and the no-op
+// contamination by a netd shard's label. Each should cost the chunk it
+// touches, not the 3008 entries.
+
+func BenchmarkDemuxLabelGrant(b *testing.B) {
+	qs, _, fresh := demuxShape()
+	grant := New(L3, Entry{H: fresh, L: Star})
+	b.ReportAllocs()
+	for b.Loop() {
+		if qs.Glb(grant).Len() != 3009 {
+			b.Fatal("wrong result")
+		}
+	}
+}
+
+func BenchmarkDemuxLabelDrop(b *testing.B) {
+	qs, _, _ := demuxShape()
+	held := qs.Entries()[1500].H
+	b.ReportAllocs()
+	for b.Loop() {
+		if qs.With(held, L1).Len() != 3007 {
+			b.Fatal("wrong result")
+		}
+	}
+}
+
+func BenchmarkDemuxLabelReq2(b *testing.B) {
+	qs, _, _ := demuxShape()
+	grant := New(L3, Entry{H: qs.Entries()[1500].H, L: Star})
+	b.ReportAllocs()
+	for b.Loop() {
+		if !Req2(grant, qs) {
+			b.Fatal("wrong result")
+		}
+	}
+}
+
+func BenchmarkDemuxLabelContaminate(b *testing.B) {
+	qs, es, _ := demuxShape()
+	b.ReportAllocs()
+	for b.Loop() {
+		if qs.Contaminate(es) != qs {
+			b.Fatal("wrong result")
+		}
 	}
 }

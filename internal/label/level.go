@@ -33,12 +33,22 @@
 // label's boundaries fall in — all of them when the handles interleave — so
 // merge first tries (d): if b's default leaves a unchanged, a is looked up
 // only at b's entries that can change it, and a point update shared with
-// With rebuilds only the chunks holding changed handles. So an operation
-// costs the chunks it changes rather than the entries it spans. Two
-// invariants keep this sound and cheap: no two adjacent chunks of a label
-// would fit in one (so single-handle updates cannot fragment a label into
-// many small chunks), and a result equal to an operand is that operand
-// itself (so equal labels stay one label for memory accounting).
+// With rebuilds only the chunks holding changed handles. The relations try
+// (e) first: if every level of one label satisfies the relation against the
+// other's default, only the first label's explicit entries are looked up in
+// the other. A single point update replaces one chunk and copies the chunk
+// list with that pointer swapped, unless the chunk splits, empties, could
+// join a neighbour or loses a level. So an operation costs the chunks it
+// changes rather than the entries it spans. Two invariants keep this sound
+// and cheap: no two adjacent chunks of a label would fit in one (so
+// single-handle updates cannot fragment a label into many small chunks), and
+// a result equal to an operand is that operand itself (so equal labels stay
+// one label for memory accounting).
+//
+// Allocation follows the same rule. A chunk is allocated in one piece with
+// its entries; a one-chunk label with its chunk list; and a label of at most
+// three entries — the kernel's one-handle grants and taints — is a single
+// allocation holding its header, list, chunk and entries.
 //
 // Labels are plain values: nothing is memoized across calls, and the
 // package holds no lock and no mutable state.

@@ -26,11 +26,25 @@ import "slices"
 //	    to the smaller of the two chunks' last handles.
 //
 // Only where no rule applies does a consumer descend to entries, and then
-// only for that span. But merge first tries a fourth rule, with no walk:
+// only for that span. But each consumer first tries a rule with no walk,
+// which looks the other label's few explicit entries up instead:
 //
-//	(d) sparse: if b's default leaves a unchanged, a is looked up only at
-//	    b's entries whose level can change it, and the changes are applied
-//	    as point updates (update) that cut no chunk of a where b's fall.
+//	(d) sparse, for merge: if b's default leaves a unchanged, a is looked
+//	    up only at b's entries whose level can change it, and the changes
+//	    are applied as point updates (update) that cut no chunk of a where
+//	    b's fall.
+//	(e) lookup, for all: if every level of one label satisfies the relation
+//	    against the other's default, only the first label's explicit
+//	    entries can fail, and each is looked up in the other with Get.
+//
+// Both give up past one lookup per chunk of the looked-up label, where the
+// walk is cheaper. A single point update — With, and rule (d) with one
+// change — replaces one chunk: when the rebuilt chunk is neither empty nor
+// over chunkMax, still obeys the size invariant against both neighbours, and
+// keeps every level the old one took, the chunk list is copied with that one
+// pointer swapped, and the label's cached levels and count follow from the
+// receiver's. Anything else goes through the builder, which recuts the
+// neighbourhood.
 
 // levels is a set of levels, bit l set when level l is a member.
 type levels = uint8
@@ -63,6 +77,16 @@ func (r *rel) row(xs levels) levels {
 		}
 	}
 	return ys
+}
+
+// col returns the levels x for which r holds for (x, y) for every y in ys.
+func (r *rel) col(ys levels) (xs levels) {
+	for x := Star; x < numLevels; x++ {
+		if r[x]&ys == ys {
+			xs |= bit(x)
+		}
+	}
+	return xs
 }
 
 // diag reports whether r holds for (x, x) for every x in xs.
@@ -207,6 +231,9 @@ func all(a, b *Label, r *rel) bool {
 	if r[a.def]&db == 0 {
 		return false
 	}
+	if ok, decided := lookup(a, b, r); decided {
+		return ok
+	}
 	w := walker{a: a.chunks, b: b.chunks}
 	var s seg
 	for w.next(&s) {
@@ -233,6 +260,56 @@ func all(a, b *Label, r *rel) bool {
 		}
 	}
 	return true
+}
+
+// lookup is rule (e): when every level of one label satisfies r against
+// the other's default, only the first label's explicit entries can fail, and
+// they are looked up in the other. decided is false when neither label
+// qualifies or the lookups would cost more than the walk.
+func lookup(a, b *Label, r *rel) (ok, decided bool) {
+	if r.holds(bit(a.def), b.lv) {
+		if ok, decided = probe(a, b, r, true); decided {
+			return ok, true
+		}
+	}
+	if r.holds(a.lv, bit(b.def)) {
+		return probe(b, a, r, false)
+	}
+	return false, false
+}
+
+// probe is rule (e) for all, where the handles s leaves at its default are
+// known to satisfy r: it looks s's other entries up in l instead of walking
+// the two labels. left says s is r's left operand. Entries at levels that
+// satisfy r against every level of l need no lookup. Past one lookup per
+// chunk of l it gives up (decided is false) and leaves the pair to the walk.
+func probe(s, l *Label, r *rel, left bool) (ok, decided bool) {
+	cool := r.row(l.lv) // levels of s that satisfy r against every level of l
+	if left {
+		cool = r.col(l.lv)
+	}
+	n := 0
+	for _, c := range s.chunks {
+		switch {
+		case c.lv&^cool == 0:
+			continue
+		case c.lv&cool == 0 && n+len(c.ents) > len(l.chunks):
+			return false, false // every entry of c is a lookup
+		}
+		for _, e := range c.ents {
+			h, x := unpack(e)
+			if cool&bit(x) != 0 {
+				continue
+			}
+			if n++; n > len(l.chunks) {
+				return false, false
+			}
+			if y := l.Get(h); left && r[x]&bit(y) == 0 || !left && r[y]&bit(x) == 0 {
+				return false, true
+			}
+		}
+	}
+	return true, true
 }
 
 // allEntries is all for one interval: two sorted entry runs, each side
@@ -361,6 +438,11 @@ func sparse(a, b *Label, o *op, keep levels) *Label {
 // update returns l with ups, packed entries in handle order (one at l's
 // default deletes), rebuilding only the chunks they fall in, or one of ins.
 func (l *Label) update(ups []uint64, ins ...*Label) *Label {
+	if len(ups) == 1 && len(l.chunks) > 0 {
+		if r := l.point(ups[0], ins); r != nil {
+			return r
+		}
+	}
 	var bufs builderBufs
 	bd := builder{def: l.def, chunks: bufs.chunks[:0], run: bufs.run[:0]}
 	cs := l.chunks
@@ -388,6 +470,55 @@ func (l *Label) update(ups []uint64, ins ...*Label) *Label {
 		bd.run, ups = append(bd.run, ents...), ups[n:]
 	}
 	return bd.chunk(cs...).finish(ins...)
+}
+
+// point is update for the single entry u, when the chunk u falls in can be
+// replaced alone: the rebuilt chunk is not empty, needs no split, still obeys
+// the size invariant against both neighbours, and keeps every level the old
+// one took, so that the label's cached levels and count follow from l's. The
+// chunk list is copied with that one pointer swapped. Otherwise it returns
+// nil, and the builder recuts the neighbourhood.
+func (l *Label) point(u uint64, ins []*Label) *Label {
+	cs := l.chunks
+	k := min(reach(cs, u>>3), len(cs)-1)
+	old := cs[k].ents
+	var buf [chunkMax + 1]uint64
+	i := before(old, u>>3)
+	ents := append(buf[:0], old[:i]...)
+	if Level(u&7) != l.def {
+		ents = append(ents, u)
+	}
+	if i < len(old) && old[i]>>3 == u>>3 {
+		i++
+	}
+	ents = append(ents, old[i:]...)
+	n := len(ents)
+	switch {
+	case n == 0 || n > chunkMax,
+		k > 0 && len(cs[k-1].ents)+n <= chunkMax,
+		k < len(cs)-1 && n+len(cs[k+1].ents) <= chunkMax:
+		return nil
+	case len(cs) == 1 && n <= smallMax:
+		return newSmall(l.def, ents, ins)
+	}
+	c := newChunk(ents)
+	if cs[k].lv&^c.lv != 0 {
+		return nil
+	}
+	lv, nent := l.lv|c.lv, int(l.nent)+n-len(old)
+	if len(cs) == 1 {
+		one := [1]*chunk{c}
+		if in := equalIn(ins, l.def, nent, one[:]); in != nil {
+			return in
+		}
+		return newLabel(l.def, lv, nent, one[:])
+	}
+	chunks := slices.Clone(cs)
+	chunks[k] = c
+	if in := equalIn(ins, l.def, nent, chunks); in != nil {
+		return in
+	}
+	return &Label{chunks: chunks, nent: int32(nent), def: l.def, lv: lv}
 }
 
 // mergeEntries is merge for one interval: it appends o applied to two
@@ -479,10 +610,8 @@ func (b builder) chunk(cs ...*chunk) builder {
 // run buffer of a few chunks, not of the label.
 func (b builder) spill() builder {
 	run := b.run
-	for len(run) >= 2*chunkMax {
-		ents := make([]uint64, chunkMax)
-		run = run[copy(ents, run):]
-		b.chunks = append(b.chunks, newChunk(ents))
+	for ; len(run) >= 2*chunkMax; run = run[chunkMax:] {
+		b.chunks = append(b.chunks, newChunk(run[:chunkMax]))
 	}
 	b.run = b.run[:copy(b.run, run)]
 	return b
@@ -504,9 +633,9 @@ func (b builder) flush() builder {
 		k = cuts(len(run))
 	}
 	for ; k > 0; k-- {
-		ents := make([]uint64, (len(run)+k-1)/k)
-		run = run[copy(ents, run):]
-		b.chunks = append(b.chunks, newChunk(ents))
+		n := (len(run) + k - 1) / k
+		b.chunks = append(b.chunks, newChunk(run[:n]))
+		run = run[n:]
 	}
 	b.run = b.run[:0]
 	return b
@@ -516,23 +645,30 @@ func (b builder) flush() builder {
 // operation's inputs — that input itself is returned, so equal results keep
 // one pointer and one copy.
 func (b builder) finish(ins ...*Label) *Label {
-	b = b.flush()
-	if len(b.chunks) == 0 {
-		return Empty(b.def)
+	if len(b.chunks) == 0 && len(b.run) <= smallMax {
+		return newSmall(b.def, b.run, ins)
 	}
+	b = b.flush()
 	lv, nent := bit(b.def), 0
 	for _, c := range b.chunks {
 		lv |= c.lv
 		nent += len(c.ents)
 	}
+	if in := equalIn(ins, b.def, nent, b.chunks); in != nil {
+		return in
+	}
+	return newLabel(b.def, lv, nent, b.chunks)
+}
+
+// equalIn returns the one of ins that maps every handle as chunks, holding
+// nent entries, and default def do, or nil.
+func equalIn(ins []*Label, def Level, nent int, chunks []*chunk) *Label {
 	for _, in := range ins {
-		if in.def == b.def && in.nent == nent && (slices.Equal(in.chunks, b.chunks) || eqChunks(in.chunks, b.chunks)) {
+		if in.def == def && int(in.nent) == nent && (slices.Equal(in.chunks, chunks) || eqChunks(in.chunks, chunks)) {
 			return in
 		}
 	}
-	l := &Label{chunks: make([]*chunk, len(b.chunks)), def: b.def, lv: lv, nent: nent}
-	copy(l.chunks, b.chunks)
-	return l
+	return nil
 }
 
 // eqChunks reports whether two chunk lists holding the same number of

@@ -1,6 +1,7 @@
 package label
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,7 +48,7 @@ func checkInvariants(t testing.TB, l *Label, ins ...*Label) {
 		lv |= clv
 		nent += len(c.ents)
 	}
-	if l.lv != lv || l.nent != nent {
+	if l.lv != lv || l.Len() != nent {
 		t.Fatalf("label caches levels %05b, %d entries; holds %05b, %d", l.lv, l.nent, lv, nent)
 	}
 	if nent == 0 && l != Empty(l.def) {
@@ -280,12 +281,10 @@ func TestConnectionChurnChunkCount(t *testing.T) {
 	compact := func(round int, ls ...*Label) {
 		t.Helper()
 		for i, l := range ls {
-			if limit := 2 * cuts(l.nent); len(l.chunks) > limit {
+			if limit := 2 * cuts(l.Len()); len(l.chunks) > limit {
 				t.Fatalf("round %d: label %d holds %d entries in %d chunks (limit %d)", round, i, l.nent, len(l.chunks), limit)
 			}
-			if round%100 == 0 {
-				checkInvariants(t, l)
-			}
+			checkInvariants(t, l)
 		}
 	}
 	for round := 0; round < rounds; round++ {
@@ -377,6 +376,82 @@ func TestRuleDRandomPairs(t *testing.T) {
 		}
 		checkRuleD(t, a, b, o, n <= len(a.chunks))
 	}
+}
+
+// checkRuleE checks that rule (e) decides r(a, b) exactly when taken says
+// so, that where it decides it agrees with the pointwise relation pred, and
+// that all agrees with it either way.
+func checkRuleE(t *testing.T, name string, a, b *Label, r *rel, pred func(x, y Level) bool, taken bool) {
+	t.Helper()
+	want := PairwiseAll(a, b, pred)
+	ok, decided := lookup(a, b, r)
+	if decided != taken {
+		t.Fatalf("%s: rule (e) decided = %v, want %v (%d and %d entries)", name, decided, taken, a.nent, b.nent)
+	}
+	if decided && ok != want {
+		t.Fatalf("%s: rule (e) says %v, pointwise %v", name, ok, want)
+	}
+	if got := all(a, b, r); got != want {
+		t.Fatalf("%s: all says %v, pointwise %v", name, got, want)
+	}
+}
+
+// TestRuleEDemuxPairs runs the demux's relation checks on demuxShape's send
+// label: a one-handle grant or raise, of a handle the label holds at ⋆ and
+// of one it does not, against 3008 entries at ⋆, for Req2, Req3 and ⊑ in
+// both argument orders. Where the defaults do not settle the pair, rule (e)
+// must decide it with one lookup; a label with one hot entry more than the
+// big label has chunks must defer to the walk, whether the hot entries are
+// spread out or come in whole chunks.
+func TestRuleEDemuxPairs(t *testing.T) {
+	qs, _, fresh := demuxShape()
+	held := qs.Entries()[1500].H
+	type rule struct {
+		name string
+		r    *rel
+		pred func(x, y Level) bool
+	}
+	leq, rq2, rq3 := rule{"Leq", &relLeq, func(x, y Level) bool { return x <= y }}, rule{"Req2", &relReq2, req2}, rule{"Req3", &relReq3, req3}
+	for _, h := range []handle.Handle{held, fresh} {
+		grant, raise := New(L3, Entry{h, Star}), New(Star, Entry{h, L3})
+		for _, c := range []struct {
+			rule
+			a, b  *Label
+			taken bool
+		}{
+			{rq2, grant, qs, true},
+			{rq2, qs, grant, false}, // qs's default 1 fails against 3
+			{rq3, raise, qs, true},
+			{rq3, qs, raise, true},
+			{leq, qs, grant, true},
+			{leq, grant, qs, false}, // 3 ≤ 1 fails on the defaults
+			{leq, raise, qs, true},
+			{leq, qs, raise, false}, // 1 ≤ ⋆ fails on the defaults
+		} {
+			checkRuleE(t, fmt.Sprintf("%s(%v, %v) on %v", c.name, c.a.Len(), c.b.Len(), h), c.a, c.b, c.r, c.pred, c.taken)
+		}
+	}
+
+	// The lookup cap: one lookup per chunk of qs. In mixed, each hot entry
+	// (⋆, which only a ⋆ in qs satisfies) sits beside a cool one (2, which
+	// every level of qs satisfies), so the cap is counted entry by entry; in
+	// the run of hot entries it is counted a whole chunk at a time.
+	ents, k := qs.Entries(), len(qs.chunks)
+	mixed := func(n int) *Label {
+		var out []Entry
+		for i := 0; i < n; i++ {
+			j := i * (len(ents) - 1) / n
+			out = append(out, Entry{ents[j].H, Star}, Entry{ents[j+1].H, L2})
+		}
+		return New(L3, out...)
+	}
+	checkRuleE(t, "Leq at the cap", qs, mixed(k), leq.r, leq.pred, true)
+	checkRuleE(t, "Leq past the cap", qs, mixed(k+1), leq.r, leq.pred, false)
+	run := make([]Entry, k+1) // in two chunks, the second over the cap as a whole
+	for i := range run {
+		run[i] = Entry{ents[i].H, Star}
+	}
+	checkRuleE(t, "Req2 past the cap, whole chunks", New(L3, run...), qs, rq2.r, rq2.pred, false)
 }
 
 // toEntries lists a map's entries; New sorts them.
@@ -474,6 +549,17 @@ func FuzzLabelOpsMultiChunk(f *testing.F) {
 	// Rule (d)'s point updates: ⊔ deletes one entry (⋆ ⊔ 1 is the default)
 	// and inserts another, then ⊓ changes the inserted one from 3 to 2.
 	f.Add([]byte{2, 0, 0, 1, 250, 1, 0, 1, 3, 0, 20, 2, 1, 3, 0, 99, 4, 2, 0, 3, 0, 1, 2, 0, 99, 3, 2, 0, 2, 0})
+	// Rule (e)'s pairs, small × big: 250 ⋆ entries on the odd handles 1–499
+	// (pool 0, default 1) against a grant of h99, which it holds (pool 2,
+	// default 3), and a raise of h99 to 3 (pool 3, default ⋆), in both
+	// orders.
+	f.Add([]byte{2, 0, 0, 0, 250, 1, 0, 1, 2, 0, 98, 0, 2, 2, 0, 1, 2, 0, 2, 1, 1, 3, 0, 98, 4, 2, 3, 0, 1, 2, 0, 3, 1})
+	// Point updates that fall back to the builder: 200 ⋆ entries on handles
+	// 1–200 grown one at a time, splitting each chunk as it overflows; h100
+	// raised to 3 and lowered back, so that level 3 vanishes from its chunk;
+	// and the first 60 handles dropped to the default, so that chunks
+	// coalesce.
+	f.Add([]byte{2, 0, 0, 0, 200, 0, 0, 1, 0, 0, 99, 4, 1, 0, 0, 99, 0, 0, 0, 0, 60, 0, 2, 2, 2, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

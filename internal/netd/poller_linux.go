@@ -861,8 +861,9 @@ func (p *poller) destroy(c *pconn) {
 	c.out.Reset()
 	c.in.done()
 	c.mu.Unlock()
-	var ev syscall.EpollEvent
-	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, c.fd, &ev)
+	// No EPOLL_CTL_DEL: the close removes the registration, since an
+	// accepted fd is SOCK_CLOEXEC and never duplicated, so it is the last
+	// reference to its file.
 	syscall.Close(c.fd)
 	delete(p.conns, c.fd)
 	if !c.closedSent {

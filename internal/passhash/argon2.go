@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 )
@@ -309,13 +310,12 @@ func compressCore(out, in1, in2 *argonBlock, xor bool) {
 	}
 	// Row rounds: each run of 16 consecutive words.
 	for i := 0; i < blockWords; i += 16 {
-		blamkaRound(t[i:i+16], 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+		blamkaRow((*[16]uint64)(t[i : i+16]))
 	}
 	// Column rounds: pairs of words with stride 16 (the 128-bit registers
 	// of the spec's column view).
 	for i := 0; i < 16; i += 2 {
-		blamkaRound(t[:], i, i+1, 16+i, 16+i+1, 32+i, 32+i+1, 48+i, 48+i+1,
-			64+i, 64+i+1, 80+i, 80+i+1, 96+i, 96+i+1, 112+i, 112+i+1)
+		blamkaColumn((*[114]uint64)(t[i : i+114]))
 	}
 	if xor {
 		for i := range t {
@@ -328,33 +328,67 @@ func compressCore(out, in1, in2 *argonBlock, xor bool) {
 	}
 }
 
-// blamkaRound applies the BLAKE2b round with the multiplicative BlaMka G
-// to 16 words of t selected by the index arguments.
-func blamkaRound(t []uint64, i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, i10, i11, i12, i13, i14, i15 int) {
-	blamkaG(&t[i0], &t[i4], &t[i8], &t[i12])
-	blamkaG(&t[i1], &t[i5], &t[i9], &t[i13])
-	blamkaG(&t[i2], &t[i6], &t[i10], &t[i14])
-	blamkaG(&t[i3], &t[i7], &t[i11], &t[i15])
-	blamkaG(&t[i0], &t[i5], &t[i10], &t[i15])
-	blamkaG(&t[i1], &t[i6], &t[i11], &t[i12])
-	blamkaG(&t[i2], &t[i7], &t[i8], &t[i13])
-	blamkaG(&t[i3], &t[i4], &t[i9], &t[i14])
+// blamkaRow applies the BLAKE2b round with the multiplicative BlaMka G to
+// 16 consecutive words: G on the four columns of the 4×4 matrix they form,
+// then on its four diagonals. The words are worked on in locals.
+func blamkaRow(v *[16]uint64) {
+	v0, v1, v2, v3, v4, v5, v6, v7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
+	v8, v9, v10, v11, v12, v13, v14, v15 := v[8], v[9], v[10], v[11], v[12], v[13], v[14], v[15]
+	v0, v4, v8, v12 = blamka(v0, v4, v8, v12, 32, 24)
+	v0, v4, v8, v12 = blamka(v0, v4, v8, v12, 16, 63)
+	v1, v5, v9, v13 = blamka(v1, v5, v9, v13, 32, 24)
+	v1, v5, v9, v13 = blamka(v1, v5, v9, v13, 16, 63)
+	v2, v6, v10, v14 = blamka(v2, v6, v10, v14, 32, 24)
+	v2, v6, v10, v14 = blamka(v2, v6, v10, v14, 16, 63)
+	v3, v7, v11, v15 = blamka(v3, v7, v11, v15, 32, 24)
+	v3, v7, v11, v15 = blamka(v3, v7, v11, v15, 16, 63)
+	v0, v5, v10, v15 = blamka(v0, v5, v10, v15, 32, 24)
+	v0, v5, v10, v15 = blamka(v0, v5, v10, v15, 16, 63)
+	v1, v6, v11, v12 = blamka(v1, v6, v11, v12, 32, 24)
+	v1, v6, v11, v12 = blamka(v1, v6, v11, v12, 16, 63)
+	v2, v7, v8, v13 = blamka(v2, v7, v8, v13, 32, 24)
+	v2, v7, v8, v13 = blamka(v2, v7, v8, v13, 16, 63)
+	v3, v4, v9, v14 = blamka(v3, v4, v9, v14, 32, 24)
+	v3, v4, v9, v14 = blamka(v3, v4, v9, v14, 16, 63)
+	v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7] = v0, v1, v2, v3, v4, v5, v6, v7
+	v[8], v[9], v[10], v[11], v[12], v[13], v[14], v[15] = v8, v9, v10, v11, v12, v13, v14, v15
 }
 
-func blamkaG(a, b, c, d *uint64) {
-	va, vb, vc, vd := *a, *b, *c, *d
-	va = va + vb + 2*uint64(uint32(va))*uint64(uint32(vb))
-	vd = rotr64(vd^va, 32)
-	vc = vc + vd + 2*uint64(uint32(vc))*uint64(uint32(vd))
-	vb = rotr64(vb^vc, 24)
-	va = va + vb + 2*uint64(uint32(va))*uint64(uint32(vb))
-	vd = rotr64(vd^va, 16)
-	vc = vc + vd + 2*uint64(uint32(vc))*uint64(uint32(vd))
-	vb = rotr64(vb^vc, 63)
-	*a, *b, *c, *d = va, vb, vc, vd
+// blamkaColumn is blamkaRow on the column view: the 16 words are the pairs
+// at offsets 0, 16, …, 112 of t, which starts at the column's first word.
+func blamkaColumn(t *[114]uint64) {
+	v0, v1, v2, v3, v4, v5, v6, v7 := t[0], t[1], t[16], t[17], t[32], t[33], t[48], t[49]
+	v8, v9, v10, v11, v12, v13, v14, v15 := t[64], t[65], t[80], t[81], t[96], t[97], t[112], t[113]
+	v0, v4, v8, v12 = blamka(v0, v4, v8, v12, 32, 24)
+	v0, v4, v8, v12 = blamka(v0, v4, v8, v12, 16, 63)
+	v1, v5, v9, v13 = blamka(v1, v5, v9, v13, 32, 24)
+	v1, v5, v9, v13 = blamka(v1, v5, v9, v13, 16, 63)
+	v2, v6, v10, v14 = blamka(v2, v6, v10, v14, 32, 24)
+	v2, v6, v10, v14 = blamka(v2, v6, v10, v14, 16, 63)
+	v3, v7, v11, v15 = blamka(v3, v7, v11, v15, 32, 24)
+	v3, v7, v11, v15 = blamka(v3, v7, v11, v15, 16, 63)
+	v0, v5, v10, v15 = blamka(v0, v5, v10, v15, 32, 24)
+	v0, v5, v10, v15 = blamka(v0, v5, v10, v15, 16, 63)
+	v1, v6, v11, v12 = blamka(v1, v6, v11, v12, 32, 24)
+	v1, v6, v11, v12 = blamka(v1, v6, v11, v12, 16, 63)
+	v2, v7, v8, v13 = blamka(v2, v7, v8, v13, 32, 24)
+	v2, v7, v8, v13 = blamka(v2, v7, v8, v13, 16, 63)
+	v3, v4, v9, v14 = blamka(v3, v4, v9, v14, 32, 24)
+	v3, v4, v9, v14 = blamka(v3, v4, v9, v14, 16, 63)
+	t[0], t[1], t[16], t[17], t[32], t[33], t[48], t[49] = v0, v1, v2, v3, v4, v5, v6, v7
+	t[64], t[65], t[80], t[81], t[96], t[97], t[112], t[113] = v8, v9, v10, v11, v12, v13, v14, v15
 }
 
-func rotr64(v uint64, n uint) uint64 { return v>>n | v<<(64-n) }
+// blamka is half of BLAKE2b's G with each addition a + b replaced by
+// a + b + 2·lo32(a)·lo32(b) (RFC 9106 §3.6); G is blamka with rotations
+// 32 and 24, then again with 16 and 63. Halves keep it inlinable.
+func blamka(a, b, c, d uint64, r1, r2 int) (uint64, uint64, uint64, uint64) {
+	a += b + 2*uint64(uint32(a))*uint64(uint32(b))
+	d = bits.RotateLeft64(d^a, -r1)
+	c += d + 2*uint64(uint32(c))*uint64(uint32(d))
+	b = bits.RotateLeft64(b^c, -r2)
+	return a, b, c, d
+}
 
 // extractKey folds each lane's final block together and H'-hashes the
 // result to the key length (§3.6).
