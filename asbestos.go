@@ -48,7 +48,7 @@
 //     Figure 4, and event processes (§6)
 //   - internal/evloop — the shared sharded event-loop runtime the trusted
 //     services run on (capped burst dispatch, reply batching, cross-shard
-//     forwarding, delivery release)
+//     forwarding)
 //   - internal/netd, internal/db, internal/dbproxy, internal/idd,
 //     internal/fs — the userspace servers of Figure 1
 //   - internal/okws — the OK Web server (§7)
@@ -113,10 +113,7 @@ type Mailbox = kernel.Mailbox
 type SendOpts = kernel.SendOpts
 
 // Delivery is a received message: payload plus the sender's verification
-// label. The payload buffer is kernel-pooled — a receiver done with it may
-// call Release to recycle it (the trusted event loops do, per handler),
-// Detach to take ownership, or simply drop the Delivery and let the
-// garbage collector have it.
+// label. The payload is the receiver's own, to keep as long as it likes.
 type Delivery = kernel.Delivery
 
 // BatchEntry is one message of a SendBatch; Batcher accumulates messages

@@ -91,8 +91,7 @@ func BenchmarkFig7Throughput(b *testing.B) {
 // the entry that sharded the trusted event loops N-way. On ≥4 cores the
 // fully sharded stack should deliver well over 1.5× the serial figure,
 // since neither the kernel monitor nor any single trusted event loop
-// serializes the request stream. allocs/op quantifies the
-// Delivery.Release payload recycling.
+// serializes the request stream.
 func BenchmarkFig7ThroughputParallel(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	shardCounts := []int{1, workers}
@@ -188,47 +187,6 @@ func BenchmarkFig7TransportAB(b *testing.B) {
 	}
 	b.ReportMetric(row.Simulated.ConnsPerSec, "conns/sec_simulated")
 	b.ReportMetric(row.TCP.ConnsPerSec, "conns/sec_tcp")
-}
-
-// BenchmarkDeliveryLifecycle isolates the Delivery.Release payload
-// recycling the trusted event loops ride on: one sender spraying a port,
-// the receiver either releasing each delivery (the evloop discipline —
-// the payload buffer circulates through the kernel pool) or dropping it
-// unreleased (the pre-lifecycle behaviour — every send allocates a fresh
-// copy). The allocs/op delta is the per-delivery payload allocation the
-// lifecycle eliminates.
-func BenchmarkDeliveryLifecycle(b *testing.B) {
-	for _, release := range []bool{false, true} {
-		name := "no-release"
-		if release {
-			name = "release"
-		}
-		b.Run(name, func(b *testing.B) {
-			sys := kernel.NewSystem(kernel.WithSeed(7))
-			rx := sys.NewProcess("rx")
-			inbox := rx.Open(nil)
-			if err := inbox.SetLabel(label.Empty(label.L3)); err != nil {
-				b.Fatal(err)
-			}
-			tx := sys.NewProcess("tx")
-			out := tx.Port(inbox.Handle())
-			payload := make([]byte, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := out.Send(payload, nil); err != nil {
-					b.Fatal(err)
-				}
-				d, err := rx.TryRecv()
-				if err != nil || d == nil {
-					b.Fatalf("lost delivery: %v %v", d, err)
-				}
-				if release {
-					d.Release()
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSendBatch measures the amortization the batched-send syscall
@@ -463,9 +421,7 @@ func BenchmarkLoginPath(b *testing.B) {
 			if err != nil || d == nil {
 				b.Fatalf("add user: %v", err)
 			}
-			ok := idd.ParseAddUserReply(d)
-			d.Release()
-			if !ok {
+			if !idd.ParseAddUserReply(d) {
 				b.Fatalf("add %s rejected", user)
 			}
 		}
@@ -482,7 +438,6 @@ func BenchmarkLoginPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			_, gotTok, ok := idd.ParseLoginReply(d)
-			d.Release()
 			if gotTok != tok {
 				continue // stale deferred verdict from an earlier lockout
 			}

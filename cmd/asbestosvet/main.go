@@ -1,31 +1,25 @@
 // Command asbestosvet is the kernel-invariant analyzer suite: a vet tool
 // (usable via `go vet -vettool=$(which asbestosvet)` or directly as
-// `asbestosvet ./...`) enforcing the repo's IPC, payload-lifecycle and
-// privilege contracts at compile time:
+// `asbestosvet ./...`) enforcing the repo's privilege and IPC contracts at
+// compile time:
 //
-//	releasecheck  every received *kernel.Delivery reaches Release/Detach
 //	privdrop      every star-level Grant is paired with DropPrivilege
-//	retaincheck   evloop handlers don't retain the borrowed payload
 //	ctxrecv       blocking receives take a cancellable context
 //
-// The contracts themselves are stated in the kernel and evloop package
-// docs; each analyzer's Doc (see `asbestosvet help`) names its sanctioned
-// escapes and waiver syntax.
+// The contracts themselves are stated in the kernel package doc; each
+// analyzer's Doc (see `asbestosvet help`) names its sanctioned escapes and
+// waiver syntax.
 package main
 
 import (
 	"asbestos/internal/analyzers/ctxrecv"
 	"asbestos/internal/analyzers/privdrop"
-	"asbestos/internal/analyzers/releasecheck"
-	"asbestos/internal/analyzers/retaincheck"
 	"asbestos/internal/analyzers/unitchecker"
 )
 
 func main() {
 	unitchecker.Main(
-		releasecheck.Analyzer,
 		privdrop.Analyzer,
-		retaincheck.Analyzer,
 		ctxrecv.Analyzer,
 	)
 }

@@ -27,8 +27,6 @@ func main() {
 	stranger.Port(service.Handle()).Send([]byte("knock knock"), nil)
 	if d, _ := service.TryRecv(); d == nil {
 		fmt.Println("stranger -> service: DROPPED (no capability)")
-	} else {
-		d.Release() // not expected, but a received delivery is always owned
 	}
 
 	// The owner mints a capability: DS = {service ⋆, 3} sent to a friend.
@@ -36,29 +34,23 @@ func main() {
 	fPort := friend.Open(nil)
 	fPort.SetLabel(asbestos.EmptyLabel(asbestos.L3))
 	owner.Port(fPort.Handle()).Send(nil, &asbestos.SendOpts{DecontSend: asbestos.Grant(service.Handle())})
-	if d, _ := fPort.TryRecv(); d != nil {
-		d.Release() // the grant rides the label; the payload pool still wants its buffer back
-	}
+	fPort.TryRecv() // the grant rides the label; the payload is empty
 	// The friend holds the capability now; a cached endpoint reuses the
 	// resolved route for every later send.
 	friendToService := friend.Port(service.Handle())
 	friendToService.Send([]byte("hi, it's friend"), nil)
 	d, _ := service.TryRecv()
 	fmt.Printf("friend -> service: %q (capability granted)\n", d.Data)
-	d.Release()
 
 	// Capabilities re-delegate: friend forwards the right to delegate.
 	delegate := sys.NewProcess("delegate")
 	dPort := delegate.Open(nil)
 	dPort.SetLabel(asbestos.EmptyLabel(asbestos.L3))
 	friend.Port(dPort.Handle()).Send(nil, &asbestos.SendOpts{DecontSend: asbestos.Grant(service.Handle())})
-	if d, _ := dPort.TryRecv(); d != nil {
-		d.Release()
-	}
+	dPort.TryRecv()
 	delegate.Port(service.Handle()).Send([]byte("hello from delegate"), nil)
 	d, _ = service.TryRecv()
 	fmt.Printf("delegate -> service: %q (re-delegation works)\n", d.Data)
-	d.Release()
 
 	// The mail-reader pattern (§5.5): a port label of {2} refuses tainted
 	// senders outright, keeping the receiver's labels clean.
@@ -71,7 +63,6 @@ func main() {
 	toInbox.Send([]byte("clean attachment output"), nil)
 	d, _ = inbox.TryRecv()
 	fmt.Printf("clean attachment -> inbox: %q\n", d.Data)
-	d.Release()
 
 	tainter := sys.NewProcess("tainter")
 	hT := tainter.NewHandle()
@@ -79,8 +70,6 @@ func main() {
 	toInbox.Send([]byte("now compromised"), nil)
 	if d, _ := inbox.TryRecv(); d == nil {
 		fmt.Println("compromised attachment -> inbox: DROPPED by port label")
-	} else {
-		d.Release()
 	}
 	fmt.Printf("mail reader's send label stayed clean: %v\n", mail.SendLabel())
 
@@ -91,5 +80,4 @@ func main() {
 	defer cancel()
 	d, from, _ := asbestos.Select(ctx, inbox, service)
 	fmt.Printf("Select woke on port %v with %q\n", from.Handle(), d.Data)
-	d.Release()
 }

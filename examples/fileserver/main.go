@@ -38,40 +38,30 @@ func main() {
 
 	ownerV := asbestos.NewLabel(asbestos.L3, asbestos.Entry{H: uid.UG, L: asbestos.L0})
 	asbestos.FileCreate(uFS, "/home/u/secret.txt", "u", ur.Handle(), ownerV)
-	if d, _ := ur.Recv(ctx); d != nil {
-		d.Release()
-	}
+	ur.Recv(ctx)
 	asbestos.FileWrite(uFS, "/home/u/secret.txt", []byte("u's diary"), ur.Handle(), ownerV)
-	if d, _ := ur.Recv(ctx); d != nil {
-		d.Release()
-	}
+	ur.Recv(ctx)
 	fmt.Println("u created and wrote /home/u/secret.txt (proved uG 0)")
 
 	// v tries to read u's file: the tainted reply cannot reach v.
 	asbestos.FileRead(vFS, "/home/u/secret.txt", vr.Handle())
 	if d, _ := vr.TryRecv(); d == nil {
 		fmt.Println("v's read of u's file: reply DROPPED (no clearance for u's taint)")
-	} else {
-		d.Release()
 	}
 
 	// v tries to overwrite it: the server demands a speaks-for proof.
 	asbestos.FileWrite(vFS, "/home/u/secret.txt", []byte("defaced"), vr.Handle(), asbestos.EmptyLabel(asbestos.L3))
 	d, _ := vr.Recv(ctx)
 	fmt.Printf("v's write without proof: accepted=%v\n", asbestos.ParseFileWriteReply(d))
-	d.Release()
 
 	// u grants v clearance to read (decentralized: no administrator).
 	clear := v.Open(nil)
 	clear.SetLabel(asbestos.EmptyLabel(asbestos.L3))
 	u.Port(clear.Handle()).Send(nil, &asbestos.SendOpts{DecontRecv: asbestos.AllowRecv(asbestos.L3, uid.UT)})
-	if d, _ := clear.TryRecv(); d != nil {
-		d.Release()
-	}
+	clear.TryRecv()
 	asbestos.FileRead(vFS, "/home/u/secret.txt", vr.Handle())
 	d, _ = vr.Recv(ctx)
-	data, _ := asbestos.ParseFileReadReply(d) // copies: wire.Reader.Bytes duplicates the payload
-	d.Release()
+	data, _ := asbestos.ParseFileReadReply(d)
 	fmt.Printf("after u grants clearance, v reads: %q\n", data)
 	fmt.Printf("v's send label now carries the taint: %v\n", v.SendLabel())
 
@@ -83,8 +73,6 @@ func main() {
 	v.Port(op.Handle()).Send(data, nil)
 	if d, _ := op.TryRecv(); d == nil {
 		fmt.Println("v -> outsider: DROPPED (transitive confinement)")
-	} else {
-		d.Release()
 	}
 
 	// System-file integrity: netd is marked sysH 2 and cannot pass the
@@ -97,7 +85,5 @@ func main() {
 	asbestos.FileWrite(netd.Port(srv.Port()), "/etc/motd", []byte("pwned"), nr.Handle(), sysV)
 	if d, _ := nr.TryRecv(); d == nil {
 		fmt.Println("network daemon's system-file write: DROPPED (mandatory integrity)")
-	} else {
-		d.Release()
 	}
 }

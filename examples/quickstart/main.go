@@ -42,7 +42,6 @@ func main() {
 	defer cancel()
 	d, _ := inbox.Recv(ctx)
 	fmt.Printf("bob received:         %q\n", d.Data)
-	d.Release() // deliveries borrow a pooled buffer: release when done
 	fmt.Printf("bob's send label:     %v  <- tainted by the kernel\n", bob.SendLabel())
 
 	// Carol is an ordinary process. Tainted bob cannot reach her: the
@@ -53,15 +52,12 @@ func main() {
 	bob.Port(cInbox.Handle()).Send([]byte("leaked plans"), nil)
 	if d, _ := cInbox.TryRecv(); d == nil {
 		fmt.Println("bob -> carol:         DROPPED (information flow blocked)")
-	} else {
-		d.Release()
 	}
 
 	// Alice, holding ⋆, can declassify: she forwards the data untainted.
 	alice.Port(cInbox.Handle()).Send([]byte("sanitized plans"), nil)
 	if d, _ := cInbox.TryRecv(); d != nil {
 		fmt.Printf("alice -> carol:       %q (owner declassifies)\n", d.Data)
-		d.Release()
 	}
 	fmt.Printf("kernel drop counter:  %d\n", sys.Drops())
 }

@@ -57,8 +57,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file. The asbestosvet
 // contracts bind production code; tests exercise deliberate violations
-// (leaked payloads to assert pool gaps, Background receives under a test
-// deadline) and are exempt wholesale.
+// (unpaired ⋆ grants, Background receives under a test deadline) and are
+// exempt wholesale.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")

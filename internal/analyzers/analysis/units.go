@@ -18,14 +18,6 @@ type FuncUnit struct {
 	Body *ast.BlockStmt
 }
 
-// Node returns the unit's syntax node (for position/scope queries).
-func (u FuncUnit) Node() ast.Node {
-	if u.Decl != nil {
-		return u.Decl
-	}
-	return u.Lit
-}
-
 // FuncUnits lists every function body in the file: declarations first,
 // then each closure (at any nesting depth) as its own unit.
 func FuncUnits(file *ast.File) []FuncUnit {

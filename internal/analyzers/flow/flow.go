@@ -1,23 +1,16 @@
-// Package flow is the shared control-flow engine behind the asbestosvet
-// analyzers: a structural all-paths obligation checker over Go syntax.
+// Package flow is the control-flow engine behind asbestosvet's privdrop
+// analyzer: a structural all-paths obligation checker over Go syntax.
 //
-// The repo's resource contracts all have the same shape — "once X happens,
-// Y must happen on every path before the function exits": a Delivery drawn
-// from the payload pool must reach Release/Detach (releasecheck), a
-// ⋆-grant must be paired with DropPrivilege (privdrop). Tracker encodes
-// that shape once. It walks a function body as structured control flow
+// The contract it checks has the shape "once X happens, Y must happen on
+// every path before the function exits": a ⋆-grant must be paired with
+// DropPrivilege. Tracker walks a function body as structured control flow
 // (if/for/range/switch/select/defer, labeled break/continue), carrying a
 // per-path obligation state, and reports every exit a live obligation can
 // escape through — the "which resource escaped on which path" view a CFG
 // gives, computed directly on the AST since Go's statement structure (goto
 // aside; functions using goto are skipped conservatively) is already a
-// reducible CFG.
-//
-// Path sensitivity is limited to the guards that matter for these APIs:
-// `err != nil` / `res == nil` comparisons (and their &&/||/! compositions)
-// kill the obligation on branches where the resource provably does not
-// exist — the standard `d, err := Recv(); if err != nil { return }` prologue
-// is clean without annotations.
+// reducible CFG. Returning the resource, or storing it into a field,
+// element, global, channel or goroutine, hands the obligation on.
 package flow
 
 import (
@@ -40,13 +33,6 @@ type Tracker struct {
 	Info *types.Info
 	Res  Resource
 
-	// Err is the companion error variable from the acquiring assignment
-	// (nil if none): `err != nil` branches are treated as resource-absent.
-	Err types.Object
-	// Nilable enables `res == nil` guard recognition (receive APIs return
-	// nil deliveries; handles are values and never nil).
-	Nilable bool
-
 	// Start is the acquisition node: the obligation activates when it
 	// executes. A Start inside a loop body re-activates per iteration, and
 	// an obligation still live at the body's end is reported there (the
@@ -55,23 +41,14 @@ type Tracker struct {
 	Start ast.Node
 
 	// Satisfies reports whether a call discharges the obligation outright
-	// (d.Release(), proc.DropPrivilege(res, ...), a same-package callee
-	// summarized as always-discharging its parameter).
+	// (proc.DropPrivilege(res, ...), a same-package callee summarized as
+	// always-discharging its parameter).
 	Satisfies func(call *ast.CallExpr) bool
 
-	// EscapeDischarges treats storing the resource into a field, element,
-	// global, channel or goroutine as an ownership transfer.
-	EscapeDischarges bool
 	// EscapeExempt marks calls whose arguments do not count as escaping
 	// mentions: privdrop exempts kernel.Grant itself, so assigning the
 	// grant's *label* into a struct is not mistaken for storing the handle.
 	EscapeExempt func(call *ast.CallExpr) bool
-	// ReturnDischarges treats returning the resource as handing the
-	// obligation to the caller.
-	ReturnDischarges bool
-	// DynamicCallDischarges treats passing the resource to a func-value
-	// call (handler/yield invocation) as a transfer.
-	DynamicCallDischarges bool
 
 	leaks []Leak
 }
@@ -227,19 +204,16 @@ func (w *walker) stmt(s ast.Stmt, st *state) result {
 			r := w.stmt(s.Init, st)
 			st = r.fall
 		}
-		// Calls in the condition can discharge (`if !yield(d) { return }`).
+		// Calls in the condition can discharge.
 		w.scanCalls(s.Cond, st)
-		thenSt, elseSt := w.guard(s.Cond, st)
 		var res result
-		rThen := w.stmt(s.Body, clone(thenSt))
+		rThen := w.stmt(s.Body, clone(st))
 		res.absorb(rThen)
-		var elseFall *state
+		elseFall := st
 		if s.Else != nil {
-			rElse := w.stmt(s.Else, clone(elseSt))
+			rElse := w.stmt(s.Else, clone(st))
 			res.absorb(rElse)
 			elseFall = rElse.fall
-		} else {
-			elseFall = elseSt
 		}
 		res.fall = merge(rThen.fall, elseFall)
 		return res
@@ -262,14 +236,14 @@ func (w *walker) stmt(s ast.Stmt, st *state) result {
 			r := w.stmt(s.Init, st)
 			st = r.fall
 		}
-		return w.switchBody(s.Body, st, s.Tag == nil)
+		return w.switchBody(s.Body, st)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			r := w.stmt(s.Init, st)
 			st = r.fall
 		}
-		return w.switchBody(s.Body, st, false)
+		return w.switchBody(s.Body, st)
 
 	case *ast.SelectStmt:
 		var res result
@@ -301,11 +275,9 @@ func (w *walker) stmt(s ast.Stmt, st *state) result {
 	case *ast.ReturnStmt:
 		w.scanEvents(s, st)
 		if st != nil && st.live {
-			if w.t.ReturnDischarges {
-				for _, e := range s.Results {
-					if w.carries(e) {
-						return result{}
-					}
+			for _, e := range s.Results {
+				if w.carries(e) {
+					return result{}
 				}
 			}
 			w.exit(st, s.Pos(), "return")
@@ -340,7 +312,7 @@ func (w *walker) stmt(s ast.Stmt, st *state) result {
 
 	case *ast.GoStmt:
 		w.activateIfStart(s, st)
-		if st != nil && st.live && w.t.EscapeDischarges && w.mentions(s.Call) {
+		if st != nil && st.live && w.mentions(s.Call) {
 			st = &state{live: false}
 		}
 		return result{fall: st}
@@ -434,12 +406,10 @@ func (w *walker) loop(st *state, body *ast.BlockStmt, mayskip bool, loopNode ast
 	return res
 }
 
-// switchBody walks switch cases; condSwitch applies guard analysis to the
-// case expressions of an untagged switch.
-func (w *walker) switchBody(body *ast.BlockStmt, st *state, condSwitch bool) result {
+// switchBody walks switch cases.
+func (w *walker) switchBody(body *ast.BlockStmt, st *state) result {
 	var res result
 	var fall *state    // merged normal completions
-	chain := clone(st) // state on the "no case matched yet" path
 	var ftState *state // fallthrough into the next case
 	hasDefault := false
 	for _, c := range body.List {
@@ -447,18 +417,7 @@ func (w *walker) switchBody(body *ast.BlockStmt, st *state, condSwitch bool) res
 		if !ok {
 			continue
 		}
-		entry := clone(chain)
-		if condSwitch && len(cc.List) > 0 {
-			var caseSt *state
-			next := chain
-			for _, cond := range cc.List {
-				thenSt, elseSt := w.guard(cond, next)
-				caseSt = merge(caseSt, thenSt)
-				next = elseSt
-			}
-			entry = caseSt
-			chain = next
-		}
+		entry := clone(st)
 		if len(cc.List) == 0 {
 			hasDefault = true
 		}
@@ -474,7 +433,7 @@ func (w *walker) switchBody(body *ast.BlockStmt, st *state, condSwitch bool) res
 	}
 	fall = merge(fall, ftState)
 	if !hasDefault {
-		fall = merge(fall, chain) // nothing matched
+		fall = merge(fall, st) // nothing matched
 	}
 	fall = merge(fall, res.brk[""])
 	delete(res.brk, "")
@@ -527,13 +486,12 @@ func (w *walker) scanEvents(s ast.Stmt, st *state) {
 
 	// Escape stores: the resource value moving into a field, element,
 	// global or channel is an ownership transfer.
-	if w.t.EscapeDischarges && w.escapes(s) {
+	if w.escapes(s) {
 		st.live = false
 	}
 }
 
-// scanCalls clears the obligation if any call under n discharges it:
-// a Satisfies match, or the resource handed to a func-value call.
+// scanCalls clears the obligation if any call under n discharges it.
 func (w *walker) scanCalls(n ast.Node, st *state) {
 	if n == nil || st == nil || !st.live {
 		return
@@ -551,10 +509,6 @@ func (w *walker) scanCalls(n ast.Node, st *state) {
 				done = true
 				return false
 			}
-			if w.t.DynamicCallDischarges && w.isDynamic(x) && w.argMentions(x) {
-				done = true
-				return false
-			}
 		}
 		return true
 	})
@@ -564,8 +518,8 @@ func (w *walker) scanCalls(n ast.Node, st *state) {
 }
 
 // deferSatisfies reports whether a deferred call discharges: either
-// directly (defer d.Release()) or via a closure that contains a
-// discharging call (defer func() { ...; d.Release() }()).
+// directly (defer p.DropPrivilege(h, l)) or via a closure that contains a
+// discharging call (defer func() { ...; p.DropPrivilege(h, l) }()).
 func (w *walker) deferSatisfies(call *ast.CallExpr) bool {
 	if w.t.Satisfies != nil && w.t.Satisfies(call) {
 		return true
@@ -603,7 +557,7 @@ func (w *walker) escapes(s ast.Stmt) bool {
 			return false
 		}
 		for _, l := range s.Lhs {
-			if EscapingTarget(w.t.Info, l) {
+			if escapingTarget(w.t.Info, l) {
 				return true
 			}
 		}
@@ -611,13 +565,13 @@ func (w *walker) escapes(s ast.Stmt) bool {
 	return false
 }
 
-// EscapingTarget reports whether an assignment target lets the value
+// escapingTarget reports whether an assignment target lets the value
 // outlive the enclosing function's locals: a field, element, pointer
 // dereference, or package-level variable. (Identifiers captured from an
 // enclosing function count only when analyzing a closure body — the
 // caller decides by passing the closure's scope; here package scope is
 // the conservative line.)
-func EscapingTarget(info *types.Info, lhs ast.Expr) bool {
+func escapingTarget(info *types.Info, lhs ast.Expr) bool {
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		return true
@@ -635,116 +589,6 @@ func EscapingTarget(info *types.Info, lhs ast.Expr) bool {
 	return false
 }
 
-// guard splits st by a branch condition, recognizing resource-absence
-// tests: res == nil, err != nil and their compositions kill the obligation
-// on the matching branch.
-func (w *walker) guard(cond ast.Expr, st *state) (thenSt, elseSt *state) {
-	if st == nil {
-		return nil, nil
-	}
-	dead := &state{live: false}
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.EQL, token.NEQ:
-			if kill, ok := w.nilTest(c); ok {
-				if (c.Op == token.EQL) == kill.absentWhenEqual {
-					return dead, clone(st)
-				}
-				return clone(st), dead
-			}
-			// `err == ErrDead` (a specific sentinel): equality implies err
-			// is non-nil, so the resource is absent on the then branch.
-			if c.Op == token.EQL && w.errSentinelTest(c) {
-				return dead, clone(st)
-			}
-		case token.LAND:
-			// then: both conjuncts true; else: a false, or a true and b
-			// false — dead only if both else-sides are.
-			tA, eA := w.guard(c.X, st)
-			tB, eB := w.guard(c.Y, tA)
-			return tB, merge(eA, eB)
-		case token.LOR:
-			// then: a true, or a false and b true — dead only if both
-			// then-sides are (`err != nil || d == nil` guards this way).
-			tA, eA := w.guard(c.X, st)
-			tB, eB := w.guard(c.Y, eA)
-			return merge(tA, tB), eB
-		}
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			t, e := w.guard(c.X, st)
-			return e, t
-		}
-	}
-	return clone(st), clone(st)
-}
-
-type nilKill struct {
-	// absentWhenEqual: `x == nil` means the resource is absent (res
-	// compared to nil). For `err == nil` absence is on the NOT-equal side.
-	absentWhenEqual bool
-}
-
-func (w *walker) nilTest(c *ast.BinaryExpr) (nilKill, bool) {
-	x, y := ast.Unparen(c.X), ast.Unparen(c.Y)
-	if isNil(w.t.Info, y) {
-		return w.nilOperand(x)
-	}
-	if isNil(w.t.Info, x) {
-		return w.nilOperand(y)
-	}
-	return nilKill{}, false
-}
-
-func (w *walker) nilOperand(e ast.Expr) (nilKill, bool) {
-	if w.t.Nilable && w.isRes(e) {
-		return nilKill{absentWhenEqual: true}, true
-	}
-	if w.t.Err != nil {
-		if id, ok := e.(*ast.Ident); ok && w.t.Info.Uses[id] == w.t.Err {
-			return nilKill{absentWhenEqual: false}, true
-		}
-	}
-	return nilKill{}, false
-}
-
-// errSentinelTest reports whether c compares the companion error variable
-// against a non-nil error-typed expression.
-func (w *walker) errSentinelTest(c *ast.BinaryExpr) bool {
-	if w.t.Err == nil {
-		return false
-	}
-	x, y := ast.Unparen(c.X), ast.Unparen(c.Y)
-	isErrVar := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && w.t.Info.Uses[id] == w.t.Err
-	}
-	other := ast.Expr(nil)
-	switch {
-	case isErrVar(x):
-		other = y
-	case isErrVar(y):
-		other = x
-	default:
-		return false
-	}
-	if isNil(w.t.Info, other) {
-		return false
-	}
-	tv, ok := w.t.Info.Types[other]
-	return ok && types.Identical(tv.Type, types.Universe.Lookup("error").Type())
-}
-
-func isNil(info *types.Info, e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNilConst := info.Uses[id].(*types.Nil)
-	return isNilConst || id.Name == "nil"
-}
-
 // isRes reports whether e denotes the tracked resource.
 func (w *walker) isRes(e ast.Expr) bool {
 	return MatchResource(w.t.Info, w.t.Res, e)
@@ -753,8 +597,8 @@ func (w *walker) isRes(e ast.Expr) bool {
 // carries reports whether a returned expression hands the resource itself
 // to the caller: the resource, its address, or a composite literal
 // embedding it. A call taking the resource as an argument does NOT carry
-// it — `return parse(d)` returns parse's result, and d still leaks (the
-// original adminExec payload-leak shape).
+// it — `return send(h)` returns send's result, and the ⋆ for h is still
+// held.
 func (w *walker) carries(e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if w.isRes(e) {
@@ -811,46 +655,6 @@ func (w *walker) mentions(n ast.Node) bool {
 		return !found
 	})
 	return found
-}
-
-// argMentions reports whether any argument of the call mentions the
-// resource.
-func (w *walker) argMentions(call *ast.CallExpr) bool {
-	for _, a := range call.Args {
-		if w.mentions(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// isDynamic reports whether the call invokes a func value rather than a
-// declared function/method (handler tables, yield callbacks).
-func (w *walker) isDynamic(call *ast.CallExpr) bool {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj := w.t.Info.Uses[f]
-		if obj == nil {
-			return false
-		}
-		if _, isFunc := obj.(*types.Func); isFunc {
-			return false
-		}
-		if _, isVar := obj.(*types.Var); isVar {
-			return true // func-typed variable or parameter
-		}
-		return false
-	case *ast.SelectorExpr:
-		if sel := w.t.Info.Selections[f]; sel != nil {
-			_, isVar := sel.Obj().(*types.Var)
-			return isVar // func-typed field
-		}
-		if obj := w.t.Info.Uses[f.Sel]; obj != nil {
-			_, isVar := obj.(*types.Var)
-			return isVar
-		}
-	}
-	return false
 }
 
 // MatchResource reports whether e denotes res: the identifier resolving to

@@ -116,8 +116,6 @@ func dropSummaries(pass *analysis.Pass) map[*types.Func][]bool {
 					Satisfies: func(call *ast.CallExpr) bool {
 						return isDropCall(pass.TypesInfo, call, res)
 					},
-					EscapeDischarges: true,
-					ReturnDischarges: true,
 				}
 				ok := len(t.Check(fd.Body)) == 0
 				flags = append(flags, ok)
@@ -201,8 +199,6 @@ func checkUnit(pass *analysis.Pass, unit analysis.FuncUnit, sums map[*types.Func
 					return flow.MatchResource(info, site.res, e)
 				})
 			},
-			EscapeDischarges: true,
-			ReturnDischarges: true,
 			EscapeExempt: func(call *ast.CallExpr) bool {
 				return isGrantCall(info, call)
 			},

@@ -11,23 +11,11 @@ import (
 	"asbestos/internal/label"
 )
 
-type kernelError string
-
-func (e kernelError) Error() string { return string(e) }
-
-// ErrDead mirrors the real package's sentinel for receives from dead
-// processes.
-var ErrDead error = kernelError("process dead")
-
 type Delivery struct {
 	Port handle.Handle
 	Data []byte
 	V    *label.Label
 }
-
-func (d *Delivery) Release() {}
-
-func (d *Delivery) Detach() []byte { return nil }
 
 type SendOpts struct {
 	DecontSend  *label.Label
@@ -42,15 +30,11 @@ func (p *Process) RecvCtx(ctx context.Context, filter ...handle.Handle) (*Delive
 	return nil, nil
 }
 
-func (p *Process) TryRecv(filter ...handle.Handle) (*Delivery, error) { return nil, nil }
-
 func (p *Process) DropPrivilege(h handle.Handle, lvl label.Level) error { return nil }
 
 func (p *Process) Open(l *label.Label) *Port { return nil }
 
 func (p *Process) Port(h handle.Handle) *Port { return nil }
-
-func (p *Process) NewHandle() handle.Handle { return 0 }
 
 type Port struct{ _ [0]byte }
 
@@ -66,27 +50,13 @@ type Mailbox struct{ _ [0]byte }
 
 func (m *Mailbox) Recv(ctx context.Context) (*Delivery, error) { return nil, nil }
 
-func (m *Mailbox) TryRecv() (*Delivery, error) { return nil, nil }
-
 func (m *Mailbox) Handle() handle.Handle { return 0 }
-
-// Drain yields deliveries; spelled as a plain iterator func so the stub
-// needs no iter import while still supporting range-over-func.
-func (m *Mailbox) Drain() func(func(*Delivery) bool) {
-	return func(yield func(*Delivery) bool) {}
-}
 
 type Batcher struct{ _ [0]byte }
 
 func (b *Batcher) DropAfter(h handle.Handle) {}
 
-func (b *Batcher) Add(to handle.Handle, msg []byte, opts *SendOpts) {}
-
 func Grant(hs ...handle.Handle) *label.Label { return nil }
-
-func Taint(lvl label.Level, hs ...handle.Handle) *label.Label { return nil }
-
-func AllowRecv(lvl label.Level, hs ...handle.Handle) *label.Label { return nil }
 
 func Select(ctx context.Context, ports ...*Port) (*Delivery, *Port, error) {
 	return nil, nil, nil

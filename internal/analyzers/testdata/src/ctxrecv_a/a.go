@@ -60,8 +60,5 @@ func reassigned(outer context.Context, pt *kernel.Port, retry bool) {
 
 // TryRecv never blocks; no context, nothing to check.
 func nonBlocking(pt *kernel.Port) {
-	d, _ := pt.TryRecv()
-	if d != nil {
-		d.Release()
-	}
+	pt.TryRecv()
 }

@@ -26,8 +26,8 @@
 // servers and is otherwise equivalent.)
 //
 // The proxy's replicas run on the shared internal/evloop runtime (capped
-// burst draining, delivery release, ctx-driven stop — see the evloop
-// package doc for its ownership and Release rules); each replica registers
+// burst draining, ctx-driven stop — see the evloop package doc for its
+// ownership rules); each replica registers
 // just its worker- and admin-port handlers.
 package dbproxy
 

@@ -2,9 +2,9 @@
 // trusted Asbestos services (ok-demux, netd, ok-dbproxy, idd, fsd). Each
 // of them used to hand-roll the same ~200-line loop — drain a Mailbox
 // burst, dispatch by port, flush a Batcher, forward cross-shard work;
-// evloop owns that skeleton once, so loop behaviour (the burst cap, payload
-// lifecycle, empty-payload tolerance, shard forwarding, ctx-driven stop)
-// can be stated once and tested once.
+// evloop owns that skeleton once, so loop behaviour (the burst cap,
+// empty-payload tolerance, shard forwarding, ctx-driven stop) can be stated
+// once and tested once.
 //
 // A Group runs Config.Shards independent loops. Each Shard is its own
 // kernel process with exclusively-owned state: the service registers port
@@ -29,20 +29,10 @@
 //     buffered message needs must be shed via Out().DropAfter, never
 //     directly (the Batcher contract).
 //
-// # Release rules
+// # Payloads
 //
-// The loop releases every delivery after its handler returns
-// (kernel.Delivery.Release), returning the payload buffer to the kernel's
-// pool — this is what makes the trusted services allocation-free per
-// delivered payload. A handler that retains d.Data bytes past its own
-// return must copy them (wire.Reader.Bytes already copies) or take
-// ownership with d.Detach(); retaining the slice without either is a
-// use-after-release bug, and the kernel's detector panics on the double
-// releases that usually accompany one. The no-retain rule is normative and
-// machine-checked: asbestosvet's retaincheck analyzer resolves the handler
-// behind every Handle/HandleForward/HandleDefault registration and flags
-// any statement that lets the delivery or a payload alias outlive the
-// handler call.
+// A delivery's bytes are the handler's own: it may keep d.Data, or any
+// slice of it, as long as it likes.
 //
 // # Timers
 //
@@ -78,8 +68,7 @@
 // under a microsecond.
 //
 // A panicking handler — port or timer — does not kill the shard: the loop
-// recovers, counts the event (Group.HandlerPanics), releases the delivery
-// and keeps draining.
+// recovers, counts the event (Group.HandlerPanics) and keeps draining.
 //
 // # Burst cap
 //
@@ -107,8 +96,7 @@ import (
 	"asbestos/internal/stats"
 )
 
-// Handler consumes one delivery. The payload is released when the handler
-// returns; see the package comment's release rules.
+// Handler consumes one delivery.
 type Handler func(d *kernel.Delivery)
 
 // Config configures a Group.
@@ -138,7 +126,7 @@ type Group struct {
 	cancel context.CancelFunc
 
 	// panics counts handler panics the loops recovered from (see
-	// dispatchRelease): one malformed message must not kill a
+	// dispatchRecover): one malformed message must not kill a
 	// trusted-service shard.
 	panics stats.Counter
 }
@@ -359,10 +347,10 @@ func (s *Shard) run() {
 		}
 		if d != nil {
 			stop := prof.Time(s.g.cfg.Category)
-			s.dispatchRelease(d)
+			s.dispatchRecover(d)
 			n := 1
 			for d := range s.mbox.Drain() {
-				s.dispatchRelease(d)
+				s.dispatchRecover(d)
 				if n++; n >= BurstCap {
 					break
 				}
@@ -380,13 +368,10 @@ func (s *Shard) run() {
 	}
 }
 
-// dispatchRelease dispatches one delivery and releases it, surviving a
-// panicking handler: the panic is recovered and counted first, then the
-// release runs regardless (defer order), so a poisoned message can
-// neither kill the shard nor leak its payload. A panic out of Release
-// itself (a double-release bug) still propagates.
-func (s *Shard) dispatchRelease(d *kernel.Delivery) {
-	defer d.Release()
+// dispatchRecover dispatches one delivery, surviving a panicking handler:
+// the panic is recovered and counted, so a poisoned message cannot kill
+// the shard.
+func (s *Shard) dispatchRecover(d *kernel.Delivery) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.g.panics.Add(1)

@@ -1,6 +1,7 @@
 package evloop
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -56,7 +57,7 @@ func TestDispatchForwardFlushOrdering(t *testing.T) {
 	}
 
 	openTo(s0, func(d *kernel.Delivery) {
-		// Forward a fresh copy (the delivery is released after return).
+		// Forward a copy: Add takes ownership of the slice it is given.
 		s0.Out().Add(s0.Peer(1).Handle(), append([]byte(nil), d.Data...), nil)
 	})
 	s1.HandleForward(func(d *kernel.Delivery) {
@@ -216,8 +217,8 @@ func TestTimerFiresWhileArmed(t *testing.T) {
 }
 
 // TestPanickingHandlerDoesNotKillShard pins the dispatch recovery rule:
-// a handler that panics on a poisoned message is counted and its delivery
-// released, and the loop keeps draining subsequent traffic.
+// a handler that panics on a poisoned message is counted, and the loop
+// keeps draining subsequent traffic.
 func TestPanickingHandlerDoesNotKillShard(t *testing.T) {
 	sys := kernel.NewSystem(kernel.WithSeed(88))
 	g := New(sys, Config{Name: "panicky", Shards: 1, Category: stats.CatOther})
@@ -234,7 +235,6 @@ func TestPanickingHandlerDoesNotKillShard(t *testing.T) {
 	join := start(g)
 	defer join()
 
-	pool0 := kernel.PayloadPoolStats()
 	tx := sys.NewProcess("tx")
 	out := tx.Port(in.Handle())
 	const K = 20
@@ -258,10 +258,56 @@ func TestPanickingHandlerDoesNotKillShard(t *testing.T) {
 	if got := g.HandlerPanics(); got != K/4 {
 		t.Fatalf("HandlerPanics = %d, want %d", got, K/4)
 	}
-	// Panicked deliveries were still released: the payload pool balances.
-	pool1 := kernel.PayloadPoolStats()
-	if drawn, ret := pool1.Drawn-pool0.Drawn, pool1.Returned-pool0.Returned; ret < drawn {
-		t.Fatalf("payload leak across panics: drawn %d, returned %d", drawn, ret)
+}
+
+// TestHandlerMayRetainPayload pins that a delivery's bytes are the
+// handler's own: a handler keeps every d.Data it is given, and the sends it
+// makes afterwards (each copying a payload of the same length) never write
+// into a kept slice.
+func TestHandlerMayRetainPayload(t *testing.T) {
+	sys := kernel.NewSystem(kernel.WithSeed(89))
+	g := New(sys, Config{Name: "retain", Shards: 1, Category: stats.CatOther})
+	s := g.Shard(0)
+	own := s.Proc().Open(nil)
+	if err := own.SetLabel(label.Empty(label.L3)); err != nil {
+		t.Fatal(err)
+	}
+	self := s.Proc().Port(own.Handle())
+
+	const K = 100
+	var kept [][]byte
+	handled := make(chan struct{}, K)
+	in := openTo(s, func(d *kernel.Delivery) {
+		kept = append(kept, d.Data)
+		if err := self.Send(bytes.Repeat([]byte("x"), len(d.Data)), nil); err != nil {
+			t.Error(err)
+		}
+		for range own.Drain() {
+		}
+		handled <- struct{}{}
+	})
+	join := start(g)
+	defer join()
+	payload := func(i int) string { return fmt.Sprintf("payload-%03d", i) }
+	out := sys.NewProcess("tx").Port(in.Handle())
+	for i := 0; i < K; i++ {
+		if err := out.Send([]byte(payload(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-handled:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("delivery %d never handled", i)
+		}
+	}
+	bad := 0
+	for i, b := range kept {
+		if string(b) != payload(i) {
+			bad++
+		}
+	}
+	if len(kept) != K || bad != 0 {
+		t.Fatalf("%d of %d kept payloads changed after their handler returned", bad, len(kept))
 	}
 }
 

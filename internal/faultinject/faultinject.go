@@ -4,8 +4,7 @@
 // (§4) every service already tolerates silent drops, and the chaos suite
 // drives whole login→session→query flows through seeded drop/duplicate/
 // delay faults asserting that each flow completes or times out cleanly —
-// no wedged credential pairs, no leaked payload buffers, no privilege
-// growth.
+// no wedged credential pairs, no leaked handles, no privilege growth.
 //
 // Determinism: decisions come from a SplitMix64 stream advanced with one
 // atomic add per decision, so a fixed seed yields a reproducible fault

@@ -263,16 +263,13 @@ func Register(ctx context.Context, fsPort *kernel.Port, name string, reply *kern
 	if err != nil {
 		return Identity{}, err
 	}
-	// Inline Recv outside an event loop: parse, then recycle the payload.
 	op, r := wire.NewReader(d.Data)
 	ok := op == OpUserR && r.Byte() == 1
 	id := Identity{UT: r.Handle(), UG: r.Handle()}
-	bad := r.Err()
-	d.Release()
 	if !ok {
 		return Identity{}, fmt.Errorf("fs: register failed")
 	}
-	if bad {
+	if r.Err() {
 		return Identity{}, fmt.Errorf("fs: malformed register reply")
 	}
 	return id, nil

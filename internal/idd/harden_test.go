@@ -18,7 +18,7 @@ import (
 )
 
 // The hardening regressions: lockout-ladder arithmetic, deferred verdicts,
-// the failed-login capability leak, the payload-pool leak, bounded-cache
+// the failed-login capability leak, bounded-cache
 // eviction safety, the cached-login database bypass, fail-closed non-hash
 // rows, unknown-user timing, and the sharded deployment (ownership,
 // forwarding, the owner's ladder for misrouted logins, and a
@@ -53,7 +53,6 @@ func addUser(t *testing.T, h *harness, user, pass, uid string) {
 	if err != nil || !idd.ParseAddUserReply(d) {
 		t.Fatalf("add user %s: %v", user, err)
 	}
-	d.Release()
 	// idd sends the reply before it drops the reply ⋆; wait for the drop,
 	// so a test that reads idd's labels next sees a settled baseline.
 	deadline := time.Now().Add(5 * time.Second)
@@ -96,9 +95,7 @@ func TestDuplicateAddUserRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := idd.ParseAddUserReply(d)
-	d.Release()
-	if accepted {
+	if idd.ParseAddUserReply(d) {
 		t.Fatal("second AddUser for alice accepted")
 	}
 	demux := h.sys.NewProcess("demux")
@@ -210,46 +207,6 @@ func TestFailedLoginPrivilegeFlat(t *testing.T) {
 	}
 }
 
-// TestLoginPayloadPoolBalanced is the payload-leak regression: across a
-// closed loop of login round trips, the kernel's payload pool must see
-// returns keep pace with draws. idd's inline database Recv used to drop
-// every reply buffer on the floor (as did the client helpers audited with
-// it), so the drawn−returned gap grew linearly with traffic.
-func TestLoginPayloadPoolBalanced(t *testing.T) {
-	h, _ := bootOpts(t, idd.Options{Ladder: noLockout})
-	client := h.sys.NewProcess("client")
-	warm := func() {
-		reply := client.Open(nil).Handle()
-		port, _ := h.sys.Env(idd.EnvLoginPort)
-		if err := idd.Login(client.Port(port), 99, "alice", "pw-a", reply); err != nil {
-			t.Fatal(err)
-		}
-		d, err := client.RecvCtx(context.Background(), reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Release()
-		client.Dissociate(reply)
-	}
-	warm() // cache fill (one-time mint + mapping pushes) outside the window
-
-	const rounds = 50
-	before := kernel.PayloadPoolStats()
-	for i := 0; i < rounds; i++ {
-		warm()
-	}
-	after := kernel.PayloadPoolStats()
-	drawn := after.Drawn - before.Drawn
-	returned := after.Returned - before.Returned
-	// Cached logins are a closed two-message loop (request in, verdict out),
-	// both released; allow a little slack for in-flight deliveries but
-	// nothing proportional to the round count.
-	if gap := int64(drawn) - int64(returned); gap > 8 {
-		t.Fatalf("payload pool leaked: %d drawn, %d returned (gap %d) across %d cached logins",
-			drawn, returned, gap, rounds)
-	}
-}
-
 // TestEvictionNoOrphan is the bounded-cache regression: evicting a user
 // from the identity cache must not orphan anything. The handle pair is
 // persisted at mint time, so the post-eviction login returns the SAME
@@ -290,7 +247,6 @@ func TestEvictionNoOrphan(t *testing.T) {
 	}
 	_, done := dbproxy.ParseDone(d)
 	_, qerr := dbproxy.ParseError(d)
-	d.Release()
 	if !done || qerr {
 		t.Fatal("post-eviction mapping no longer authorizes queries")
 	}
@@ -363,7 +319,6 @@ func loginAt(t *testing.T, sys *kernel.System, p *kernel.Process, port, reply ha
 			t.Fatalf("login %s: %v", user, err)
 		}
 		id, tok, ok := idd.ParseLoginReply(d)
-		d.Release()
 		if tok != token {
 			continue
 		}

@@ -313,7 +313,6 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 			if err != nil || d == nil {
 				panic("idd: dbproxy admin grant failed")
 			}
-			d.Release()
 		}
 		grantRx.Dissociate()
 		for _, h := range proxy.AdminPorts() {
@@ -393,12 +392,7 @@ func (s *iddShard) adminWait() (dbproxy.AdminResult, bool) {
 	if err != nil || d == nil {
 		return dbproxy.AdminResult{}, false
 	}
-	// ParseAdminResult copies every field out of the payload, so the
-	// delivery's pooled buffer can be recycled immediately — one inline
-	// Recv here used to leak a pooled payload per database round trip.
-	res, ok := dbproxy.ParseAdminResult(d)
-	d.Release()
-	return res, ok
+	return dbproxy.ParseAdminResult(d)
 }
 
 func (s *iddShard) handleLogin(d *kernel.Delivery) {

@@ -16,8 +16,9 @@ import (
 //
 // Owned declares that the caller transfers ownership of Data to the kernel:
 // the payload is enqueued without the defensive copy Send makes, and the
-// caller must never touch the slice again. The trusted event loops set it
-// for the wire buffers they build fresh per message.
+// receiver gets the slice itself, so the caller must never touch it again.
+// The trusted event loops set it for the wire buffers they build fresh per
+// message.
 type BatchEntry struct {
 	Data  []byte
 	Opts  *SendOpts
@@ -124,7 +125,7 @@ func (p *Process) sendBatchVia(port handle.Handle, vn *vnode, entries []BatchEnt
 		if e.Owned {
 			m.Data = e.Data
 		} else {
-			m.Data = append(getPayload(), e.Data...)
+			m.Data = append([]byte(nil), e.Data...)
 		}
 		m.es, m.ds, m.dr, m.v = es, ds, dr, v
 		m.next = nil
@@ -240,9 +241,10 @@ func NewBatcher(p *Process) *Batcher {
 }
 
 // Add buffers one message for port, transferring ownership of data to the
-// kernel: the slice is enqueued without a defensive copy at Flush, so the
-// caller must not touch it again. Every event-loop user builds its wire
-// buffers fresh per message, which is exactly this contract.
+// kernel: the slice is enqueued without a defensive copy at Flush and
+// becomes the receiver's Delivery.Data, so the caller must not touch it
+// again. Every event-loop user builds its wire buffers fresh per message,
+// which is exactly this contract.
 func (b *Batcher) Add(port handle.Handle, data []byte, opts *SendOpts) {
 	b.n++
 	e := BatchEntry{Data: data, Opts: opts, Owned: true}
@@ -286,7 +288,7 @@ func (b *Batcher) Flush() error {
 		if err := b.p.sendBatchVia(s.port, b.p.sys.lookup(s.port), s.entries); err != nil && first == nil {
 			first = err
 		}
-		// Release payload/opts references (the slot and its entry array are
+		// Drop payload/opts references (the slot and its entry array are
 		// retained for reuse; the buffers must not be).
 		for j := range s.entries {
 			s.entries[j] = BatchEntry{}

@@ -38,7 +38,6 @@ func BootstrapGrants(recipient *Process, grants []BootstrapGrant) {
 		if err != nil || d == nil {
 			panic("kernel: capability bootstrap failed")
 		}
-		d.Release()
 	}
 	boot.Dissociate()
 }

@@ -57,7 +57,6 @@ func TestConnectionChurnKeepsLabelsCompact(t *testing.T) {
 		if err != nil || d == nil {
 			t.Fatalf("message not delivered: %v, %v", d, err)
 		}
-		d.Release()
 	}
 
 	for round := 0; round < rounds; round++ {

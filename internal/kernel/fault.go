@@ -43,12 +43,12 @@ func (s *System) inject(owner *Process, msgs []*Message) []*Message {
 	return kept
 }
 
-// cloneMsg builds an independent copy of a built message: fresh pooled
+// cloneMsg builds an independent copy of a built message: its own
 // payload, shared (immutable) label pointers.
 func cloneMsg(m *Message) *Message {
 	c := getMsg()
 	c.Port = m.Port
-	c.Data = append(getPayload(), m.Data...)
+	c.Data = append([]byte(nil), m.Data...)
 	c.es, c.ds, c.dr, c.v = m.es, m.ds, m.dr, m.v
 	c.next = nil
 	return c
@@ -58,8 +58,8 @@ func cloneMsg(m *Message) *Message {
 // filled up in the meantime. The timer goroutine holds no locks when it
 // fires, and publish takes only the receiver's waiter-set leaf lock to
 // unpark it (lock-ordering rule 3), so delivery from a timer is as safe as
-// from any sender. delayed lets harnesses quiesce before asserting pool
-// balance.
+// from any sender. delayed lets harnesses quiesce before asserting on
+// what was delivered.
 func (s *System) delayMsg(owner *Process, class string, msg *Message, d time.Duration) {
 	s.delayed.Add(1)
 	time.AfterFunc(d, func() {

@@ -94,8 +94,7 @@ func (f *scriptedFaults) Decide(class string) FaultDecision {
 // send path twice — as N Sends and as one N-entry SendBatch — and checks
 // both against the script: drops vanish and are counted under the
 // receiver's class, duplicates arrive beside their originals, delayed
-// messages arrive late, the delay timers all fire, and every payload buffer
-// drawn goes back to the pool.
+// messages arrive late, and the delay timers all fire.
 func TestFaultInjectionSendMatchesBatch(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	script := []FaultDecision{
@@ -123,7 +122,6 @@ func TestFaultInjectionSendMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := s.NewProcess("tx").Port(inbox.Handle())
-		pool := PayloadPoolStats()
 
 		if batch {
 			entries := make([]BatchEntry, len(script))
@@ -150,7 +148,6 @@ func TestFaultInjectionSendMatchesBatch(t *testing.T) {
 		var got []byte
 		for d := range inbox.Drain() {
 			got = append(got, d.Data[0])
-			d.Release()
 		}
 
 		if !isSubsequence(immediate, got) {
@@ -170,10 +167,6 @@ func TestFaultInjectionSendMatchesBatch(t *testing.T) {
 			if c != "rx" {
 				t.Errorf("%s: injector asked about class %q, want \"rx\"", name, c)
 			}
-		}
-		now := PayloadPoolStats()
-		if drawn, returned := now.Drawn-pool.Drawn, now.Returned-pool.Returned; drawn != returned {
-			t.Errorf("%s: payload pool drew %d buffers, got %d back", name, drawn, returned)
 		}
 	}
 }

@@ -65,71 +65,26 @@ func (o *SendOpts) defaults() (cs, ds, dr, v *label.Label) {
 
 // Delivery is what a receiver observes: the port, the payload, and the
 // sender's verification label (the only optional label passed up, §5.4).
-//
-// The payload has a release lifecycle: the kernel hands the receiver a
-// pooled buffer it owns until Release returns it for reuse by a future
-// send. The rule is normative: every received Delivery must reach Release
-// or Detach on every control-flow path (enforced by asbestosvet's
-// releasecheck analyzer). A dropped Delivery is garbage-collected like any
-// other slice, so a miss costs allocation pressure rather than
-// correctness — but the hand-audits that rule replaced kept finding real
-// leaks on error paths, so it is mechanical now. The trusted event loops
-// (internal/evloop) release every delivery after its handler returns,
-// which is what closes the last per-send allocation on the hot path. A
-// receiver that retains the payload bytes past Release must copy them
-// first, or take ownership with Detach.
+// Data is the receiver's own: the kernel copied it at the send (or took it
+// over from an Owned batch entry) and never touches it again.
 type Delivery struct {
 	Port handle.Handle
 	Data []byte
 	V    *label.Label
-
-	// pooled marks the payload as kernel-owned (eligible for Release);
-	// released arms the use-after-release detector.
-	pooled   bool
-	released bool
 }
 
 // newDelivery moves a consumed message's payload into a Delivery and
 // recycles the node.
 func newDelivery(m *Message) *Delivery {
-	d := &Delivery{Port: m.Port, Data: m.Data, V: m.v, pooled: true}
-	releaseMsg(m)
+	d := &Delivery{Port: m.Port, Data: m.Data, V: m.v}
+	freeMsg(m)
 	return d
 }
 
-// Release returns the payload buffer to the kernel's pool. The receiver
-// must not touch Data afterwards (it is nilled so a stale parse fails
-// loudly rather than reading bytes a concurrent send may be overwriting);
-// releasing twice panics — both are use-after-release bugs, not races the
-// kernel tolerates. Release on a detached or caller-built delivery is a
-// no-op.
-func (d *Delivery) Release() {
-	if d == nil || !d.pooled {
-		return
-	}
-	if d.released {
-		panic("kernel: Delivery.Release called twice")
-	}
-	d.released = true
-	putPayload(d.Data)
-	d.Data = nil
-}
-
-// Detach transfers payload ownership to the caller: the returned bytes are
-// exempt from the pool forever and any later Release is a no-op. Handlers
-// running under an event loop that releases deliveries use it to retain a
-// payload without copying.
-func (d *Delivery) Detach() []byte {
-	if d == nil {
-		return nil
-	}
-	if d.released {
-		panic("kernel: Delivery.Detach after Release")
-	}
-	b := d.Data
-	d.pooled = false
-	return b
-}
+// Release does nothing: a delivery's bytes belong to the garbage
+// collector. It stays only because the gated benchmark (bench/) still
+// calls it.
+func (d *Delivery) Release() {}
 
 // Grant builds a decontaminate-send label granting ⋆ for the given handles:
 // {h₁ ⋆, …, 3}. Sending with DecontSend: Grant(h) hands the receiver

@@ -1,92 +1,17 @@
 package kernel
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// The Message and payload freelists. Message structs are the nodes of every
-// process's MPSC inbox; payload buffers hold the kernel's defensive copy of
-// each sent message. Before pooling, each send allocated one node plus one
-// payload copy — the largest remaining allocation on the IPC path once the
-// event-process scratch pages were pooled.
+// msgPool recycles Message nodes, the links of every process's MPSC inbox.
+// A node comes back here when the kernel lets go of it: on a drop (failed
+// receiver-side checks, a dead port, queue overflow, process exit) and on
+// a delivery, whose payload moves into the Delivery. Payloads are never
+// pooled: a send's defensive copy is an ordinary slice, and a receiver may
+// keep d.Data as long as it likes.
 //
-// Nodes are recycled through msgPool at the two points the kernel
-// relinquishes ownership of a Message: a drop (failed receiver-side checks,
-// stale port ownership, queue overflow, process exit) and a delivery (the
-// payload moves into the Delivery; only the node returns here).
-//
-// Payload buffers flow through their own pool, payloadPool, and complete
-// the cycle the ROADMAP called out as the last per-send allocation on the
-// hot path:
-//
-//   - a send that must copy (Port.Send, un-Owned batch entries) draws its
-//     copy buffer from the pool;
-//   - a dropped message returns its buffer immediately (freeMsg);
-//   - a delivered message hands its buffer to the Delivery, which owns it
-//     until the receiver calls Delivery.Release — the trusted event loops
-//     (internal/evloop) release every delivery after its handler returns,
-//     so on the demux→worker path the same buffers circulate send after
-//     send. Receivers that never Release (clients, workers) simply let the
-//     buffer go to the garbage collector, exactly the pre-lifecycle
-//     behaviour.
-//
-// Label references are cleared when nodes are pooled: labels are immutable
-// and shared, and keeping them reachable from pooled nodes would pin them.
-
-// maxPooledPayload bounds the payload capacity a recycled buffer may
-// retain, so one huge message cannot pin a huge buffer in the pool.
-const maxPooledPayload = 64 << 10
-
+// Fields are cleared when a node is pooled, so a pooled node pins neither
+// a payload nor the (immutable, shared) labels it carried.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// payloadPool recycles payload buffers. Entries are *[]byte so Put does not
-// allocate an interface box per call; every pooled slice has length 0 and
-// capacity ≤ maxPooledPayload.
-var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// payloadsDrawn and payloadsReturned count pool traffic. A receiver that
-// Recvs inline and never Releases lets its buffer fall to the garbage
-// collector — legal, but on a hot path it reopens the per-send allocation
-// this pool closed. The counters make that visible: across a closed loop of
-// round trips, returned must keep pace with drawn (PayloadPoolStats; the
-// leak regression tests pin the idd and client paths with it).
-var payloadsDrawn, payloadsReturned atomic.Uint64
-
-// PoolStats is a snapshot of payload-pool traffic.
-type PoolStats struct {
-	Drawn    uint64 // buffers handed out for send-side copies
-	Returned uint64 // buffers recycled (message dropped or Delivery released)
-}
-
-// PayloadPoolStats reports cumulative payload-pool traffic. Outstanding
-// buffers = Drawn - Returned; a steadily growing gap across a closed loop
-// of round trips is a Release leak.
-func PayloadPoolStats() PoolStats {
-	// Read returned first: a concurrent draw between the two loads then
-	// inflates the gap (a false alarm reads as outstanding work, never as a
-	// phantom return).
-	r := payloadsReturned.Load()
-	return PoolStats{Drawn: payloadsDrawn.Load(), Returned: r}
-}
-
-// getPayload returns a zero-length buffer with reusable capacity (possibly
-// zero, for a fresh pool entry — append grows it like any other slice).
-func getPayload() []byte {
-	payloadsDrawn.Add(1)
-	return *payloadPool.Get().(*[]byte)
-}
-
-// putPayload recycles a payload buffer for a future send's copy. Nil and
-// oversized buffers are dropped.
-func putPayload(b []byte) {
-	if b == nil || cap(b) > maxPooledPayload {
-		return
-	}
-	payloadsReturned.Add(1)
-	b = b[:0]
-	payloadPool.Put(&b)
-}
 
 // getMsg returns a Message node. All fields are garbage; the caller must
 // assign every one of them before publishing the node.
@@ -94,23 +19,18 @@ func getMsg() *Message {
 	return msgPool.Get().(*Message)
 }
 
-// releaseMsg recycles a delivered node. Its payload has escaped into a
-// Delivery, which owns those bytes until Release.
-func releaseMsg(m *Message) {
-	m.Data = nil
-	scrubMsg(m)
-}
-
-// freeMsg recycles a dropped node and its payload buffer.
+// freeMsg recycles a node the kernel no longer needs.
 func freeMsg(m *Message) {
-	putPayload(m.Data)
-	m.Data = nil
-	scrubMsg(m)
-}
-
-func scrubMsg(m *Message) {
-	m.Port = 0
-	m.es, m.ds, m.dr, m.v = nil, nil, nil, nil
-	m.next = nil
+	*m = Message{}
 	msgPool.Put(m)
 }
+
+// PoolStats is what PayloadPoolStats reports.
+type PoolStats struct {
+	Drawn    uint64
+	Returned uint64
+}
+
+// PayloadPoolStats reports zeros: the kernel keeps no payload pool. It
+// stays only because the gated benchmark (bench/) still reads it.
+func PayloadPoolStats() PoolStats { return PoolStats{} }

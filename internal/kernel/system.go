@@ -106,20 +106,15 @@
 //
 // # Statically enforced contracts
 //
-// Four of this package's usage rules are normative and machine-checked by
+// Two of this package's usage rules are normative and machine-checked by
 // the asbestosvet suite (cmd/asbestosvet; CI runs it via go vet
 // -vettool, and `go build -o vet ./cmd/asbestosvet && go vet -vettool=vet
 // ./...` reproduces the check locally):
 //
-//  1. Every *Delivery obtained from Recv/RecvCtx/TryRecv/Select or
-//     Mailbox.Drain reaches Release or Detach on every control-flow path
-//     (analyzer: releasecheck).
-//  2. Every ⋆-level capability grant (Grant) is paired with
+//  1. Every ⋆-level capability grant (Grant) is paired with
 //     DropPrivilege/DropAfter on every path, or carries an
 //     //asbestos:keepstar <lifetime> <reason> waiver (analyzer: privdrop).
-//  3. Handlers running under internal/evloop do not retain the delivery
-//     or its payload past their return (analyzer: retaincheck).
-//  4. Blocking receives are given a cancellable context, never a bare
+//  2. Blocking receives are given a cancellable context, never a bare
 //     context.Background()/TODO() (analyzer: ctxrecv).
 package kernel
 
@@ -364,8 +359,8 @@ func (s *System) DropStats() map[string]uint64 {
 }
 
 // DelayedInFlight reports injector-delayed messages that have not yet
-// been re-admitted; chaos harnesses quiesce on zero before asserting pool
-// balance.
+// been re-admitted; chaos harnesses quiesce on zero before asserting that
+// the stack is back at its baseline.
 func (s *System) DelayedInFlight() int64 { return s.delayed.Load() }
 
 // countDrop records n dropped messages bound for the given port class.

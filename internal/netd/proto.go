@@ -2,15 +2,14 @@
 // which all network traffic flows — replicated into N event loops (shards)
 // on the shared internal/evloop runtime, each owning a disjoint slice of
 // the connections by id hash (the runtime provides the capped
-// burst-draining loop, reply batching, cross-shard forward ports and
-// delivery release; see the evloop package doc for its ownership and
-// Release rules). netd wraps each connection in an Asbestos port, services
-// READ/WRITE/CONTROL/ADDTAINT messages on that port — the ops Figure 5
-// needs, beside LISTEN and its new-connection notify on the service port —
-// and with ADDTAINT taints a connection with a user handle, so that every
-// byte read from user u's connection carries uT 3 and only suitably labeled
-// processes can write to it. Remote peers only dial in: netd opens no
-// outbound connections.
+// burst-draining loop, reply batching and cross-shard forward ports; see
+// the evloop package doc for its ownership rules). netd wraps each
+// connection in an Asbestos port, services READ/WRITE/CONTROL/ADDTAINT
+// messages on that port — the ops Figure 5 needs, beside LISTEN and its
+// new-connection notify on the service port — and with ADDTAINT taints a
+// connection with a user handle, so that every byte read from user u's
+// connection carries uT 3 and only suitably labeled processes can write to
+// it. Remote peers only dial in: netd opens no outbound connections.
 //
 // Privilege lifetimes. A shard holds ⋆ for a listener's notify port for
 // as long as the listen registration lives, so a listener may take its

@@ -7,8 +7,7 @@ package okws
 // receive paths) and prove the retry machinery CONVERGES — every flow
 // completes or times out cleanly on the deadline ladder (request deadline
 // → session TTL → netd idle timeout), no credential pair stays wedged, no
-// payload buffer leaks, and no process's privilege set grows across storm
-// rounds.
+// handle leaks, and no process's privilege set grows across storm rounds.
 //
 // The injector is scoped to {ok-demux, idd, ok-dbproxy, worker}: netd and
 // netdrv stay reliable because the simulated client blocks on the socket,
@@ -26,7 +25,6 @@ import (
 	"asbestos/internal/faultinject"
 	"asbestos/internal/handle"
 	"asbestos/internal/httpmsg"
-	"asbestos/internal/kernel"
 	"asbestos/internal/workload"
 )
 
@@ -184,7 +182,7 @@ func runChaos(t *testing.T, seed uint64, rate float64) {
 	}
 	chaosDrain(t, srv)
 	base := privilegeSizes(srv)
-	pool0 := kernel.PayloadPoolStats()
+	handles := srv.Sys.Handles()
 
 	inj.SetActive(true)
 	oks := 0
@@ -214,10 +212,8 @@ func runChaos(t *testing.T, seed uint64, rate float64) {
 	if got := privilegeSizes(srv); fmt.Sprint(got) != fmt.Sprint(base) {
 		t.Fatalf("privilege sets grew across storm rounds: %v -> %v", base, got)
 	}
-	pool1 := kernel.PayloadPoolStats()
-	out0, out1 := pool0.Drawn-pool0.Returned, pool1.Drawn-pool1.Returned
-	if out1 > out0+8 {
-		t.Fatalf("payload pool leaked: %d outstanding before storm, %d after", out0, out1)
+	if got := srv.Sys.Handles(); got != handles {
+		t.Fatalf("handles: %d before the storm, %d after", handles, got)
 	}
 
 	// No user stays stranded: with faults off, every user's next request

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"asbestos/internal/buffered"
 	"asbestos/internal/handle"
 	"asbestos/internal/httpmsg"
 	"asbestos/internal/idd"
@@ -63,8 +64,8 @@ func exchange(t *testing.T, c io.ReadWriter, user, pass, path string, keepAlive 
 }
 
 // TestHandlesFlatUnderChurn is the handle half of the churn test: once a
-// stack is warm, connect-per-request traffic must leave Sys.Handles()
-// exactly where it was. Every connection opens ports — netd's connection
+// stack is warm, connect-per-request traffic must leave Sys.Handles(), and
+// the ring chunks real-socket connections draw, exactly where they were. Every connection opens ports — netd's connection
 // port, the demux's login reply port, a worker event process's session and
 // reply ports — and each must leave the handle table when its connection,
 // login or event process ends, whatever way the connection went: a cached
@@ -142,7 +143,7 @@ func TestHandlesFlatUnderChurn(t *testing.T) {
 				for i := 0; i < tc.warm; i++ {
 					tc.conn(t, dial, i)
 				}
-				base := settledHandles(t, srv)
+				base, chunks := settledHandles(t, srv), buffered.ChunksOutstanding()
 				for i := 0; i < tc.churn; i++ {
 					tc.conn(t, dial, tc.warm+i)
 				}
@@ -150,6 +151,12 @@ func TestHandlesFlatUnderChurn(t *testing.T) {
 					t.Fatalf("Handles() = %d after %d connections, want the warm baseline %d (%+.2f per connection)",
 						got, tc.churn, base, float64(got-base)/float64(tc.churn))
 				}
+				eventually(t, func() error {
+					if got := buffered.ChunksOutstanding(); got != chunks {
+						return fmt.Errorf("%d ring chunks outstanding after %d connections, want the warm baseline %d", got, tc.churn, chunks)
+					}
+					return nil
+				})
 			})
 		}
 	}

@@ -227,9 +227,7 @@ func Launch(cfg Config) (*Server, error) {
 		if d == nil {
 			return nil, fmt.Errorf("okws: missing worker registration")
 		}
-		// Outside the evloop the Dispatch→Release pairing is on us.
 		s0.dispatch(d)
-		d.Release()
 	}
 
 	if err := demux.listen(cfg.HTTPPort); err != nil {
@@ -279,10 +277,7 @@ func (s *Server) AddUser(user, pass, uid string) error {
 	if err != nil {
 		return err
 	}
-	// Inline Recv outside an event loop: release the pooled payload.
-	ok := idd.ParseAddUserReply(d)
-	d.Release()
-	if !ok {
+	if !idd.ParseAddUserReply(d) {
 		return fmt.Errorf("okws: AddUser(%s) rejected", user)
 	}
 	return nil

@@ -27,8 +27,8 @@
 // own kernel process with exclusively owned state, no shared maps, no
 // locks. The runtime owns the loop skeleton (mailbox burst drain bounded by
 // evloop.BurstCap, Batcher flush, cross-shard forward ports with
-// pre-exchanged ⋆ grants, delivery release, ctx-driven stop; see the evloop
-// package doc for the ownership and Release rules); the services contribute
+// pre-exchanged ⋆ grants, ctx-driven stop; see the evloop package doc for
+// the ownership rules); the services contribute
 // only their dispatch handlers and tables. The ownership rules:
 //
 //   - USERS are owned by demux shard shard.Of(user, N). That shard holds

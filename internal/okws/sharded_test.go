@@ -412,7 +412,6 @@ func TestPinnedSessionProbesOnTimer(t *testing.T) {
 		if d == nil {
 			return handle.None
 		}
-		defer d.Release()
 		st, ok := parseStart(d)
 		if !ok {
 			t.Fatalf("replica received op %d, want opStart", d.Data[0])

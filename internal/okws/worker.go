@@ -731,13 +731,9 @@ func (c *Ctx) dbExec(sql string, args []string, declassify bool) ([][]string, er
 		if err != nil {
 			return nil, err
 		}
-		// Every parser copies its fields out, so the pooled payload is
-		// recycled per delivery — a query streaming N rows used to leak N
-		// buffers to the garbage collector.
 		row, isRow := dbproxy.ParseRow(d)
 		_, isDone := dbproxy.ParseDone(d)
 		msg, isErr := dbproxy.ParseError(d)
-		d.Release()
 		switch {
 		case isRow:
 			rows = append(rows, row)
