@@ -391,22 +391,22 @@ func sanitize(s string) string {
 
 // BenchmarkLoginPath measures one idd login round trip in its three regimes:
 //
-//   - cold: every attempt misses the identity cache (CacheCap 1, users
-//     cycled), paying the ok-dbproxy round trip plus the Argon2id verify;
-//   - cached: one user logging in repeatedly — the hash is verified locally
-//     against the cached entry, no database traffic at all;
+//   - cold: users cycled, each login paying the ok-dbproxy row lookup plus
+//     the Argon2id verify;
+//   - repeat: one user logging in again and again — idd keeps no identity
+//     cache, so each login still reads the row and verifies the hash;
 //   - backedoff: a locked-out username under a wrong-password flood — idd
 //     does no verification work and defers/drops the verdicts, so this
 //     bounds what a credential-stuffing attacker can make idd spend.
 //
-// The cached÷cold and backedoff÷cached ratios are the figure of merit, not
+// The repeat÷cold and backedoff÷repeat ratios are the figure of merit, not
 // the absolute numbers.
 func BenchmarkLoginPath(b *testing.B) {
 	const userCount = 256
-	boot := func(b *testing.B, cacheCap int, ladder []idd.BackoffRung) (*kernel.System, *idd.Idd, func()) {
+	boot := func(b *testing.B, ladder []idd.BackoffRung) (*kernel.System, *idd.Idd, func()) {
 		sys := kernel.NewSystem(kernel.WithSeed(42))
 		proxy := dbproxy.New(sys, db.Open())
-		iddSrv := idd.NewOpts(sys, proxy, idd.Options{CacheCap: cacheCap, Ladder: ladder})
+		iddSrv := idd.NewOpts(sys, proxy, idd.Options{Ladder: ladder})
 		go proxy.Run()
 		go iddSrv.Run()
 		admin := sys.NewProcess("bench-admin")
@@ -449,8 +449,7 @@ func BenchmarkLoginPath(b *testing.B) {
 	}
 
 	b.Run("cold", func(b *testing.B) {
-		// CacheCap 1 with cycled users: every login is a cache miss.
-		sys, _, stop := boot(b, 1, []idd.BackoffRung{})
+		sys, _, stop := boot(b, []idd.BackoffRung{})
 		defer stop()
 		client := sys.NewProcess("bench-client")
 		reply := client.Open(nil)
@@ -462,12 +461,12 @@ func BenchmarkLoginPath(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "logins/sec")
 	})
 
-	b.Run("cached", func(b *testing.B) {
-		sys, _, stop := boot(b, 0, []idd.BackoffRung{})
+	b.Run("repeat", func(b *testing.B) {
+		sys, _, stop := boot(b, []idd.BackoffRung{})
 		defer stop()
 		client := sys.NewProcess("bench-client")
 		reply := client.Open(nil)
-		login(b, sys, client, reply, 1, "lu0000", "pw-lu0000", true) // warm the cache
+		login(b, sys, client, reply, 1, "lu0000", "pw-lu0000", true) // mint the handles
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			login(b, sys, client, reply, uint64(i+2), "lu0000", "pw-lu0000", true)
@@ -478,14 +477,14 @@ func BenchmarkLoginPath(b *testing.B) {
 	b.Run("backedoff", func(b *testing.B) {
 		// Lock lu0001 out far past the benchmark's horizon, then flood it
 		// with wrong passwords: each attempt is deferred or dropped without
-		// any hashing. A cached good login of ANOTHER user every few
+		// any hashing. A good login of ANOTHER user every few
 		// iterations forces a full round trip through the same shard, so the
 		// loop measures processed sends rather than a growing mailbox.
-		sys, _, stop := boot(b, 0, []idd.BackoffRung{{Fails: 2, Delay: time.Hour}})
+		sys, _, stop := boot(b, []idd.BackoffRung{{Fails: 2, Delay: time.Hour}})
 		defer stop()
 		client := sys.NewProcess("bench-client")
 		reply := client.Open(nil)
-		login(b, sys, client, reply, 1, "lu0000", "pw-lu0000", true) // warm the sync user
+		login(b, sys, client, reply, 1, "lu0000", "pw-lu0000", true) // mint the sync user's handles
 		// Climb to the rung: these two failures still get immediate verdicts
 		// (the lockout arms ON the second failure, so only later attempts
 		// are deferred).

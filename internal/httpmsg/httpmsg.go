@@ -6,6 +6,7 @@
 package httpmsg
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -173,9 +174,10 @@ func ParseResponse(buf []byte) (resp *Response, n int, complete bool, err error)
 	return resp, bodyStart + clen, true, nil
 }
 
-// splitHead finds the \r\n\r\n header terminator.
+// splitHead finds the \r\n\r\n header terminator. It searches the bytes
+// in place; only the head it returns is copied.
 func splitHead(buf []byte) (head string, bodyStart int, ok bool) {
-	i := strings.Index(string(buf), "\r\n\r\n")
+	i := bytes.Index(buf, []byte("\r\n\r\n"))
 	if i < 0 {
 		return "", 0, false
 	}

@@ -169,3 +169,48 @@ func TestServiceEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseRequest holds ParseRequest, which the demux runs on raw network
+// bytes while it holds ⋆ for every user, to its framing contract: it never
+// panics; a complete parse consumes 0 < n ≤ len(b) bytes; b[:n] alone
+// parses complete with the same n; and no strict prefix of b[:n] parses
+// complete, so a request's end never depends on bytes behind it.
+func FuzzParseRequest(f *testing.F) {
+	for _, seed := range []string{
+		"GET /echo?n=11 HTTP/1.0\r\nauthorization: u0007 pw0007\r\n\r\n",
+		"GET /echo?n=11 HTTP/1.0\r\nauthorization: u0007 pw0007\r\nconnection: keep-alive\r\n\r\n",
+		"GET /store?q=a HTTP/1.0\r\nauthorization: alice pw\r\nconnection: keep-alive\r\n\r\n" +
+			"GET /store?d=b&x= HTTP/1.0\r\nauthorization: alice pw\r\nconnection: keep-alive\r\n\r\nGET /",
+		"POST /w HTTP/1.0\r\ncontent-length: 5\r\n\r\nhelloGET / HTTP/1.0\r\n\r\n",
+		"POST /w HTTP/1.0\r\ncontent-length: 9\r\n\r\nshort",
+		"GET / HTTP/1.0\r\ncontent-length: -1\r\n\r\n",
+		"GET /\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, n, complete, err := ParseRequest(b)
+		if !complete {
+			return
+		}
+		if err != nil {
+			t.Fatalf("complete parse with error %v", err)
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		if _, n2, complete2, err2 := ParseRequest(b[:n]); !complete2 || n2 != n || err2 != nil {
+			t.Fatalf("b[:%d] alone: n=%d complete=%v err=%v", n, n2, complete2, err2)
+		}
+		// Every prefix is quadratic work; the demux refuses requests long
+		// before this size, so larger inputs skip the walk.
+		if n > 32<<10 {
+			return
+		}
+		for m := 0; m < n; m++ {
+			if _, _, c, _ := ParseRequest(b[:m]); c {
+				t.Fatalf("strict prefix b[:%d] of a %d-byte request parses complete", m, n)
+			}
+		}
+	})
+}

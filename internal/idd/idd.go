@@ -5,7 +5,7 @@
 // login it grants the querier both handles at ⋆ and raises its clearance
 // for uT.
 //
-// Ownership and caching:
+// Ownership:
 //
 //   - A USERNAME is owned by ShardFor(user, N) — shard.Of over the
 //     SHA-256 of the name, so the owner cannot be steered by crafting
@@ -14,14 +14,14 @@
 //     the handle pair, and runs the backoff ladder. A login that reaches
 //     another shard is forwarded to the owner, so only the owner holds the
 //     user's uT ⋆/uG ⋆ and only the owner's ladder decides.
-//   - Each shard holds a BOUNDED identity cache (Options.CacheCap, an LRU)
-//     mapping username → (uid, uT, uG, password hash). Repeat logins
-//     genuinely skip the database: a cache hit verifies the password
-//     against the stored Argon2id hash locally and replies without any
-//     ok-dbproxy round trip. Eviction is safe and orphan-free — the handle
-//     pair is persisted in the user's row at mint time, so a post-eviction
-//     login reloads the SAME uT/uG, and the mappings previously pushed to
-//     ok-dbproxy (and the ⋆ the owner's process retains) stay valid.
+//   - idd keeps no identity cache: every login reads the user's row (one
+//     key-index probe through ok-dbproxy) and verifies the password
+//     against its Argon2id hash, so a login for a name someone else used
+//     recently costs what any other login costs. Repeat logins are the
+//     demux's to absorb, in its credential cache. The handle pair is
+//     persisted in the row at mint time, so every later login reloads the
+//     SAME uT/uG, and the mappings pushed to ok-dbproxy (and the ⋆ the
+//     owner's process retains) stay valid.
 //
 // Failed-login backoff: the owner keeps a bounded per-username failure
 // count and, past the ladder's first rung (Options.Ladder; DefaultLadder:
@@ -77,8 +77,8 @@ const (
 
 // UsersTable is the password table idd keeps through ok-dbproxy's admin
 // interface: (name, password, uid, ut, ug). password is a PHC Argon2id
-// string; ut/ug persist the minted handle pair so cache eviction can never
-// orphan the bindings pushed to ok-dbproxy.
+// string; ut/ug persist the minted handle pair, so every login after the
+// first returns the handles whose bindings were pushed to ok-dbproxy.
 const UsersTable = "okws_users"
 
 // EnvLoginPort and EnvAdminPort are the environment names for idd's shard-0
@@ -146,8 +146,8 @@ func LadderDelay(ladder []BackoffRung, fails int) time.Duration {
 // flood against one name from holding idd memory.
 const maxDeferredPerUser = 8
 
-// DefaultCacheCap bounds the identity cache and the backoff table when
-// Options leaves the knob zero; both are split across shards.
+// DefaultCacheCap bounds the backoff table when Options leaves the knob
+// zero; it is split across shards.
 const DefaultCacheCap = 1 << 14
 
 // Options configures NewOpts. The zero value reproduces New: one shard,
@@ -155,8 +155,8 @@ const DefaultCacheCap = 1 << 14
 type Options struct {
 	// Shards is the event-loop count (clamped like every shard knob).
 	Shards int
-	// CacheCap bounds the per-service identity cache and backoff table
-	// (0 = DefaultCacheCap), split across shards.
+	// CacheCap bounds the per-service backoff table (0 =
+	// DefaultCacheCap), split across shards.
 	CacheCap int
 	// Hash is the Argon2id cost setting for newly stored credentials
 	// (zero value = passhash.ServerParams). Verification always uses the
@@ -201,20 +201,10 @@ type iddShard struct {
 	dbAdmins []*kernel.Port
 	dbReply  *kernel.Port
 
-	// cache is the bounded identity cache of the users this shard owns,
-	// filled from the database. An entry carries the password hash, so a
-	// hit verifies locally — no database round trip.
-	cache *lru.Cache[string, cacheEntry]
-
 	// backoff is the owner's bounded per-username failure ladder. Eviction
 	// settles the victim's deferred replies (fail + shed the reply ⋆) so a
 	// table-pressure eviction can never leak a capability.
 	backoff *lru.Cache[string, *backoffState]
-}
-
-type cacheEntry struct {
-	id   Identity
-	hash string
 }
 
 // backoffState tracks one username's consecutive failures; while locked
@@ -292,7 +282,6 @@ func NewOpts(sys *kernel.System, proxy *dbproxy.Proxy, o Options) *Idd {
 			loginPort: login,
 			adminPort: admin,
 			dbReply:   proc.Open(nil),
-			cache:     lru.New[string, cacheEntry](perShard),
 		}
 		s.backoff = lru.NewEvict[string, *backoffState](perShard, func(_ string, st *backoffState) {
 			s.flushDeferred(st)
@@ -414,9 +403,9 @@ func (s *iddShard) handleLogin(d *kernel.Delivery) {
 // reached.
 func (s *iddShard) login(token uint64, user, pass string, reply handle.Handle) {
 	if owner := ShardFor(user, len(s.i.shards)); owner != s.idx {
-		// The owner decides — it holds the user's ⋆, the backoff ladder and
-		// the cache. Re-grant the reply capability along the forward, then
-		// shed this shard's copy.
+		// The owner decides — it holds the user's ⋆ and the backoff ladder.
+		// Re-grant the reply capability along the forward, then shed this
+		// shard's copy.
 		msg := wire.NewWriter(OpLogin).U64(token).String(user).String(pass).Handle(reply).Done()
 		s.lp.Peer(owner).Send(msg, &kernel.SendOpts{DecontSend: kernel.Grant(reply)})
 		s.proc.DropPrivilege(reply, label.L1)
@@ -514,20 +503,12 @@ func refersTo(deferred []deferredReply, reply handle.Handle) bool {
 	return false
 }
 
-// authenticate validates credentials on the owner shard. A cache hit
-// verifies against the stored hash locally — no database round trip. A
-// miss reads the user's row, verifies Argon2id, and reuses the persisted
-// handle pair — minting and persisting a fresh one only on the user's
-// first-ever login ("it either generates new uT and uG handles ... or
-// returns cached handles", §7.4).
+// authenticate validates credentials on the owner shard: it reads the
+// user's row, verifies Argon2id, and reuses the persisted handle pair —
+// minting and persisting a fresh one only on the user's first-ever login
+// ("it either generates new uT and uG handles ... or returns cached
+// handles", §7.4).
 func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
-	if e, ok := s.cache.Peek(user); ok {
-		if !passhash.Verify(pass, e.hash) {
-			return Identity{}, false
-		}
-		s.cache.Get(user) // touch on success only
-		return e.id, true
-	}
 	res, ok := s.adminExec(
 		"SELECT password, uid, ut, ug FROM "+UsersTable+" WHERE name = ?", user)
 	if !ok || len(res.Rows) != 1 {
@@ -537,8 +518,7 @@ func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 		return Identity{}, false
 	}
 	row := res.Rows[0]
-	hashed := row[0]
-	if !passhash.Verify(pass, hashed) {
+	if !passhash.Verify(pass, row[0]) {
 		return Identity{}, false
 	}
 	id := Identity{UID: row[1]}
@@ -547,8 +527,8 @@ func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 		if !okG {
 			return Identity{}, false
 		}
-		// Persisted pair: a previous login (since evicted from the cache)
-		// minted these; the proxy mappings and this process's ⋆ still hold.
+		// Persisted pair: an earlier login minted these; the proxy mappings
+		// and this process's ⋆ still hold.
 		id.UT, id.UG = ut, ug
 	} else {
 		id.UT, id.UG = s.proc.NewHandle(), s.proc.NewHandle()
@@ -559,8 +539,9 @@ func (s *iddShard) authenticate(user, pass string) (Identity, bool) {
 	if err := s.proc.RaiseRecv(id.UT, label.L3); err != nil {
 		return Identity{}, false
 	}
-	s.cache.Put(user, cacheEntry{id: id, hash: hashed})
 	// Push the binding to every ok-dbproxy shard so each can taint rows.
+	// Pushing on every login, not only at mint time, heals a push that
+	// the unreliable kernel dropped.
 	for _, adm := range s.dbAdmins {
 		dbproxy.PushMapping(adm, user, dbproxy.Mapping{
 			UID: id.UID, UT: id.UT, UG: id.UG,

@@ -90,7 +90,7 @@ func TestLoginCachedHandlesStable(t *testing.T) {
 		t.Fatal("logins failed")
 	}
 	if id1.UT != id2.UT || id1.UG != id2.UG {
-		t.Fatal("repeat login must return cached handles")
+		t.Fatal("repeat login must return the persisted handles")
 	}
 	// Different users get different handles.
 	id3, ok3 := h.login(t, demux, "bob", "pw-b")

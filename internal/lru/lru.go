@@ -1,12 +1,12 @@
 // Package lru is the bounded map every trusted service uses for the tables
 // an attacker can grow without bound. The demux caps its session table and
 // login cache with it (one entry per (user, service) or credential pair
-// seen), and idd caps its identity cache and backoff table (one entry per
-// username tried): a credential-stuffing run or a many-user workload
-// recycles old entries instead of growing service memory forever. The
-// caches it backs are routing or acceleration state, so eviction is always
-// safe — an evicted session re-deals on its next connection, an evicted
-// login re-asks idd, an evicted identity re-reads the user table.
+// seen), and idd caps its backoff table (one entry per username tried): a
+// credential-stuffing run or a many-user workload recycles old entries
+// instead of growing service memory forever. Eviction is always safe — an
+// evicted session re-deals on its next connection, an evicted login
+// re-asks idd, and an evicted backoff entry settles its deferred replies
+// and restarts the name's ladder.
 //
 // All mutating methods belong to the owning shard's loop; only Len is safe
 // to call from other goroutines (diagnostics).
@@ -25,8 +25,8 @@ type Cache[K comparable, V any] struct {
 	// onEvict, when set, observes capacity evictions (not Deletes) — the
 	// demux uses it to settle state hanging off the evicted key (a bound
 	// session's event process, or the connections parked behind a pin, and
-	// the entry's timer either way), and idd uses it to keep its cache and
-	// the dbproxy mappings reconciled, instead of stranding either.
+	// the entry's timer either way), and idd uses it to settle the failure
+	// replies deferred behind an evicted name, instead of stranding them.
 	onEvict func(K, V)
 }
 

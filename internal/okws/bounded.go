@@ -15,7 +15,7 @@ import (
 // The demux's bounded tables (the session table, which holds pinned and
 // bound entries alike, and the login cache) live on internal/lru — the
 // generic LRU grew out of this file and moved there when idd needed the
-// same bound for its identity cache and backoff table.
+// same bound for its backoff table.
 type connTable struct {
 	m    map[handle.Handle]*dconn
 	size atomic.Int64

@@ -184,10 +184,14 @@ type pendingLogin struct {
 //
 // maxParkedPerSession bounds the connections waiting on one in-flight
 // start or login; a flood beyond it is refused with 503 instead of holding
-// demux memory.
+// demux memory. maxRequestBytes bounds what the demux buffers for one
+// connection's first request: a request still incomplete at that size is
+// refused with 400, so a peer that never ends its header cannot make the
+// demux hold and rescan an ever-growing buffer.
 const (
 	retryAfter          = 100 * time.Millisecond
 	maxParkedPerSession = 256
+	maxRequestBytes     = 16 << 10
 )
 
 // DefaultSessionCap and DefaultIDCacheCap bound the demux's two
@@ -537,6 +541,8 @@ func (s *demuxShard) handleNotify(d *kernel.Delivery) {
 			s.route(cs)
 		case rr.EOF:
 			s.fail(cs, 0)
+		case len(cs.buf) >= maxRequestBytes:
+			s.fail(cs, 400)
 		default:
 			netd.Read(cs.uC, s.notifyPort.Handle(), 4096)
 		}

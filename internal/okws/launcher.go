@@ -75,8 +75,8 @@ type Config struct {
 	// IDCacheCap bounds the demux's hashed login cache across all shards
 	// (0 = DefaultIDCacheCap).
 	IDCacheCap int
-	// IddOptions tunes idd beyond the shard count (cache bound, hashing
-	// cost, lockout ladder). Shards inside it is overridden by Shards.
+	// IddOptions tunes idd beyond the shard count (backoff table bound,
+	// hashing cost, lockout ladder). Shards inside it is overridden by Shards.
 	IddOptions idd.Options
 	// RequestDeadline bounds each request's demux-side life — header read,
 	// login round trips, taint, handoff — and rides into the worker as the

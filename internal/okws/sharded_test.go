@@ -1,11 +1,14 @@
 package okws
 
 // Tests for the sharded demux: the zero-length-delivery panic regression,
-// login-failure connection cleanup, table bounds, and a race-clean stress
-// test asserting session pinning survives shard dispatch.
+// login-failure connection cleanup, the request-size bound, table bounds,
+// and a race-clean stress test asserting session pinning survives shard
+// dispatch.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +162,53 @@ func TestEmptyConnectionClosed(t *testing.T) {
 	for inj.ConnCount() != base || srv.Demux.ConnCount() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("after 50 empty connections: netd holds %d (baseline %d), demux tracks %d",
+				inj.ConnCount(), base, srv.Demux.ConnCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEndlessHeaderRefused: a peer that sends header bytes and never the
+// terminator is refused once the demux holds maxRequestBytes of them. The
+// client reads one 400 and then EOF, and neither the demux nor netd keeps
+// the connection.
+func TestEndlessHeaderRefused(t *testing.T) {
+	srv, err := Launch(Config{Seed: 47, Shards: 2,
+		Services: []Service{{Name: "echo", Handler: echoBody}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	inj := srv.Netd.Injector()
+	base := inj.ConnCount()
+	c, err := srv.Network().Dial(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	endless := bytes.Repeat([]byte("a"), 64<<10)
+	copy(endless, "GET /echo HTTP/1.0\r\nx-pad: ")
+	// The write may end early with ErrClosed: netd closes the connection
+	// once the demux refuses it.
+	go c.Write(endless)
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(c)
+		got <- b
+	}()
+	select {
+	case b := <-got:
+		resp, n, complete, err := httpmsg.ParseResponse(b)
+		if err != nil || !complete || n != len(b) || resp.Status != 400 {
+			t.Fatalf("client read %q, want one 400 and then EOF", b)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no 400 and EOF within 5s of an endless header")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.ConnCount() != base || srv.Demux.ConnCount() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after an endless header: netd holds %d (baseline %d), demux tracks %d",
 				inj.ConnCount(), base, srv.Demux.ConnCount())
 		}
 		time.Sleep(time.Millisecond)

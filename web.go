@@ -23,9 +23,9 @@ type WebService = okws.Service
 // trusted services — idd's loops among them, sharded by username hash — it
 // tunes the identity server through IddOptions, the login path's
 // semantics: passwords are stored as Argon2id hashes and verified in
-// constant time, each idd shard holds a bounded LRU identity cache so
-// repeat logins verify locally without a database round trip, and failed
-// logins climb a bounded per-username lockout ladder (IddOptions.Ladder;
+// constant time, every login that reaches idd reads the user's row (the
+// demux's credential cache answers repeat logins before they get there),
+// and failed logins climb a bounded per-username lockout ladder (IddOptions.Ladder;
 // attempts against a locked name are deferred unverified, so credential
 // stuffing costs the attacker time, not the server hashing work).
 //
@@ -38,8 +38,8 @@ type WebService = okws.Service
 // arms no standing tick — and each defaults to 0 (disabled).
 type WebConfig = okws.Config
 
-// IddOptions tunes the identity server (WebConfig.IddOptions): identity
-// cache bound, Argon2id cost, lockout ladder. IddBackoffRung is one rung of
+// IddOptions tunes the identity server (WebConfig.IddOptions): backoff
+// table bound, Argon2id cost, lockout ladder. IddBackoffRung is one rung of
 // that ladder.
 type (
 	IddOptions     = idd.Options
