@@ -5,6 +5,15 @@
 // primitives live here rather than in golang.org/x/crypto; both are pinned
 // to the RFCs' test vectors in this package's tests.
 //
+// Argon2's compression G has two kernels, chosen once at start-up from the
+// CPU (CPUID and XGETBV, no option): on amd64 with AVX2, compressAVX2 in
+// argon2_amd64.s; everywhere else, compressCore, the pure-Go G. The tests
+// run the RFC vector under both and fuzz the assembly against compressCore
+// word for word. G takes the same time on every input: neither kernel
+// branches on block data or computes an address from it. (Argon2id's
+// data-dependent half still picks its reference blocks from block data,
+// as RFC 9106 specifies.)
+//
 // Verification is constant-time over the derived tag (crypto/subtle), so a
 // stored hash leaks nothing through idd's comparison timing. The work
 // parameters ride in the encoded string, giving stored credentials a

@@ -50,9 +50,31 @@ func TestBlake2bIncremental(t *testing.T) {
 	}
 }
 
+// forEachKernel runs f once per G kernel: the pure-Go compressCore, and
+// compressAVX2 where the CPU has AVX2.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	for _, k := range []struct {
+		name string
+		avx2 bool
+	}{{"generic", false}, {"avx2", true}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.avx2 && !haveAVX2() {
+				t.Skip("no AVX2 kernel: the CPU or OS lacks AVX2, or this is not amd64")
+			}
+			useAVX2 = k.avx2
+			f(t)
+		})
+	}
+}
+
 // TestArgon2idRFC9106 pins the full Argon2id derivation to the RFC 9106
-// §5.3 test vector (t=3, m=32, p=4, with secret and associated data).
-func TestArgon2idRFC9106(t *testing.T) {
+// §5.3 test vector (t=3, m=32, p=4, with secret and associated data), under
+// each G kernel.
+func TestArgon2idRFC9106(t *testing.T) { forEachKernel(t, checkRFC9106) }
+
+func checkRFC9106(t *testing.T) {
 	password := bytes.Repeat([]byte{0x01}, 32)
 	salt := bytes.Repeat([]byte{0x02}, 16)
 	secret := bytes.Repeat([]byte{0x03}, 8)
@@ -69,13 +91,15 @@ func TestArgon2idRFC9106(t *testing.T) {
 // TestArenaRecycled pins the pooled block matrix: a derivation that runs in
 // an arena an earlier one used must see it zeroed (the fill XORs into its
 // output block), so the RFC vector and two unrelated passwords, verified
-// back to back, all come out right.
-func TestArenaRecycled(t *testing.T) {
+// back to back, all come out right, under each G kernel.
+func TestArenaRecycled(t *testing.T) { forEachKernel(t, checkArenaRecycled) }
+
+func checkArenaRecycled(t *testing.T) {
 	vector := Params{Time: 3, Memory: 32, Threads: 4, KeyLen: 32}
 	a := Hash("first password", vector)
 	b := Hash("second password", vector)
 	for i := 0; i < 3; i++ {
-		TestArgon2idRFC9106(t) // same arena length as a and b
+		checkRFC9106(t) // same arena length as a and b
 		if !Verify("first password", a) || !Verify("second password", b) {
 			t.Fatalf("round %d: correct password rejected from a recycled arena", i)
 		}
@@ -114,6 +138,11 @@ func TestVerifySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Verify allocates %d B/call in steady state; one arena is %d B", perCall, arena)
 	}
 	t.Logf("Verify: %d B/call (arena %d B)", perCall, arena)
+	// The PHC string is parsed without fmt: what remains is the password's
+	// bytes, the decoded salt and tag, and the derived key.
+	if n := testing.AllocsPerRun(calls, func() { Verify("pw", h) }); n > 4 {
+		t.Fatalf("Verify makes %v allocations per call, want at most 4", n)
+	}
 }
 
 func TestHashVerifyRoundTrip(t *testing.T) {
@@ -152,18 +181,105 @@ func TestVerifyUsesEncodedParams(t *testing.T) {
 	}
 }
 
+// TestHashParsesToItsParams: every string Hash produces parses back to the
+// parameters it was hashed under.
+func TestHashParsesToItsParams(t *testing.T) {
+	for _, p := range []Params{
+		TestParams, ServerParams,
+		{Time: 2, Memory: 32, Threads: 2, KeyLen: 24},
+		{Time: 10, Memory: 1000, Threads: 10, KeyLen: 4},
+		{Time: 1, Memory: 8, Threads: 1, KeyLen: 64},
+	} {
+		got, _, _, ok := parse(Hash("pw", p))
+		if !ok || got != p {
+			t.Errorf("Hash under %+v parses to %+v (ok=%v)", p, got, ok)
+		}
+	}
+}
+
 func TestParseRejectsHostileCosts(t *testing.T) {
+	// The last five are a real hash of "pw" with one field made
+	// non-canonical; a parser that read "1junk", "064" or "19 " as a number
+	// would verify it.
+	valid := Hash("pw", TestParams)
 	for _, enc := range []string{
 		"$argon2id$v=19$m=4194304,t=3,p=1$AAAAAAAAAAAAAAAAAAAAAA$AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", // 4 GiB
 		"$argon2id$v=19$m=64,t=1000,p=1$AAAAAAAAAAAAAAAAAAAAAA$AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
 		"$argon2id$v=18$m=64,t=1,p=1$AAAAAAAAAAAAAAAAAAAAAA$AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA", // bad version
 		"$argon2id$v=19$m=64,t=1,p=1$notbase64!!$AAAA",
 		"$argon2id$garbage",
+		strings.Replace(valid, "m=64", "m=+64", 1),
+		strings.Replace(valid, "p=1$", "p=1junk$", 1),
+		strings.Replace(valid, "m=64", "m=064", 1),
+		strings.Replace(valid, "v=19", "v=19 ", 1),
+		valid + "$",
 	} {
+		if _, _, _, ok := parse(enc); ok {
+			t.Errorf("hostile encoding parsed: %q", enc)
+		}
 		if Verify("pw", enc) {
 			t.Errorf("hostile encoding verified: %q", enc)
 		}
 	}
+	if !Verify("pw", valid) {
+		t.Fatalf("the unmodified hash %q does not verify", valid)
+	}
+}
+
+// fuzzBlock fills a block from b, repeated to 1 KiB (zero if b is empty).
+func fuzzBlock(b []byte) *argonBlock {
+	var raw [blockWords * 8]byte
+	for i := 0; len(b) > 0 && i < len(raw); i += len(b) {
+		copy(raw[i:], b)
+	}
+	var blk argonBlock
+	for i := range blk {
+		blk[i] = binary.LittleEndian.Uint64(raw[i*8:])
+	}
+	return &blk
+}
+
+// FuzzCompressMatchesGeneric holds the AVX2 kernel to the pure-Go G word
+// for word, in both forms, with out separate or aliasing in1 (as the
+// address blocks' second G does).
+func FuzzCompressMatchesGeneric(f *testing.F) {
+	zero, ones := []byte{0}, []byte{0xff}
+	random := make([]byte, 1024)
+	hashPrime(random, []byte("FuzzCompressMatchesGeneric"))
+	for _, xor := range []bool{false, true} {
+		for _, alias := range []bool{false, true} {
+			f.Add(zero, zero, zero, xor, alias)
+			f.Add(ones, ones, ones, xor, alias)
+			f.Add(random, random[1:], random[2:], xor, alias)
+		}
+	}
+	if !haveAVX2() {
+		f.Log("no AVX2 kernel (the CPU or OS lacks AVX2, or this is not amd64): nothing to compare")
+	}
+	f.Fuzz(func(t *testing.T, b1, b2, bout []byte, xor, alias bool) {
+		if !haveAVX2() {
+			t.Skip("no AVX2 kernel")
+		}
+		in1, in2, out := fuzzBlock(b1), fuzzBlock(b2), fuzzBlock(bout)
+		want, got := *out, *out
+		in1k, in2k := *in1, *in2
+		if alias {
+			want, got = *in1, *in1
+			compressCore(&want, &want, in2, xor)
+			compressAVX2(&got, &got, &in2k, xor)
+		} else {
+			compressCore(&want, in1, in2, xor)
+			compressAVX2(&got, &in1k, &in2k, xor)
+		}
+		if in1k != *in1 || in2k != *in2 {
+			t.Fatal("compressAVX2 wrote to an input")
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("xor=%v alias=%v: word %d = %#x, want %#x", xor, alias, i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // hashPrimeSpec is H' exactly as RFC 9106 §3.3 writes it, byte by byte:
@@ -228,6 +344,26 @@ func BenchmarkHashPrimeBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hashPrimeBlock(&blk, h0[:])
 	}
+}
+
+// BenchmarkCompress is one G in its XOR form, per kernel.
+func BenchmarkCompress(b *testing.B) {
+	var out, in1, in2 argonBlock
+	hashPrimeBlock(&in1, []byte("in1"))
+	hashPrimeBlock(&in2, []byte("in2"))
+	b.Run("generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compressCore(&out, &in1, &in2, true)
+		}
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !haveAVX2() {
+			b.Skip("no AVX2 kernel: the CPU or OS lacks AVX2, or this is not amd64")
+		}
+		for i := 0; i < b.N; i++ {
+			compressAVX2(&out, &in1, &in2, true)
+		}
+	})
 }
 
 // BenchmarkVerify is one login's password check at idd's operating point.
